@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import ConfigError, DataError, NumericalError
@@ -44,43 +45,50 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", type=str, default=None, help="key=value config file")
-    p.add_argument("--data", type=str, default=None,
-                   help="dataset directory with the standard filenames")
-    p.add_argument("--edges", type=str, default=None)
-    p.add_argument("--features", type=str, default=None)
-    p.add_argument("--labels", type=str, default=None)
-    p.add_argument("--splits", type=str, default=None)
-    p.add_argument("--gen", type=str, default=None,
-                   choices=["sbm", "preferential-attachment"],
-                   help="generate the dataset in memory instead of loading")
-    p.add_argument("--nodes", type=int, default=None)
-    p.add_argument("--classes", type=int, default=None)
-    p.add_argument("--feature-dim", type=int, default=None)
-    p.add_argument("--p-in", type=float, default=None)
-    p.add_argument("--p-out", type=float, default=None)
-    p.add_argument("--attach", type=int, default=None)
-    p.add_argument("--feature-noise", type=float, default=None)
-    p.add_argument("--alpha-up", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--s1", type=int, default=None)
-    p.add_argument("--s2", type=int, default=None)
-    p.add_argument("--sampler", type=str, default=None, choices=["vm", "gnr", "uniform"])
-    p.add_argument("--baseline", type=str, default=None,
-                   choices=["spangnn", "dropedge", "full"])
-    p.add_argument("--model", type=str, default=None, choices=["gcn", "sage"])
-    p.add_argument("--layers", type=int, default=None)
-    p.add_argument("--hidden", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", type=str, default=None)
-    p.add_argument("--no-timings", action="store_true",
-                   help="write timing columns as 0 for byte-stable output")
-    p.add_argument("--diag-every", type=int, default=None,
-                   help="emit a diagnostics row every N epochs (0 = off)")
-    p.add_argument("--diag-samples", type=int, default=None)
+def _add_common_flags(p: argparse.ArgumentParser) -> list[argparse.Action]:
+    """Add the flags every subcommand shares; returns their actions."""
+    add = p.add_argument
+    return [
+        add("--config", type=str, help="key=value config file"),
+        add("--data", type=str, help="dataset directory with the standard filenames"),
+        add("--edges", type=str),
+        add("--features", type=str),
+        add("--labels", type=str),
+        add("--splits", type=str),
+        add("--gen", type=str, choices=["sbm", "preferential-attachment"],
+            help="generate the dataset in memory instead of loading"),
+        add("--nodes", type=int),
+        add("--classes", type=int),
+        add("--feature-dim", type=int),
+        add("--p-in", type=float),
+        add("--p-out", type=float),
+        add("--attach", type=int),
+        add("--feature-noise", type=float),
+        add("--alpha-up", type=float),
+        add("--beta", type=float),
+        add("--s1", type=int),
+        add("--s2", type=int),
+        add("--sampler", type=str, choices=["vm", "gnr", "uniform"]),
+        add("--baseline", type=str, choices=["spangnn", "dropedge", "full"]),
+        add("--model", type=str, choices=["gcn", "sage"]),
+        add("--layers", type=int),
+        add("--hidden", type=int),
+        add("--lr", type=float),
+        add("--epochs", type=int),
+        add("--seed", type=int),
+        add("--out", type=str),
+        add("--no-timings", action="store_true",
+            help="write timing columns as 0 for byte-stable output"),
+        add("--diag-every", type=int,
+            help="emit a diagnostics row every N epochs (0 = off)"),
+        add("--diag-samples", type=int),
+    ]
+
+
+def _add_variants_flag(p: argparse.ArgumentParser) -> argparse.Action:
+    return p.add_argument("--variants", type=str,
+                          help="comma-separated variant names "
+                               "(default: spangnn-vm,spangnn-gnr,dropedge,full)")
 
 
 def build_parser() -> _Parser:
@@ -92,9 +100,7 @@ def build_parser() -> _Parser:
 
     p_cmp = sub.add_parser("compare", help="run several variants on shared data")
     _add_common_flags(p_cmp)
-    p_cmp.add_argument("--variants", type=str, default=None,
-                       help="comma-separated variant names "
-                            "(default: spangnn-vm,spangnn-gnr,dropedge,full)")
+    _add_variants_flag(p_cmp)
 
     p_ins = sub.add_parser("sample-inspect",
                            help="dump edge weights and normalized probabilities")
@@ -115,28 +121,28 @@ def build_parser() -> _Parser:
     return parser
 
 
-# config-file keys -> argparse dest names (identical unless noted)
-_CONFIG_KEYS = {
-    "data": "data", "edges": "edges", "features": "features",
-    "labels": "labels", "splits": "splits",
-    "gen": "gen", "nodes": "nodes", "classes": "classes",
-    "feature_dim": "feature_dim", "p_in": "p_in", "p_out": "p_out",
-    "attach": "attach", "feature_noise": "feature_noise",
-    "alpha_up": "alpha_up", "beta": "beta", "s1": "s1", "s2": "s2",
-    "sampler": "sampler", "baseline": "baseline", "model": "model",
-    "layers": "layers", "hidden": "hidden", "lr": "lr", "epochs": "epochs",
-    "seed": "seed", "out": "out", "timings": "timings",
-    "diag_every": "diag_every", "diag_samples": "diag_samples",
-    "variants": "variants",
-}
+def _on_off(value: str) -> bool:
+    if value not in ("on", "off"):
+        raise ValueError(value)
+    return value == "on"
 
-_INT_KEYS = {"nodes", "classes", "feature_dim", "attach", "s1", "s2",
-             "layers", "hidden", "epochs", "seed", "diag_every", "diag_samples"}
-_FLOAT_KEYS = {"p_in", "p_out", "feature_noise", "alpha_up", "beta", "lr"}
+
+def _config_key_types() -> dict:
+    """Config-file key -> value parser, one key per common flag and --variants.
+
+    Keys are the flags' destinations; ``--no-timings`` becomes
+    ``timings=on|off`` and ``--config`` has no key.
+    """
+    probe = argparse.ArgumentParser(add_help=False)
+    actions = _add_common_flags(probe) + [_add_variants_flag(probe)]
+    types = {a.dest: a.type for a in actions if a.dest not in ("config", "no_timings")}
+    types["timings"] = _on_off
+    return types
 
 
 def parse_config_file(path) -> dict:
     """Parse a key=value file ('#' comments, blank lines ignored)."""
+    types = _config_key_types()
     values: dict = {}
     try:
         fh = open(path, "r", encoding="utf-8")
@@ -151,19 +157,10 @@ def parse_config_file(path) -> dict:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in types:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
             try:
-                if key in _INT_KEYS:
-                    values[key] = int(value)
-                elif key in _FLOAT_KEYS:
-                    values[key] = float(value)
-                elif key == "timings":
-                    if value not in ("on", "off"):
-                        raise ValueError
-                    values[key] = value == "on"
-                else:
-                    values[key] = value
+                values[key] = types[key](value)
             except ValueError:
                 raise ConfigError(
                     f"{path}:{lineno}: bad value {value!r} for key {key!r}"
@@ -171,71 +168,45 @@ def parse_config_file(path) -> dict:
     return values
 
 
-def _merged(args, key: str, default=None):
-    """Flag value if given, else config-file value, else default."""
-    flag = getattr(args, key, None)
-    if flag is not None and flag is not False:
-        return flag
-    file_values = getattr(args, "_file_values", {})
-    if key in file_values:
-        return file_values[key]
-    return default
+def _options(args) -> dict:
+    """Config-file values, overridden by every flag given on the command line."""
+    opts = parse_config_file(args.config) if args.config else {}
+    opts.update((k, v) for k, v in vars(args).items() if v is not None)
+    if opts.pop("no_timings"):
+        opts["timings"] = False
+    return opts
 
 
-def _build_run_config(args):
-    from .runner import RunConfig
+# flag destination -> RunConfig field, where the two names differ
+_RUN_FIELDS = {
+    "data": "data_dir", "edges": "edges_path", "features": "features_path",
+    "labels": "labels_path", "splits": "splits_path", "hidden": "hidden_dim",
+    "layers": "num_layers", "lr": "learning_rate", "sampler": "sampler_kind",
+    "out": "out_dir",
+}
+
+
+def _generator_spec(opts: dict, kind: str):
+    """GeneratorSpec of the given kind from the options that name its fields."""
     from .synthetic import GeneratorSpec
-
-    seed = _merged(args, "seed", 0)
-    gen_kind = _merged(args, "gen")
-    generator = None
-    if gen_kind is not None:
-        generator = GeneratorSpec(
-            kind=gen_kind,
-            nodes=_merged(args, "nodes", 1000),
-            classes=_merged(args, "classes", 2),
-            feature_dim=_merged(args, "feature_dim", 16),
-            seed=seed,
-            p_in=_merged(args, "p_in", 0.05),
-            p_out=_merged(args, "p_out", 0.005),
-            attach=_merged(args, "attach", 4),
-            feature_noise=_merged(args, "feature_noise", 1.0),
-        )
-
-    # file value first, then the flag overrides it
-    timings = getattr(args, "_file_values", {}).get("timings", True)
-    if getattr(args, "no_timings", False):
-        timings = False
-
-    return RunConfig(
-        data_dir=_merged(args, "data"),
-        edges_path=_merged(args, "edges"),
-        features_path=_merged(args, "features"),
-        labels_path=_merged(args, "labels"),
-        splits_path=_merged(args, "splits"),
-        generator=generator,
-        model=_merged(args, "model", "gcn"),
-        hidden_dim=_merged(args, "hidden", 64),
-        num_layers=_merged(args, "layers", 2),
-        learning_rate=_merged(args, "lr", 0.2),
-        epochs=_merged(args, "epochs", 200),
-        alpha_up=_merged(args, "alpha_up", 0.5),
-        beta=_merged(args, "beta", 0.1),
-        s1=_merged(args, "s1"),
-        s2=_merged(args, "s2"),
-        sampler_kind=_merged(args, "sampler", "vm"),
-        baseline=_merged(args, "baseline", "spangnn"),
-        seed=seed,
-        out_dir=_merged(args, "out"),
-        timings=timings,
-        diag_every=_merged(args, "diag_every", 0),
-        diag_samples=_merged(args, "diag_samples", 16),
-    )
+    names = {f.name for f in fields(GeneratorSpec)} - {"kind"}
+    return GeneratorSpec(kind=kind, **{k: v for k, v in opts.items() if k in names})
 
 
-def _cmd_train(args) -> int:
+def _build_run_config(opts: dict):
+    """RunConfig from the options set; every other field keeps its default."""
+    from .runner import RunConfig
+    names = {f.name for f in fields(RunConfig)}
+    values = {_RUN_FIELDS.get(k, k): v for k, v in opts.items()}
+    values = {k: v for k, v in values.items() if k in names}
+    if "gen" in opts:
+        values["generator"] = _generator_spec(opts, opts["gen"])
+    return RunConfig(**values)
+
+
+def _cmd_train(opts: dict) -> int:
     from .runner import run_training
-    cfg = _build_run_config(args)
+    cfg = _build_run_config(opts)
     if cfg.out_dir is None:
         raise ConfigError("train requires --out DIR for the metrics CSV")
     result = run_training(cfg)
@@ -247,30 +218,26 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_compare(args) -> int:
-    from .runner import run_compare
-    cfg = _build_run_config(args)
+def _cmd_compare(opts: dict) -> int:
+    from .runner import run_compare, summary_lines
+    cfg = _build_run_config(opts)
     if cfg.out_dir is None:
         raise ConfigError("compare requires --out DIR for the combined CSV")
-    raw = _merged(args, "variants", "spangnn-vm,spangnn-gnr,dropedge,full")
+    raw = opts.get("variants", "spangnn-vm,spangnn-gnr,dropedge,full")
     variants = [v.strip() for v in raw.split(",") if v.strip()]
     results = run_compare(cfg, variants)
-    print("variant,best_val_acc,best_val_macro_f1,peak_directed_edges,"
-          "mean_sampling_time_ms")
-    for name in variants:
-        r = results[name]
-        print(f"{name},{r.best_val_acc:.6f},{r.best_val_macro_f1:.6f},"
-              f"{r.peak_directed_edges},{r.mean_sampling_time_ms:.3f}")
+    print("\n".join(summary_lines(results, variants)))
     return 0
 
 
-def _cmd_sample_inspect(args) -> int:
+def _cmd_sample_inspect(opts: dict) -> int:
+    from .gnn import PROPAGATION_KIND
     from .graphstore import SpanningSubgraph, build_propagation
-    from .runner import kind_for_model, load_run_graph
+    from .runner import load_run_graph
     from .sampler import make_weights
-    cfg = _build_run_config(args)
+    cfg = _build_run_config(opts)
     g = load_run_graph(cfg)
-    p_full = build_propagation(SpanningSubgraph.full(g), kind_for_model(cfg.layer_type))
+    p_full = build_propagation(SpanningSubgraph.full(g), PROPAGATION_KIND[cfg.layer_type])
     probs = make_weights(cfg.sampler_kind, g, p_full)
     norm = probs.normalized()
     lines = ["edge_index,u,v,weight,normalized_prob"]
@@ -287,20 +254,20 @@ def _cmd_sample_inspect(args) -> int:
     return 0
 
 
-def _cmd_bench_sampling(args) -> int:
+def _cmd_bench_sampling(opts: dict) -> int:
     from .bench import bench_sampling
     from .runner import load_run_graph
-    cfg = _build_run_config(args)
+    cfg = _build_run_config(opts)
     have_data = (cfg.data_dir is not None or cfg.edges_path is not None
                  or cfg.generator is not None)
     if have_data:
         g = load_run_graph(cfg)
     else:
         from .synthetic import random_edge_graph
-        g = random_edge_graph(args.bench_nodes, args.bench_edges, seed=cfg.seed)
+        g = random_edge_graph(opts["bench_nodes"], opts["bench_edges"], seed=cfg.seed)
     s1 = cfg.s1 if cfg.s1 is not None else 10_000
     s2 = cfg.s2 if cfg.s2 is not None else 1_000
-    report = bench_sampling(g, cfg.sampler_kind, s1, s2, runs=args.runs,
+    report = bench_sampling(g, cfg.sampler_kind, s1, s2, runs=opts["runs"],
                             seed=cfg.seed)
     print("method,run,elapsed_ms")
     for i, ms in enumerate(report.two_step_ms):
@@ -313,23 +280,13 @@ def _cmd_bench_sampling(args) -> int:
     return 0
 
 
-def _cmd_gen_data(args) -> int:
-    from .synthetic import GeneratorSpec, generate_synthetic
-    out = _merged(args, "out")
+def _cmd_gen_data(opts: dict) -> int:
+    from .synthetic import generate_synthetic
+    out = opts.get("out")
     if out is None:
         raise ConfigError("gen-data requires --out DIR")
-    spec = GeneratorSpec(
-        kind=args.kind,
-        nodes=_merged(args, "nodes", 1000),
-        classes=_merged(args, "classes", 2),
-        feature_dim=_merged(args, "feature_dim", 16),
-        seed=_merged(args, "seed", 0),
-        p_in=_merged(args, "p_in", 0.05),
-        p_out=_merged(args, "p_out", 0.005),
-        attach=_merged(args, "attach", 4),
-        feature_noise=_merged(args, "feature_noise", 1.0),
-    )
-    g = generate_synthetic(spec, out, binary_features=args.binary_features)
+    spec = _generator_spec(opts, opts["kind"])
+    g = generate_synthetic(spec, out, binary_features=opts["binary_features"])
     print(f"wrote {spec.kind} dataset to {out}: {g.num_nodes} nodes, "
           f"{g.num_edges} edges, {g.num_classes} classes")
     return 0
@@ -349,9 +306,7 @@ def main(argv=None) -> int:
         _apply_thread_cap()
         parser = build_parser()
         args = parser.parse_args(argv)
-        config_path = getattr(args, "config", None)
-        args._file_values = parse_config_file(config_path) if config_path else {}
-        return _DISPATCH[args.command](args)
+        return _DISPATCH[args.command](_options(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

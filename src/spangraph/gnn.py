@@ -24,7 +24,7 @@ weight decay.  Everything runs in float64.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +35,9 @@ from .seeding import spawn_rng
 GCN = "gcn"
 SAGE_MEAN = "sage-mean"
 LAYER_TYPES = (GCN, SAGE_MEAN)
+
+# the propagation matrix each layer rule multiplies by
+PROPAGATION_KIND = {GCN: GCN_SYMMETRIC, SAGE_MEAN: MEAN_ROW}
 
 WEIGHT_MAGIC = b"SPGW"
 
@@ -52,14 +55,11 @@ class GnnModel:
 
     @property
     def propagation_kind(self) -> str:
-        return GCN_SYMMETRIC if self.layer_type == GCN else MEAN_ROW
+        return PROPAGATION_KIND[self.layer_type]
 
     def input_dim(self) -> int:
         rows = self.weights[0].shape[0]
         return rows // 2 if self.layer_type == SAGE_MEAN else rows
-
-    def copy(self) -> "GnnModel":
-        return GnnModel(self.layer_type, [w.copy() for w in self.weights])
 
 
 @dataclass
@@ -68,8 +68,6 @@ class TrainState:
 
     model: GnnModel
     learning_rate: float
-    losses: list[float] = field(default_factory=list)
-    seed: int = 0
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -81,7 +79,6 @@ class BackwardTape:
     """Forward-pass cache consumed by loss_and_backward."""
 
     model: GnnModel
-    inputs: list[np.ndarray]      # H entering each layer
     aggregated: list[np.ndarray]  # A = P H  or  [H || P H]
     pre_acts: list[np.ndarray]    # Z per layer
 
@@ -115,7 +112,7 @@ def forward(model: GnnModel, p: PropagationMatrix,
             f"feature dim {h.shape[1]} does not match first layer "
             f"input dim {model.input_dim()}"
         )
-    inputs, aggregated, pre_acts = [], [], []
+    aggregated, pre_acts = [], []
     last = model.num_layers - 1
     for layer, w in enumerate(model.weights):
         if model.layer_type == SAGE_MEAN:
@@ -128,13 +125,10 @@ def forward(model: GnnModel, p: PropagationMatrix,
                 f"weight rows {w.shape[0]}"
             )
         z = a @ w
-        inputs.append(h)
         aggregated.append(a)
         pre_acts.append(z)
         h = np.maximum(z, 0.0) if layer < last else z
-    tape = BackwardTape(model=model, inputs=inputs, aggregated=aggregated,
-                        pre_acts=pre_acts)
-    return h, tape
+    return h, BackwardTape(model=model, aggregated=aggregated, pre_acts=pre_acts)
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray,
@@ -198,7 +192,7 @@ def sgd_step(state: TrainState, gradients: list[np.ndarray]) -> TrainState:
 
 def train_step(state: TrainState, p: PropagationMatrix, features: np.ndarray,
                labels: np.ndarray, train_mask: np.ndarray) -> float:
-    """One full-batch forward/backward/update; records and returns the loss."""
+    """One full-batch forward/backward/update; returns the loss."""
     logits, tape = forward(state.model, p, features)
     if not np.isfinite(logits).all():
         raise NumericalError("non-finite logits; the learning rate is likely too high")
@@ -206,13 +200,7 @@ def train_step(state: TrainState, p: PropagationMatrix, features: np.ndarray,
     if not np.isfinite(loss):
         raise NumericalError(f"non-finite training loss {loss}")
     sgd_step(state, grads)
-    state.losses.append(loss)
     return loss
-
-
-def predict(model: GnnModel, p: PropagationMatrix, features: np.ndarray) -> np.ndarray:
-    logits, _ = forward(model, p, features)
-    return np.argmax(logits, axis=1)
 
 
 def macro_f1(y_true: np.ndarray, y_pred: np.ndarray) -> float:
@@ -228,20 +216,15 @@ def macro_f1(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     return float(np.mean(scores)) if scores else 0.0
 
 
-def evaluate(model: GnnModel, p_full: PropagationMatrix, features: np.ndarray,
-             labels: np.ndarray, mask: np.ndarray) -> tuple[float, float]:
-    """Accuracy and macro-F1 on the masked nodes.
-
-    Callers must pass the full-graph propagation matrix: spanning
-    subgraphs are a training-time device only.
-    """
+def masked_scores(pred: np.ndarray, labels: np.ndarray,
+                  mask: np.ndarray) -> tuple[float, float]:
+    """Accuracy and macro-F1 of predicted classes on the masked nodes."""
     rows = np.flatnonzero(mask)
     if rows.size == 0:
         raise ValueError("evaluation mask is empty")
-    pred = predict(model, p_full, features)[rows]
     truth = labels[rows]
-    accuracy = float(np.mean(pred == truth))
-    return accuracy, macro_f1(truth, pred)
+    picked = pred[rows]
+    return float(np.mean(picked == truth)), macro_f1(truth, picked)
 
 
 def save_weights(path, model: GnnModel) -> None:
@@ -258,14 +241,15 @@ def save_weights(path, model: GnnModel) -> None:
 def load_weights(path) -> list[np.ndarray]:
     """Read a checkpoint back into a list of float64 weight matrices."""
     with open(path, "rb") as fh:
+        def read(size: int) -> bytes:
+            buf = fh.read(size)
+            if len(buf) != size:
+                raise ValueError(f"{path}: truncated checkpoint")
+            return buf
+
         if fh.read(4) != WEIGHT_MAGIC:
             raise ValueError(f"{path}: not a weight checkpoint")
-        (count,) = struct.unpack("<Q", fh.read(8))
-        dims = [struct.unpack("<QQ", fh.read(16)) for _ in range(count)]
-        weights = []
-        for rows, cols in dims:
-            buf = fh.read(rows * cols * 8)
-            if len(buf) != rows * cols * 8:
-                raise ValueError(f"{path}: truncated checkpoint payload")
-            weights.append(np.frombuffer(buf, dtype="<f8").reshape(rows, cols).copy())
-    return weights
+        (count,) = struct.unpack("<Q", read(8))
+        dims = [struct.unpack("<QQ", read(16)) for _ in range(count)]
+        return [np.frombuffer(read(rows * cols * 8), dtype="<f8").reshape(rows, cols).copy()
+                for rows, cols in dims]

@@ -12,7 +12,7 @@ The on-disk dataset is four plain files:
 * splits: one of ``train``/``val``/``test``/``none`` per line.
 
 In memory the graph is immutable: a canonical undirected edge list
-(u < v, deduplicated, sorted) plus the CSR form of its symmetrization.
+(u < v, deduplicated, sorted) plus each node's degree.
 Self-loops are never stored; every propagation matrix injects one
 self-loop per node at build time, so even the empty edge set propagates.
 """
@@ -53,7 +53,6 @@ class Graph:
     Fields:
         num_nodes: node count.
         edges: (m, 2) int64 canonical edge list, u < v, unique, sorted.
-        indptr/indices: CSR over the symmetrized edge set (2m entries).
         degree: (n,) int64 symmetric degree, self-loops excluded.
         features: (n, d) float64.
         labels: (n,) int64, -1 marks unlabeled nodes.
@@ -62,8 +61,6 @@ class Graph:
 
     num_nodes: int
     edges: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
     degree: np.ndarray
     features: np.ndarray
     labels: np.ndarray
@@ -72,8 +69,8 @@ class Graph:
     test_mask: np.ndarray
 
     def __post_init__(self):
-        for name in ("edges", "indptr", "indices", "degree", "features",
-                     "labels", "train_mask", "val_mask", "test_mask"):
+        for name in ("edges", "degree", "features", "labels", "train_mask",
+                     "val_mask", "test_mask"):
             getattr(self, name).flags.writeable = False
 
     @property
@@ -94,9 +91,9 @@ class Graph:
 class SpanningSubgraph:
     """Edge subset of a parent graph; the node set is always the full one.
 
-    ``mask`` flags active canonical edges.  Mutation is reserved for a
-    single writer (the epoch scheduler); all other users treat instances
-    as frozen snapshots.
+    ``mask`` flags active canonical edges.  No mask is written after
+    construction: the scheduler's drop and merge build a new mask for
+    each new instance, so instances can be shared as snapshots.
     """
 
     parent: Graph
@@ -131,9 +128,6 @@ class SpanningSubgraph:
     @property
     def active_indices(self) -> np.ndarray:
         return np.flatnonzero(self.mask)
-
-    def copy(self) -> "SpanningSubgraph":
-        return SpanningSubgraph(self.parent, self.mask.copy())
 
 
 @dataclass(frozen=True)
@@ -218,25 +212,10 @@ def build_graph(num_nodes: int, edges: np.ndarray, features: np.ndarray,
         i = int(np.flatnonzero(assigned & (labels < 0))[0])
         raise DataError(f"node {i} is in a split but unlabeled")
 
-    if edges.shape[0]:
-        rows = np.concatenate([edges[:, 0], edges[:, 1]])
-        cols = np.concatenate([edges[:, 1], edges[:, 0]])
-        order = np.lexsort((cols, rows))
-        indices = cols[order]
-        indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=num_nodes), out=indptr[1:])
-        degree = np.bincount(rows, minlength=num_nodes).astype(np.int64)
-    else:
-        indices = np.zeros(0, dtype=np.int64)
-        indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-        degree = np.zeros(num_nodes, dtype=np.int64)
-
     return Graph(
         num_nodes=num_nodes,
         edges=edges,
-        indptr=indptr,
-        indices=indices.astype(np.int64),
-        degree=degree,
+        degree=np.bincount(edges.ravel(), minlength=num_nodes).astype(np.int64),
         features=features,
         labels=labels,
         train_mask=train_mask,

@@ -17,7 +17,6 @@ reproducibility comparisons.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -25,20 +24,22 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import embedding_variance, gradient_noise, memory_proxy
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .gnn import (
     GCN,
     LAYER_TYPES,
+    PROPAGATION_KIND,
     GnnModel,
     TrainState,
     forward,
     init_model,
+    masked_scores,
     save_weights,
     train_step,
 )
 from .graphstore import Graph, SpanningSubgraph, build_propagation, load_dataset, load_graph
-from .sampler import SAMPLER_KINDS, make_weights
-from .scheduler import ScheduleConfig, init_schedule, step_epoch
+from .sampler import SAMPLER_KINDS, make_weights, uniform_weights
+from .scheduler import ScheduleConfig, eps_floor, init_schedule, step_epoch
 from .seeding import derive_seed, spawn_rng
 from .synthetic import GeneratorSpec, make_graph
 
@@ -52,7 +53,14 @@ METRIC_COLUMNS = (
 DIAG_FIXED_COLUMNS = ("epoch", "sampler")
 DIAG_TAIL_COLUMNS = ("z_diff_norm", "var_xi", "peak_edges")
 
-VARIANT_NAMES = ("spangnn-vm", "spangnn-gnr", "spangnn-uniform", "dropedge", "full")
+# compare variant name -> the RunConfig fields it sets
+VARIANTS = {
+    "spangnn-vm": dict(baseline="spangnn", sampler_kind="vm"),
+    "spangnn-gnr": dict(baseline="spangnn", sampler_kind="gnr"),
+    "spangnn-uniform": dict(baseline="spangnn", sampler_kind="uniform"),
+    "dropedge": dict(baseline="dropedge"),
+    "full": dict(baseline="full"),
+}
 
 
 @dataclass(frozen=True)
@@ -198,7 +206,7 @@ def _now_ms() -> int:
 def _dropedge_subgraph(g: Graph, beta: float, seed, epoch: int) -> SpanningSubgraph:
     rng = spawn_rng(seed, epoch, "dropedge")
     m = g.num_edges
-    drop = int(math.floor(beta * m + 1e-9))
+    drop = eps_floor(beta * m)
     keep = rng.permutation(m)[: m - drop]
     return SpanningSubgraph.from_indices(g, keep)
 
@@ -213,12 +221,14 @@ def run_training(cfg: RunConfig, graph: Graph | None = None) -> RunResult:
     g = graph if graph is not None else load_run_graph(cfg)
     if g.num_edges == 0 and cfg.baseline != "full":
         raise ConfigError("edge sampling requires a graph with at least one edge")
+    if not g.train_mask.any():
+        raise DataError("the dataset has no nodes in the train split")
 
-    layer_type = cfg.layer_type
-    p_full = build_propagation(SpanningSubgraph.full(g), kind_for_model(layer_type))
-    model = init_model(layer_type, g.feature_dim, cfg.hidden_dim,
+    kind = PROPAGATION_KIND[cfg.layer_type]
+    p_full = build_propagation(SpanningSubgraph.full(g), kind)
+    model = init_model(cfg.layer_type, g.feature_dim, cfg.hidden_dim,
                        max(g.num_classes, 2), cfg.num_layers, seed=cfg.seed)
-    state = TrainState(model=model, learning_rate=cfg.learning_rate, seed=cfg.seed)
+    state = TrainState(model=model, learning_rate=cfg.learning_rate)
 
     probs = None
     sched_state = None
@@ -250,15 +260,15 @@ def run_training(cfg: RunConfig, graph: Graph | None = None) -> RunResult:
             sub = SpanningSubgraph.full(g)
         t1 = _now_ms()
 
-        p_train = build_propagation(sub, kind_for_model(layer_type))
+        p_train = build_propagation(sub, kind)
         loss = train_step(state, p_train, g.features, g.labels, g.train_mask)
         t2 = _now_ms()
 
-        logits_full, _ = forward(model, p_full, g.features)
+        logits_full = forward(model, p_full, g.features)[0]
         pred = np.argmax(logits_full, axis=1)
         train_acc = float(np.mean(pred[g.train_mask] == g.labels[g.train_mask]))
         if has_val:
-            val_acc, val_f1 = _masked_scores(pred, g.labels, g.val_mask)
+            val_acc, val_f1 = masked_scores(pred, g.labels, g.val_mask)
         else:
             val_acc, val_f1 = 0.0, 0.0
         best_acc = max(best_acc, val_acc)
@@ -305,33 +315,16 @@ def run_training(cfg: RunConfig, graph: Graph | None = None) -> RunResult:
     return result
 
 
-def kind_for_model(layer_type: str) -> str:
-    from .graphstore import GCN_SYMMETRIC, MEAN_ROW
-    return GCN_SYMMETRIC if layer_type == GCN else MEAN_ROW
-
-
-def _masked_scores(pred: np.ndarray, labels: np.ndarray,
-                   mask: np.ndarray) -> tuple[float, float]:
-    from .gnn import macro_f1
-    rows = np.flatnonzero(mask)
-    truth = labels[rows]
-    picked = pred[rows]
-    return float(np.mean(picked == truth)), macro_f1(truth, picked)
-
-
 def _diagnostics_row(cfg: RunConfig, g: Graph, model: GnnModel,
                      sub: SpanningSubgraph, probs, epoch: int,
                      peak: int) -> dict:
     report = gradient_noise(model, g, sub, g.features, g.labels,
                             g.train_mask, epoch_index=epoch)
     budget = max(1, sub.active_count)
-    if probs is not None:
-        var_probs = probs
-    else:
-        from .sampler import uniform_weights
-        var_probs = uniform_weights(g)
+    if probs is None:
+        probs = uniform_weights(g)
     var = embedding_variance(
-        g, var_probs, budget, cfg.diag_samples, g.features,
+        g, probs, budget, cfg.diag_samples, g.features,
         model.weights[0][: g.feature_dim, :],
         kind=model.propagation_kind,
         seed=derive_seed(cfg.seed, epoch, "diag"),
@@ -372,20 +365,25 @@ def write_diagnostics_csv(path, rows: list[dict], num_layers: int) -> None:
 
 def variant_config(base: RunConfig, name: str) -> RunConfig:
     """Translate a variant name into a concrete run configuration."""
-    if name == "spangnn-vm":
-        over = dict(baseline="spangnn", sampler_kind="vm")
-    elif name == "spangnn-gnr":
-        over = dict(baseline="spangnn", sampler_kind="gnr")
-    elif name == "spangnn-uniform":
-        over = dict(baseline="spangnn", sampler_kind="uniform")
-    elif name == "dropedge":
-        over = dict(baseline="dropedge")
-    elif name == "full":
-        over = dict(baseline="full")
-    else:
-        raise ConfigError(f"unknown variant {name!r}; choose from {VARIANT_NAMES}")
+    if name not in VARIANTS:
+        raise ConfigError(f"unknown variant {name!r}; choose from {tuple(VARIANTS)}")
     return replace(base, out_dir=None,
-                   seed=derive_seed(base.seed, "variant", name), **over)
+                   seed=derive_seed(base.seed, "variant", name), **VARIANTS[name])
+
+
+def summary_lines(results: dict[str, RunResult], variants: list[str]) -> list[str]:
+    """Header and one row per variant, as summary.csv holds and compare prints.
+
+    The sampling-time column reads 0 for runs made without timings.
+    """
+    lines = ["variant,best_val_acc,best_val_macro_f1,peak_directed_edges,"
+             "mean_sampling_time_ms"]
+    for name in variants:
+        r = results[name]
+        ms = r.mean_sampling_time_ms if r.config.timings else 0.0
+        lines.append(f"{name},{r.best_val_acc:.6f},{r.best_val_macro_f1:.6f},"
+                     f"{r.peak_directed_edges},{ms:.3f}")
+    return lines
 
 
 def run_compare(cfg: RunConfig, variants: list[str]) -> dict[str, RunResult]:
@@ -415,14 +413,7 @@ def run_compare(cfg: RunConfig, variants: list[str]) -> dict[str, RunResult]:
                     row = m.row(timings=cfg.timings)
                     fh.write(name + "," + ",".join(str(x) for x in row) + "\n")
         with open(out / "summary.csv", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("variant,best_val_acc,best_val_macro_f1,"
-                     "peak_directed_edges,mean_sampling_time_ms\n")
-            for name in variants:
-                r = results[name]
-                fh.write(
-                    f"{name},{r.best_val_acc:.6f},{r.best_val_macro_f1:.6f},"
-                    f"{r.peak_directed_edges},{r.mean_sampling_time_ms:.3f}\n"
-                )
+            fh.write("".join(line + "\n" for line in summary_lines(results, variants)))
         diag_rows = []
         for name in variants:
             diag_rows.extend(results[name].diagnostics)

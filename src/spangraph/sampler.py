@@ -39,11 +39,12 @@ with the uniform fill after too many consecutive rejections, serves
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .graphstore import Graph, PropagationMatrix, column_norms
+from .seeding import as_rng
 
 log = logging.getLogger(__name__)
 
@@ -61,14 +62,14 @@ _REJECTION_CAP_FACTOR = 100
 class EdgeProbabilities:
     """Sampling distribution over the canonical edge set.
 
-    ``weights`` are unnormalized and non-negative; ``cumulative`` is their
-    prefix sum and ``total`` its last entry.  ``normalized()`` gives the
-    probability vector (sums to 1).
+    ``weights`` are unnormalized and non-negative; ``total`` is the last
+    entry of their prefix sum (sequential order, as ``direct_sample``
+    accumulates them).  ``normalized()`` gives the probability vector
+    (sums to 1).
     """
 
     kind: str
     weights: np.ndarray
-    cumulative: np.ndarray = field(repr=False)
     total: float
 
     @classmethod
@@ -78,14 +79,12 @@ class EdgeProbabilities:
             raise ValueError("weights must be a 1-d array")
         if (weights < 0).any():
             raise ValueError("edge weights must be non-negative")
-        cumulative = np.cumsum(weights)
-        total = float(cumulative[-1]) if weights.size else 0.0
+        total = float(np.cumsum(weights)[-1]) if weights.size else 0.0
         if weights.size and total <= 0.0:
             raise ValueError("edge weights must have positive total mass")
         weights = weights.copy()
         weights.flags.writeable = False
-        cumulative.flags.writeable = False
-        return cls(kind=kind, weights=weights, cumulative=cumulative, total=total)
+        return cls(kind=kind, weights=weights, total=total)
 
     @property
     def num_edges(self) -> int:
@@ -161,12 +160,6 @@ def make_weights(kind: str, g: Graph, p: PropagationMatrix | None = None) -> Edg
     raise ValueError(f"unknown sampler kind {kind!r}")
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def _weighted_distinct(rng: np.random.Generator, cumulative: np.ndarray,
                        count: int) -> np.ndarray:
     """Sequential weighted draws with duplicate rejection, batched.
@@ -228,7 +221,7 @@ def direct_sample(g: Graph, probs: EdgeProbabilities, s2: int, seed) -> np.ndarr
         raise ValueError(f"invalid request: need 0 < s2 <= |E|, got s2={s2}, |E|={m}")
     if s2 == m:
         return np.arange(m, dtype=np.int64)
-    rng = _as_rng(seed)
+    rng = as_rng(seed)
     cumulative = np.cumsum(probs.weights)
     return _weighted_distinct(rng, cumulative, s2)
 
@@ -250,7 +243,7 @@ def two_step_sample(g: Graph, probs: EdgeProbabilities, req: SampleRequest) -> n
     if probs.num_edges != m:
         raise ValueError("probability vector does not match the graph's edge count")
     req.validate(m)
-    rng = _as_rng(req.rng_seed)
+    rng = as_rng(req.rng_seed)
     pool = rng.choice(m, req.s1, replace=False, shuffle=False)
     if req.s2 == req.s1:
         return np.sort(pool)

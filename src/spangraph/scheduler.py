@@ -19,14 +19,13 @@ import numpy as np
 from .errors import ConfigError
 from .graphstore import Graph, SpanningSubgraph
 from .sampler import SAMPLER_KINDS, EdgeProbabilities, SampleRequest, two_step_sample
-from .seeding import derive_seed, spawn_rng
-
-# epsilon recovers integer intent from decimal alpha/beta literals
-_FLOOR_EPS = 1e-9
+from .seeding import as_rng, derive_seed, spawn_rng
 
 
-def _floor(x: float) -> int:
-    return int(math.floor(x + _FLOOR_EPS))
+def eps_floor(x: float) -> int:
+    """floor(x) with an epsilon that recovers the integer intent of decimal
+    alpha/beta literals (0.29 * 100 is 28.999999999999996)."""
+    return int(math.floor(x + 1e-9))
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,7 @@ class ScheduleConfig:
             )
 
     def cap(self, num_edges: int) -> int:
-        return _floor(self.alpha_up * num_edges)
+        return eps_floor(self.alpha_up * num_edges)
 
 
 @dataclass
@@ -71,7 +70,6 @@ class EpochState:
 
     epoch_index: int
     subgraph: SpanningSubgraph
-    edge_ratio: float
     dropped_this_epoch: int
     added_this_epoch: int
 
@@ -82,7 +80,6 @@ def init_schedule(g: Graph, cfg: ScheduleConfig) -> EpochState:
     return EpochState(
         epoch_index=0,
         subgraph=SpanningSubgraph.empty(g),
-        edge_ratio=0.0,
         dropped_this_epoch=0,
         added_this_epoch=0,
     )
@@ -93,10 +90,10 @@ def random_drop(sub: SpanningSubgraph, beta: float, seed) -> SpanningSubgraph:
     if not (0.0 <= beta < 1.0):
         raise ValueError(f"beta must be in [0, 1), got {beta}")
     active = sub.active_indices
-    k = _floor(beta * active.size)
+    k = eps_floor(beta * active.size)
     if k == 0:
-        return sub.copy()
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        return sub
+    rng = as_rng(seed)
     victims = active[rng.permutation(active.size)[:k]]
     mask = sub.mask.copy()
     mask[victims] = False
@@ -120,7 +117,7 @@ def graph_update(sub: SpanningSubgraph, delta: np.ndarray, cap: int,
     current = sub.active_count
     if current + fresh.size > cap:
         keep = cap - current
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        rng = as_rng(seed)
         fresh = fresh[rng.permutation(fresh.size)[:keep]]
     mask[fresh] = True
     return SpanningSubgraph(sub.parent, mask)
@@ -148,7 +145,6 @@ def step_epoch(state: EpochState, g: Graph, probs: EdgeProbabilities,
     return EpochState(
         epoch_index=i + 1,
         subgraph=merged,
-        edge_ratio=merged.edge_ratio,
         dropped_this_epoch=before - pruned.active_count,
         added_this_epoch=merged.active_count - pruned.active_count,
     )

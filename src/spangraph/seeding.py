@@ -33,3 +33,10 @@ def derive_seed(seed: int, *tags: int | str) -> int:
     entropy = [int(seed) & _MASK64] + [_tag_to_int(t) for t in tags]
     state = np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0]
     return int(state) & ((1 << 63) - 1)
+
+
+def as_rng(seed) -> np.random.Generator:
+    """Pass a Generator through; seed a new one from anything else."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    return np.random.default_rng(seed)

@@ -27,8 +27,8 @@ class GeneratorSpec:
     """Parameters for a synthetic dataset."""
 
     kind: str
-    nodes: int
-    classes: int
+    nodes: int = 1000
+    classes: int = 2
     feature_dim: int = 16
     seed: int = 0
     p_in: float = 0.05          # sbm: within-block edge probability

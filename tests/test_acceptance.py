@@ -134,7 +134,7 @@ def test_criterion_04_cap_invariant_over_randomized_runs():
         for _ in range(cfg.epochs):
             state = step_epoch(state, g, probs, cfg)
             history.append(state.subgraph.active_count)
-            if state.subgraph.active_count > cap or state.edge_ratio > alpha:
+            if state.subgraph.active_count > cap or state.subgraph.edge_ratio > alpha:
                 violations += 1
         proxy = memory_proxy(history, n)
         if proxy.peak_directed_edges > 2 * alpha * m + n:

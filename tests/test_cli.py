@@ -1,8 +1,11 @@
 """Command-line interface: subcommands, config files, exit codes."""
 
+import itertools
+
 import pytest
 
-from spangraph.cli import main, parse_config_file
+from spangraph import runner
+from spangraph.cli import _config_key_types, main, parse_config_file
 from spangraph.errors import ConfigError
 
 
@@ -68,6 +71,14 @@ class TestTrain:
                      "--out", str(tmp_path / "run"))
         assert rc == 1
 
+    def test_no_train_split_is_data_error(self, dataset_dir, tmp_path, capsys):
+        splits = dataset_dir / "splits.txt"
+        splits.write_text(splits.read_text().replace("train", "none"))
+        rc = run_cli("train", "--data", str(dataset_dir), "--epochs", "2",
+                     "--out", str(tmp_path / "run"))
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("data error:")
+
     def test_unknown_flag_is_config_error(self, tmp_path):
         assert run_cli("train", "--nonsense") == 1
 
@@ -122,6 +133,31 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="bad value"):
             parse_config_file(cfg)
 
+    def test_value_types_follow_the_flags(self, tmp_path):
+        cfg = tmp_path / "types.cfg"
+        cfg.write_text("feature_noise=0.5\nattach=3\nvariants=a,b\ntimings=off\n")
+        values = parse_config_file(cfg)
+        assert values == {"feature_noise": 0.5, "attach": 3, "variants": "a,b",
+                          "timings": False}
+        assert type(values["feature_noise"]) is float
+        assert type(values["attach"]) is int
+        cfg.write_text("timings=maybe\n")
+        with pytest.raises(ConfigError, match="bad value"):
+            parse_config_file(cfg)
+        for key in ("config", "bench_nodes"):
+            cfg.write_text(f"{key}=1\n")
+            with pytest.raises(ConfigError, match="unknown config key"):
+                parse_config_file(cfg)
+
+    def test_accepted_keys(self):
+        assert set(_config_key_types()) == {
+            "data", "edges", "features", "labels", "splits", "gen", "nodes",
+            "classes", "feature_dim", "p_in", "p_out", "attach", "feature_noise",
+            "alpha_up", "beta", "s1", "s2", "sampler", "baseline", "model",
+            "layers", "hidden", "lr", "epochs", "seed", "out", "timings",
+            "diag_every", "diag_samples", "variants",
+        }
+
     def test_missing_file_is_config_error(self, tmp_path):
         assert run_cli("train", "--config", str(tmp_path / "none.cfg")) == 1
 
@@ -164,6 +200,23 @@ class TestCompareCli:
         assert "spangnn-vm" in out and "full" in out
         assert (tmp_path / "cmp" / "combined.csv").exists()
         assert (tmp_path / "cmp" / "summary.csv").exists()
+
+    def test_no_timings_summary_is_byte_stable(self, dataset_dir, tmp_path,
+                                               monkeypatch, capsys):
+        """Reruns give the same summary.csv and stdout, whatever the clock reads."""
+        outputs = []
+        for run, step in enumerate((1, 7)):
+            ticks = itertools.count(step=step)
+            monkeypatch.setattr(runner, "_now_ms", lambda: next(ticks))
+            rc = run_cli("compare", "--data", str(dataset_dir), "--epochs", "3",
+                         "--hidden", "8", "--s1", "20", "--s2", "5",
+                         "--variants", "spangnn-vm,full", "--no-timings",
+                         "--out", str(tmp_path / f"cmp{run}"))
+            assert rc == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert ((tmp_path / "cmp0" / "summary.csv").read_bytes()
+                == (tmp_path / "cmp1" / "summary.csv").read_bytes())
 
     def test_single_variant_rejected(self, dataset_dir, tmp_path):
         rc = run_cli("compare", "--data", str(dataset_dir),

@@ -8,12 +8,12 @@ from spangraph.gnn import (
     BackwardTape,
     GnnModel,
     TrainState,
-    evaluate,
     forward,
     init_model,
     load_weights,
     loss_and_backward,
     macro_f1,
+    masked_scores,
     save_weights,
     sgd_step,
     softmax_cross_entropy,
@@ -191,7 +191,8 @@ class TestEvaluate:
         g2 = build_graph(4, np.zeros((0, 2)), logits, g.labels,
                          np.array(["train"] * 4))
         model = GnnModel("gcn", [np.eye(2)])
-        acc, f1 = evaluate(model, p, g2.features, g2.labels, g2.train_mask)
+        pred = np.argmax(forward(model, p, g2.features)[0], axis=1)
+        acc, f1 = masked_scores(pred, g2.labels, g2.train_mask)
         assert acc == 1.0
         assert f1 == 1.0
 
@@ -209,7 +210,8 @@ class TestEvaluate:
         model = init_model("gcn", 2, 4, 2, 2, seed=0)
         state = TrainState(model, learning_rate=0.1)
         train_step(state, p, g.features, g.labels, g.train_mask)
-        acc, f1 = evaluate(model, p, g.features, g.labels, g.train_mask)
+        pred = np.argmax(forward(model, p, g.features)[0], axis=1)
+        acc, f1 = masked_scores(pred, g.labels, g.train_mask)
         assert 0.0 <= acc <= 1.0
 
 
@@ -264,6 +266,15 @@ class TestCheckpoint:
         assert len(back) == 2
         for w, b in zip(model.weights, back):
             np.testing.assert_array_equal(w, b)
+
+    @pytest.mark.parametrize("cut", [6, 4 + 8 + 5, 4 + 8 + 2 * 16 + 10])
+    def test_truncated_checkpoint(self, tmp_path, cut):
+        """Cut inside the layer count, the dims, or the payload."""
+        path = tmp_path / "model.spgw"
+        save_weights(path, init_model("gcn", 3, 5, 2, 2, seed=9))
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(ValueError, match="truncated checkpoint"):
+            load_weights(path)
 
     def test_magic_check(self, tmp_path):
         path = tmp_path / "junk.spgw"

@@ -105,16 +105,6 @@ class TestLoadGraph:
 
 
 class TestCsrInvariants:
-    def test_csr_is_symmetrization(self, triangle):
-        assert triangle.indptr[-1] == 2 * triangle.num_edges
-        assert np.all(np.diff(triangle.indptr) >= 0)
-        # every canonical edge appears in both directions
-        dense = np.zeros((3, 3), dtype=int)
-        for row in range(3):
-            for j in range(triangle.indptr[row], triangle.indptr[row + 1]):
-                dense[row, triangle.indices[j]] = 1
-        np.testing.assert_array_equal(dense, dense.T)
-
     def test_degrees_exclude_self_loops(self, star4):
         assert star4.degree.tolist() == [3, 1, 1, 1]
 

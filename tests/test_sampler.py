@@ -83,10 +83,9 @@ class TestNormalization:
             for probs in (vm_weights(g), uniform_weights(g)):
                 assert abs(probs.normalized().sum() - 1.0) < 1e-9
 
-    def test_cumulative_invariants(self, path4):
+    def test_total_is_weight_mass(self, path4):
         probs = vm_weights(path4)
-        assert np.all(np.diff(probs.cumulative) >= 0)
-        assert abs(probs.cumulative[-1] - probs.total) <= 1e-9 * probs.total
+        assert abs(probs.weights.sum() - probs.total) <= 1e-9 * probs.total
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):

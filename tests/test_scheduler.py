@@ -29,7 +29,7 @@ class TestInitSchedule:
         state = init_schedule(path4, cfg)
         assert state.epoch_index == 0
         assert state.subgraph.active_count == 0
-        assert state.edge_ratio == 0.0
+        assert state.subgraph.edge_ratio == 0.0
 
     def test_alpha_zero_rejected(self, path4):
         cfg = ScheduleConfig(alpha_up=0.0, beta=0.0, s1=2, s2=1, epochs=5)
@@ -182,7 +182,7 @@ class TestScheduleProperties:
             for _ in range(cfg.epochs):
                 state = step_epoch(state, g, probs, cfg)
                 assert state.subgraph.active_count <= cap
-                assert state.edge_ratio <= alpha
+                assert state.subgraph.edge_ratio <= alpha
                 if not drop_seen and state.dropped_this_epoch == 0:
                     assert state.subgraph.active_count >= prev
                 drop_seen = drop_seen or state.dropped_this_epoch > 0
@@ -214,7 +214,7 @@ class TestScheduleProperties:
         best = 0.0
         for _ in range(cfg.epochs):
             state = step_epoch(state, g, probs, cfg)
-            best = max(best, state.edge_ratio)
+            best = max(best, state.subgraph.edge_ratio)
             if best >= cfg.alpha_up - cfg.s2 / g.num_edges:
                 break
         assert best >= cfg.alpha_up - cfg.s2 / g.num_edges - 1.0 / g.num_edges
