@@ -11,6 +11,7 @@ import time
 from dataclasses import dataclass
 from statistics import median
 
+from .errors import ConfigError
 from .graphstore import Graph, SpanningSubgraph, build_propagation
 from .sampler import SampleRequest, direct_sample, make_weights, two_step_sample
 from .seeding import derive_seed
@@ -38,6 +39,11 @@ class BenchReport:
 def bench_sampling(g: Graph, sampler_kind: str, s1: int, s2: int,
                    runs: int = 9, seed: int = 0) -> BenchReport:
     """Time ``runs`` repetitions of each sampler at equal selection size."""
+    if runs < 1:
+        raise ConfigError(f"runs must be >= 1, got {runs}")
+    if not (0 < s2 <= s1 <= g.num_edges):
+        raise ConfigError(f"need 0 < s2 <= s1 <= |E|, got s1={s1}, s2={s2}, "
+                          f"|E|={g.num_edges}")
     if sampler_kind == "gnr":
         p_full = build_propagation(SpanningSubgraph.full(g), "gcn-symmetric")
         probs = make_weights(sampler_kind, g, p_full)

@@ -27,6 +27,8 @@ _THREAD_ENV_VARS = (
     "NUMEXPR_NUM_THREADS",
 )
 
+DEFAULT_VARIANTS = "spangnn-vm,spangnn-gnr,dropedge,full"
+
 
 def _apply_thread_cap() -> None:
     cap = os.environ.get("SPANGRAPH_THREADS")
@@ -47,6 +49,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common_flags(p: argparse.ArgumentParser) -> list[argparse.Action]:
     """Add the flags every subcommand shares; returns their actions."""
+    from .runner import BASELINES
+    from .sampler import SAMPLER_KINDS
+    from .synthetic import GENERATOR_KINDS
     add = p.add_argument
     return [
         add("--config", type=str, help="key=value config file"),
@@ -55,7 +60,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> list[argparse.Action]:
         add("--features", type=str),
         add("--labels", type=str),
         add("--splits", type=str),
-        add("--gen", type=str, choices=["sbm", "preferential-attachment"],
+        add("--gen", type=str, choices=GENERATOR_KINDS,
             help="generate the dataset in memory instead of loading"),
         add("--nodes", type=int),
         add("--classes", type=int),
@@ -68,8 +73,8 @@ def _add_common_flags(p: argparse.ArgumentParser) -> list[argparse.Action]:
         add("--beta", type=float),
         add("--s1", type=int),
         add("--s2", type=int),
-        add("--sampler", type=str, choices=["vm", "gnr", "uniform"]),
-        add("--baseline", type=str, choices=["spangnn", "dropedge", "full"]),
+        add("--sampler", type=str, choices=SAMPLER_KINDS),
+        add("--baseline", type=str, choices=BASELINES),
         add("--model", type=str, choices=["gcn", "sage"]),
         add("--layers", type=int),
         add("--hidden", type=int),
@@ -87,11 +92,12 @@ def _add_common_flags(p: argparse.ArgumentParser) -> list[argparse.Action]:
 
 def _add_variants_flag(p: argparse.ArgumentParser) -> argparse.Action:
     return p.add_argument("--variants", type=str,
-                          help="comma-separated variant names "
-                               "(default: spangnn-vm,spangnn-gnr,dropedge,full)")
+                          help=f"comma-separated variant names "
+                               f"(default: {DEFAULT_VARIANTS})")
 
 
 def build_parser() -> _Parser:
+    from .synthetic import GENERATOR_KINDS
     parser = _Parser(prog="spangraph", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -115,8 +121,7 @@ def build_parser() -> _Parser:
 
     p_gen = sub.add_parser("gen-data", help="write a synthetic dataset to disk")
     _add_common_flags(p_gen)
-    p_gen.add_argument("--kind", type=str, default="sbm",
-                       choices=["sbm", "preferential-attachment"])
+    p_gen.add_argument("--kind", type=str, default="sbm", choices=GENERATOR_KINDS)
     p_gen.add_argument("--binary-features", action="store_true")
     return parser
 
@@ -145,26 +150,26 @@ def parse_config_file(path) -> dict:
     types = _config_key_types()
     values: dict = {}
     try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in types:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            try:
-                values[key] = types[key](value)
-            except ValueError:
-                raise ConfigError(
-                    f"{path}:{lineno}: bad value {value!r} for key {key!r}"
-                ) from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in types:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            values[key] = types[key](value)
+        except ValueError:
+            raise ConfigError(
+                f"{path}:{lineno}: bad value {value!r} for key {key!r}"
+            ) from None
     return values
 
 
@@ -223,7 +228,7 @@ def _cmd_compare(opts: dict) -> int:
     cfg = _build_run_config(opts)
     if cfg.out_dir is None:
         raise ConfigError("compare requires --out DIR for the combined CSV")
-    raw = opts.get("variants", "spangnn-vm,spangnn-gnr,dropedge,full")
+    raw = opts.get("variants", DEFAULT_VARIANTS)
     variants = [v.strip() for v in raw.split(",") if v.strip()]
     results = run_compare(cfg, variants)
     print("\n".join(summary_lines(results, variants)))
@@ -237,6 +242,8 @@ def _cmd_sample_inspect(opts: dict) -> int:
     from .sampler import make_weights
     cfg = _build_run_config(opts)
     g = load_run_graph(cfg)
+    if g.num_edges == 0:
+        raise DataError("the graph has no edges to weight")
     p_full = build_propagation(SpanningSubgraph.full(g), PROPAGATION_KIND[cfg.layer_type])
     probs = make_weights(cfg.sampler_kind, g, p_full)
     norm = probs.normalized()

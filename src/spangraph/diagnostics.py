@@ -34,13 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphstore import (
-    GCN_SYMMETRIC,
-    Graph,
-    PropagationMatrix,
-    SpanningSubgraph,
-    build_propagation,
-)
+from .graphstore import Graph, PropagationMatrix
 from .gnn import GnnModel, forward, loss_and_backward
 from .sampler import EdgeProbabilities, direct_sample
 from .seeding import spawn_rng
@@ -56,8 +50,6 @@ class NoiseReport:
 
     noise_norms: list[float]
     z_diff_norms: list[float]
-    epoch_index: int
-    edge_ratio: float
 
     @property
     def total_noise_norm(self) -> float:
@@ -74,8 +66,6 @@ class VarianceReport:
 
     estimator_mean: np.ndarray      # (nodes, dims) mean of xi over samples
     estimator_variance: float       # sum over entries of the sample variance
-    sampler_kind: str
-    num_samples: int
     squared_deviation_std: float    # spread of per-sample ||xi - mean||^2
 
 
@@ -87,17 +77,14 @@ class MemoryProxy:
     bytes_estimate: int
 
 
-def gradient_noise(model: GnnModel, g: Graph, sub: SpanningSubgraph,
-                   features: np.ndarray, labels: np.ndarray,
-                   mask: np.ndarray, epoch_index: int = 0) -> NoiseReport:
+def gradient_noise(model: GnnModel, p_full: PropagationMatrix,
+                   p_sub: PropagationMatrix, features: np.ndarray,
+                   labels: np.ndarray, mask: np.ndarray) -> NoiseReport:
     """Gradient and pre-activation deviation of subgraph vs full-graph training.
 
-    Both passes use the same weights; nothing is updated.
+    Both passes use the same weights, one with ``p_full`` and one with
+    ``p_sub``; nothing is updated.
     """
-    kind = model.propagation_kind
-    p_full = build_propagation(SpanningSubgraph.full(g), kind)
-    p_sub = build_propagation(sub, kind)
-
     logits_full, tape_full = forward(model, p_full, features)
     _, grads_full = loss_and_backward(tape_full, logits_full, labels, mask, p_full)
     logits_sub, tape_sub = forward(model, p_sub, features)
@@ -111,12 +98,7 @@ def gradient_noise(model: GnnModel, g: Graph, sub: SpanningSubgraph,
         float(np.linalg.norm(zs - zf))
         for zs, zf in zip(tape_sub.pre_acts, tape_full.pre_acts)
     ]
-    return NoiseReport(
-        noise_norms=noise_norms,
-        z_diff_norms=z_diff_norms,
-        epoch_index=epoch_index,
-        edge_ratio=sub.edge_ratio,
-    )
+    return NoiseReport(noise_norms=noise_norms, z_diff_norms=z_diff_norms)
 
 
 def successive_inclusion_probabilities(probabilities: np.ndarray,
@@ -167,20 +149,18 @@ def inclusion_probabilities(probs: EdgeProbabilities, budget: int) -> np.ndarray
     return 1.0 - np.power(1.0 - p, budget)
 
 
-def embedding_variance(g: Graph, probs: EdgeProbabilities, edge_budget: int,
-                       M: int, features: np.ndarray, weights: np.ndarray,
-                       kind: str = GCN_SYMMETRIC, seed: int = 0) -> VarianceReport:
+def embedding_variance(g: Graph, p_full: PropagationMatrix,
+                       probs: EdgeProbabilities, edge_budget: int, M: int,
+                       features: np.ndarray, weights: np.ndarray,
+                       seed: int = 0) -> VarianceReport:
     """Monte-Carlo mean and variance of the aggregation estimator xi.
 
-    ``weights`` is the linear map applied to the features before
-    aggregation (typically the model's first-layer weight block).
+    ``p_full`` is the full-graph propagation matrix; ``weights`` is the
+    linear map applied to the features before aggregation (typically the
+    model's first-layer weight block).
     """
     if M < 2:
         raise ValueError("need at least 2 Monte-Carlo samples")
-    m = g.num_edges
-    if m == 0:
-        raise ValueError("graph has no edges")
-    p_full = build_propagation(SpanningSubgraph.full(g), kind)
     xt = np.asarray(features, dtype=np.float64) @ np.asarray(weights, dtype=np.float64)
 
     u, v = g.edges[:, 0], g.edges[:, 1]
@@ -205,8 +185,6 @@ def embedding_variance(g: Graph, probs: EdgeProbabilities, edge_budget: int,
     return VarianceReport(
         estimator_mean=mean,
         estimator_variance=variance,
-        sampler_kind=probs.kind,
-        num_samples=M,
         squared_deviation_std=float(sq_dev.std()),
     )
 

@@ -63,18 +63,6 @@ class GnnModel:
 
 
 @dataclass
-class TrainState:
-    """Model plus optimizer state for the plain gradient-descent loop."""
-
-    model: GnnModel
-    learning_rate: float
-
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-
-
-@dataclass
 class BackwardTape:
     """Forward-pass cache consumed by loss_and_backward."""
 
@@ -176,9 +164,11 @@ def loss_and_backward(tape: BackwardTape, logits: np.ndarray,
     return loss, grads
 
 
-def sgd_step(state: TrainState, gradients: list[np.ndarray]) -> TrainState:
-    """Plain gradient descent; aborts on non-finite gradients."""
-    model = state.model
+def sgd_step(model: GnnModel, gradients: list[np.ndarray],
+             learning_rate: float) -> None:
+    """Plain gradient descent in place; aborts on non-finite gradients."""
+    if learning_rate <= 0:
+        raise ValueError("learning_rate must be positive")
     if len(gradients) != model.num_layers:
         raise ValueError("gradient count does not match layer count")
     for layer, (w, g) in enumerate(zip(model.weights, gradients)):
@@ -186,34 +176,34 @@ def sgd_step(state: TrainState, gradients: list[np.ndarray]) -> TrainState:
             raise ValueError(f"layer {layer}: gradient shape {g.shape} != {w.shape}")
         if not np.isfinite(g).all():
             raise NumericalError(f"non-finite gradient at layer {layer}")
-        w -= state.learning_rate * g
-    return state
+        w -= learning_rate * g
 
 
-def train_step(state: TrainState, p: PropagationMatrix, features: np.ndarray,
-               labels: np.ndarray, train_mask: np.ndarray) -> float:
+def train_step(model: GnnModel, p: PropagationMatrix, features: np.ndarray,
+               labels: np.ndarray, train_mask: np.ndarray,
+               learning_rate: float) -> float:
     """One full-batch forward/backward/update; returns the loss."""
-    logits, tape = forward(state.model, p, features)
+    logits, tape = forward(model, p, features)
     if not np.isfinite(logits).all():
         raise NumericalError("non-finite logits; the learning rate is likely too high")
     loss, grads = loss_and_backward(tape, logits, labels, train_mask, p)
     if not np.isfinite(loss):
         raise NumericalError(f"non-finite training loss {loss}")
-    sgd_step(state, grads)
+    sgd_step(model, grads, learning_rate)
     return loss
 
 
 def macro_f1(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Macro F1 over the union of classes present in truth or prediction."""
-    classes = np.union1d(np.unique(y_true), np.unique(y_pred))
-    scores = []
-    for c in classes:
-        tp = int(np.sum((y_pred == c) & (y_true == c)))
-        fp = int(np.sum((y_pred == c) & (y_true != c)))
-        fn = int(np.sum((y_pred != c) & (y_true == c)))
-        denom = 2 * tp + fp + fn
-        scores.append(2.0 * tp / denom if denom else 0.0)
-    return float(np.mean(scores)) if scores else 0.0
+    """Macro F1 over the union of the (non-negative) classes present in truth
+    or prediction; per class, 2 tp + fp + fn = predicted + true count."""
+    classes = np.union1d(y_true, y_pred)
+    if classes.size == 0:
+        return 0.0
+    size = int(classes[-1]) + 1
+    tp = np.bincount(y_true[y_true == y_pred], minlength=size)[classes]
+    denom = (np.bincount(y_pred, minlength=size)
+             + np.bincount(y_true, minlength=size))[classes]
+    return float(np.mean(2.0 * tp / denom))
 
 
 def masked_scores(pred: np.ndarray, labels: np.ndarray,

@@ -142,10 +142,6 @@ class PropagationMatrix:
     kind: str
     matrix: sp.csr_matrix
 
-    @property
-    def shape(self):
-        return self.matrix.shape
-
 
 def canonicalize_edges(edges: np.ndarray, num_nodes: int) -> np.ndarray:
     """Collapse (u,v)/(v,u) pairs, drop duplicates and self-loops, sort.
@@ -330,7 +326,7 @@ def load_graph(edge_list_path, features_path, labels_path, splits_path) -> Graph
         features = read_features(features_path)
         labels = read_labels(labels_path)
         splits = read_splits(splits_path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read dataset file: {exc}") from None
     if declared is not None:
         num_nodes = declared

@@ -30,7 +30,6 @@ from .gnn import (
     LAYER_TYPES,
     PROPAGATION_KIND,
     GnnModel,
-    TrainState,
     forward,
     init_model,
     masked_scores,
@@ -49,9 +48,6 @@ METRIC_COLUMNS = (
     "epoch", "loss", "train_acc", "val_acc", "val_macro_f1", "edge_ratio",
     "active_edges", "sampling_time_ms", "train_time_ms", "peak_edges_so_far",
 )
-
-DIAG_FIXED_COLUMNS = ("epoch", "sampler")
-DIAG_TAIL_COLUMNS = ("z_diff_norm", "var_xi", "peak_edges")
 
 # compare variant name -> the RunConfig fields it sets
 VARIANTS = {
@@ -110,6 +106,11 @@ class RunConfig:
             raise ConfigError("learning rate must be positive")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
+        if self.diag_every < 0:
+            raise ConfigError(f"diag_every must be >= 0, got {self.diag_every}")
+        if self.diag_every and self.diag_samples < 2:
+            raise ConfigError(
+                f"diagnostics need diag_samples >= 2, got {self.diag_samples}")
         if not (0.0 <= self.beta < 1.0):
             raise ConfigError(f"beta must be in [0, 1), got {self.beta}")
         sources = [
@@ -174,12 +175,10 @@ class RunResult:
     best_val_acc: float
     best_val_macro_f1: float
     peak_directed_edges: int
-    diagnostics: list[dict] = field(default_factory=list)
+    diagnostics: list[list] = field(default_factory=list)
 
     @property
     def mean_sampling_time_ms(self) -> float:
-        if not self.metrics:
-            return 0.0
         return float(np.mean([m.sampling_time_ms for m in self.metrics]))
 
 
@@ -219,8 +218,9 @@ def run_training(cfg: RunConfig, graph: Graph | None = None) -> RunResult:
     """
     cfg.validate()
     g = graph if graph is not None else load_run_graph(cfg)
-    if g.num_edges == 0 and cfg.baseline != "full":
-        raise ConfigError("edge sampling requires a graph with at least one edge")
+    if g.num_edges == 0 and (cfg.baseline != "full" or cfg.diag_every):
+        raise ConfigError("edge sampling and diagnostics require a graph with "
+                          "at least one edge")
     if not g.train_mask.any():
         raise DataError("the dataset has no nodes in the train split")
 
@@ -228,11 +228,8 @@ def run_training(cfg: RunConfig, graph: Graph | None = None) -> RunResult:
     p_full = build_propagation(SpanningSubgraph.full(g), kind)
     model = init_model(cfg.layer_type, g.feature_dim, cfg.hidden_dim,
                        max(g.num_classes, 2), cfg.num_layers, seed=cfg.seed)
-    state = TrainState(model=model, learning_rate=cfg.learning_rate)
 
     probs = None
-    sched_state = None
-    sched_cfg = None
     if cfg.baseline == "spangnn":
         probs = make_weights(cfg.sampler_kind, g, p_full)
         s1, s2 = resolve_sample_sizes(cfg, g.num_edges)
@@ -243,7 +240,7 @@ def run_training(cfg: RunConfig, graph: Graph | None = None) -> RunResult:
         sched_state = init_schedule(g, sched_cfg)
 
     metrics: list[EpochMetrics] = []
-    diagnostics: list[dict] = []
+    diagnostics: list[list] = []
     active_history: list[int] = []
     best_acc = 0.0
     best_f1 = 0.0
@@ -261,7 +258,8 @@ def run_training(cfg: RunConfig, graph: Graph | None = None) -> RunResult:
         t1 = _now_ms()
 
         p_train = build_propagation(sub, kind)
-        loss = train_step(state, p_train, g.features, g.labels, g.train_mask)
+        loss = train_step(model, p_train, g.features, g.labels, g.train_mask,
+                          cfg.learning_rate)
         t2 = _now_ms()
 
         logits_full = forward(model, p_full, g.features)[0]
@@ -284,7 +282,7 @@ def run_training(cfg: RunConfig, graph: Graph | None = None) -> RunResult:
             train_acc=train_acc,
             val_acc=val_acc,
             val_macro_f1=val_f1,
-            edge_ratio=active / g.num_edges if g.num_edges else 0.0,
+            edge_ratio=sub.edge_ratio,
             active_edges=active,
             sampling_time_ms=int(t1 - t0),
             train_time_ms=int(t2 - t1),
@@ -293,7 +291,8 @@ def run_training(cfg: RunConfig, graph: Graph | None = None) -> RunResult:
 
         if cfg.diag_every and (epoch % cfg.diag_every == 0 or epoch == cfg.epochs - 1):
             diagnostics.append(_diagnostics_row(
-                cfg, g, model, sub, probs, epoch, peak.peak_directed_edges))
+                cfg, g, model, p_full, p_train, active, probs, epoch,
+                peak.peak_directed_edges))
 
     proxy = memory_proxy(active_history, g.num_nodes, per_edge_bytes=8 * cfg.hidden_dim)
     result = RunResult(
@@ -308,59 +307,42 @@ def run_training(cfg: RunConfig, graph: Graph | None = None) -> RunResult:
     if cfg.out_dir is not None:
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        write_metrics_csv(out / "metrics.csv", metrics, timings=cfg.timings)
+        write_csv(out / "metrics.csv", METRIC_COLUMNS,
+                  [m.row(timings=cfg.timings) for m in metrics])
         save_weights(out / "checkpoint.spgw", model)
         if diagnostics:
-            write_diagnostics_csv(out / "diagnostics.csv", diagnostics, cfg.num_layers)
+            write_csv(out / "diagnostics.csv", diag_columns(cfg.num_layers), diagnostics)
     return result
 
 
-def _diagnostics_row(cfg: RunConfig, g: Graph, model: GnnModel,
-                     sub: SpanningSubgraph, probs, epoch: int,
-                     peak: int) -> dict:
-    report = gradient_noise(model, g, sub, g.features, g.labels,
-                            g.train_mask, epoch_index=epoch)
-    budget = max(1, sub.active_count)
+def _diagnostics_row(cfg: RunConfig, g: Graph, model: GnnModel, p_full, p_train,
+                     active: int, probs, epoch: int, peak: int) -> list:
+    """One diagnostics.csv row (``diag_columns``) from the epoch's matrices."""
+    report = gradient_noise(model, p_full, p_train, g.features, g.labels,
+                            g.train_mask)
     if probs is None:
         probs = uniform_weights(g)
     var = embedding_variance(
-        g, probs, budget, cfg.diag_samples, g.features,
+        g, p_full, probs, max(1, active), cfg.diag_samples, g.features,
         model.weights[0][: g.feature_dim, :],
-        kind=model.propagation_kind,
         seed=derive_seed(cfg.seed, epoch, "diag"),
     )
-    return {
-        "epoch": epoch,
-        "sampler": cfg.sampler_kind if cfg.baseline == "spangnn" else cfg.baseline,
-        "noise_norms": report.noise_norms,
-        "z_diff_norm": report.total_z_diff_norm,
-        "var_xi": var.estimator_variance,
-        "peak_edges": peak,
-    }
-
-
-def write_metrics_csv(path, metrics: list[EpochMetrics], timings: bool = True) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(METRIC_COLUMNS) + "\n")
-        for m in metrics:
-            fh.write(",".join(str(x) for x in m.row(timings=timings)) + "\n")
+    sampler = cfg.sampler_kind if cfg.baseline == "spangnn" else cfg.baseline
+    return [epoch, sampler, *map(repr, report.noise_norms),
+            repr(report.total_z_diff_norm), repr(var.estimator_variance), peak]
 
 
 def diag_columns(num_layers: int) -> list[str]:
-    cols = list(DIAG_FIXED_COLUMNS)
-    cols += [f"noise_norm_l{i}" for i in range(num_layers)]
-    cols += list(DIAG_TAIL_COLUMNS)
-    return cols
+    return (["epoch", "sampler"] + [f"noise_norm_l{i}" for i in range(num_layers)]
+            + ["z_diff_norm", "var_xi", "peak_edges"])
 
 
-def write_diagnostics_csv(path, rows: list[dict], num_layers: int) -> None:
+def write_csv(path, header, rows) -> None:
+    """Write a header and rows of cells (each written with ``str``) as CSV."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(diag_columns(num_layers)) + "\n")
-        for r in rows:
-            cells = [str(r["epoch"]), str(r["sampler"])]
-            cells += [repr(x) for x in r["noise_norms"]]
-            cells += [repr(r["z_diff_norm"]), repr(r["var_xi"]), str(r["peak_edges"])]
-            fh.write(",".join(cells) + "\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 def variant_config(base: RunConfig, name: str) -> RunConfig:
@@ -406,17 +388,12 @@ def run_compare(cfg: RunConfig, variants: list[str]) -> dict[str, RunResult]:
     if cfg.out_dir is not None:
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "combined.csv", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("variant," + ",".join(METRIC_COLUMNS) + "\n")
-            for name in variants:
-                for m in results[name].metrics:
-                    row = m.row(timings=cfg.timings)
-                    fh.write(name + "," + ",".join(str(x) for x in row) + "\n")
+        write_csv(out / "combined.csv", ("variant", *METRIC_COLUMNS),
+                  [[name, *m.row(timings=cfg.timings)]
+                   for name in variants for m in results[name].metrics])
         with open(out / "summary.csv", "w", encoding="utf-8", newline="\n") as fh:
             fh.write("".join(line + "\n" for line in summary_lines(results, variants)))
-        diag_rows = []
-        for name in variants:
-            diag_rows.extend(results[name].diagnostics)
+        diag_rows = [row for name in variants for row in results[name].diagnostics]
         if diag_rows:
-            write_diagnostics_csv(out / "diagnostics.csv", diag_rows, cfg.num_layers)
+            write_csv(out / "diagnostics.csv", diag_columns(cfg.num_layers), diag_rows)
     return results

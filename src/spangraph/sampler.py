@@ -77,10 +77,12 @@ class EdgeProbabilities:
         weights = np.asarray(weights, dtype=np.float64)
         if weights.ndim != 1:
             raise ValueError("weights must be a 1-d array")
+        if weights.size == 0:
+            raise ValueError("cannot build an edge distribution on an edgeless graph")
         if (weights < 0).any():
             raise ValueError("edge weights must be non-negative")
-        total = float(np.cumsum(weights)[-1]) if weights.size else 0.0
-        if weights.size and total <= 0.0:
+        total = float(np.cumsum(weights)[-1])
+        if total <= 0.0:
             raise ValueError("edge weights must have positive total mass")
         weights = weights.copy()
         weights.flags.writeable = False
@@ -112,15 +114,11 @@ class SampleRequest:
 
 def uniform_weights(g: Graph) -> EdgeProbabilities:
     """Uniform distribution over the edge set."""
-    if g.num_edges == 0:
-        raise ValueError("cannot build an edge distribution on an edgeless graph")
     return EdgeProbabilities.from_weights(UNIFORM, np.ones(g.num_edges))
 
 
 def vm_weights(g: Graph) -> EdgeProbabilities:
     """Variance-minimized weights: 1/deg(u) + 1/deg(v) per canonical edge."""
-    if g.num_edges == 0:
-        raise ValueError("cannot build an edge distribution on an edgeless graph")
     deg = g.degree.astype(np.float64)
     u, v = g.edges[:, 0], g.edges[:, 1]
     w = 1.0 / deg[u] + 1.0 / deg[v]
@@ -134,8 +132,6 @@ def gnr_weights(g: Graph, p: PropagationMatrix) -> EdgeProbabilities:
     edge weight sums the column norms of both endpoints (one per
     direction of the edge).
     """
-    if g.num_edges == 0:
-        raise ValueError("cannot build an edge distribution on an edgeless graph")
     expected_nnz = 2 * g.num_edges + g.num_nodes
     if p.matrix.shape != (g.num_nodes, g.num_nodes) or p.matrix.nnz != expected_nnz:
         raise ValueError(

@@ -90,20 +90,16 @@ def _preferential_attachment_edges(spec: GeneratorSpec,
     """
     n, k = spec.nodes, spec.attach
     core = min(k + 1, n)
-    edges = [(i, j) for i in range(core) for j in range(i + 1, core)]
-    endpoints = np.empty(2 * k * n + 2 * len(edges), dtype=np.int64)
-    size = 0
-    for (i, j) in edges:
-        endpoints[size:size + 2] = (i, j)
-        size += 2
+    iu, ju = np.triu_indices(core, k=1)
+    size = 2 * iu.size
+    endpoints = np.empty(2 * k * n + size, dtype=np.int64)
+    endpoints[0:size:2], endpoints[1:size:2] = iu, ju
     for node in range(core, n):
-        draw = endpoints[rng.integers(0, size, size=k)]
-        targets = np.unique(draw)
-        for t in targets:
-            edges.append((int(t), node))
-            endpoints[size:size + 2] = (t, node)
-            size += 2
-    return np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        targets = np.unique(endpoints[rng.integers(0, size, size=k)])
+        end = size + 2 * targets.size
+        endpoints[size:end:2], endpoints[size + 1:end:2] = targets, node
+        size = end
+    return endpoints[:size].reshape(-1, 2)
 
 
 def _stratified_splits(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -153,7 +153,9 @@ def test_criterion_05_zero_noise_fixed_point():
     exact_zero = True
     for layer_type in ("gcn", "sage-mean"):
         model = gnn.init_model(layer_type, 5, 8, 2, 2, seed=3)
-        rep = gradient_noise(model, g, SpanningSubgraph.full(g),
+        p_full = build_propagation(SpanningSubgraph.full(g), model.propagation_kind)
+        p_sub = build_propagation(SpanningSubgraph.full(g), model.propagation_kind)
+        rep = gradient_noise(model, p_full, p_sub,
                              g.features, g.labels, g.train_mask)
         exact_zero &= all(x == 0.0 for x in rep.noise_norms)
         exact_zero &= all(x == 0.0 for x in rep.z_diff_norms)
@@ -166,14 +168,15 @@ def test_criterion_06_variance_reduction(path4):
     start = time.perf_counter()
     w = np.array([[1.0], [0.5]])
     budget, M = 2, 10_000
+    p_full = build_propagation(SpanningSubgraph.full(path4), "gcn-symmetric")
     exact = {}
     mc_ok = True
     details = []
     for probs in (vm_weights(path4), uniform_weights(path4)):
         exact_mean, exact_var = oracle_estimator_stats(
             path4, probs, budget, path4.features, w)
-        rep = embedding_variance(path4, probs, budget, M, path4.features, w,
-                                 seed=1006)
+        rep = embedding_variance(path4, p_full, probs, budget, M, path4.features,
+                                 w, seed=1006)
         se = rep.squared_deviation_std / np.sqrt(M)
         agrees = abs(rep.estimator_variance - exact_var) <= 3.0 * se
         mc_ok &= agrees
@@ -204,8 +207,9 @@ def test_criterion_07_noise_reduction_tendency_soft():
         total = 0.0
         for rep_i in range(200):
             sel = direct_sample(g, probs, budget, spawn_rng(1007, rep_i, kind))
-            sub = SpanningSubgraph.from_indices(g, sel)
-            total += gradient_noise(model, g, sub, g.features, g.labels,
+            p_sub = build_propagation(SpanningSubgraph.from_indices(g, sel),
+                                      "gcn-symmetric")
+            total += gradient_noise(model, p_full, p_sub, g.features, g.labels,
                                     g.train_mask).total_noise_norm
         means[kind] = total / 200
     elapsed = time.perf_counter() - start

@@ -244,6 +244,34 @@ class TestBenchSamplingCli:
         assert "speedup" in out
 
 
+class TestInputErrors:
+    """Bad input exits 1 (config) or 2 (data) with a message, never a traceback."""
+
+    @pytest.mark.parametrize("argv,code,prefix", [
+        ("train --gen sbm --nodes 60 --diag-every 1 --diag-samples 1", 1, "config error:"),
+        ("train --gen sbm --nodes 60 --diag-every -1", 1, "config error:"),
+        ("train --gen sbm --p-in 0 --p-out 0 --baseline full --diag-every 1",
+         1, "config error:"),
+        ("sample-inspect --gen sbm --p-in 0 --p-out 0", 2, "data error:"),
+        ("bench-sampling --gen sbm --nodes 60", 1, "config error:"),
+        ("bench-sampling --gen sbm --nodes 60 --s1 0", 1, "config error:"),
+        ("bench-sampling --gen sbm --nodes 60 --s1 20 --s2 5 --runs 0",
+         1, "config error:"),
+        ("train --data {bad_data}", 2, "data error:"),
+        ("train --config {bad_config}", 1, "config error:"),
+    ])
+    def test_exit_code_and_message(self, argv, code, prefix, dataset_dir,
+                                   tmp_path, capsys):
+        (dataset_dir / "labels.txt").write_bytes(b"0\n\xff\xfe\n")
+        (tmp_path / "bad.cfg").write_bytes(b"epochs=\xe9\n")
+        argv = argv.format(bad_data=dataset_dir, bad_config=tmp_path / "bad.cfg")
+        capsys.readouterr()
+        assert run_cli(*argv.split(), "--out", str(tmp_path / "out")) == code
+        err = capsys.readouterr().err
+        assert err.startswith(prefix)
+        assert "Traceback" not in err
+
+
 class TestThreadCap:
     def test_invalid_thread_cap_is_config_error(self, monkeypatch):
         monkeypatch.setenv("SPANGRAPH_THREADS", "zero")

@@ -23,6 +23,10 @@ from spangraph.synthetic import GeneratorSpec, make_graph
 from conftest import graph_from_edges
 
 
+def full_propagation(g, kind=GCN_SYMMETRIC):
+    return build_propagation(SpanningSubgraph.full(g), kind)
+
+
 # ---------------------------------------------------------------------------
 # independent oracle: exact subset distribution of sequential weighted
 # sampling without replacement, via brute-force permutation enumeration
@@ -82,28 +86,30 @@ class TestGradientNoise:
         g = make_graph(spec)
         for layer_type in ("gcn", "sage-mean"):
             model = init_model(layer_type, 4, 6, 2, 2, seed=5)
-            report = gradient_noise(model, g, SpanningSubgraph.full(g),
+            kind = model.propagation_kind
+            # two separately built full-graph matrices, as in training
+            report = gradient_noise(model, full_propagation(g, kind),
+                                    full_propagation(g, kind),
                                     g.features, g.labels, g.train_mask)
             assert report.noise_norms == [0.0, 0.0]
             assert report.z_diff_norms == [0.0, 0.0]
-            assert report.edge_ratio == 1.0
 
     def test_empty_subgraph_noise_is_positive(self):
         spec = GeneratorSpec(kind="sbm", nodes=25, classes=2, feature_dim=4,
                              seed=2, p_in=0.4, p_out=0.1)
         g = make_graph(spec)
         model = init_model("gcn", 4, 6, 2, 2, seed=5)
-        report = gradient_noise(model, g, SpanningSubgraph.empty(g),
+        empty = build_propagation(SpanningSubgraph.empty(g), GCN_SYMMETRIC)
+        report = gradient_noise(model, full_propagation(g), empty,
                                 g.features, g.labels, g.train_mask)
         assert all(x > 0.0 for x in report.noise_norms)
-        assert report.edge_ratio == 0.0
 
     def test_partial_subgraph_reports_finite_norms(self, path4):
         model = init_model("gcn", 2, 3, 2, 2, seed=1)
-        sub = SpanningSubgraph.from_indices(path4, [0, 2])
-        report = gradient_noise(model, path4, sub, path4.features,
-                                path4.labels, path4.train_mask, epoch_index=7)
-        assert report.epoch_index == 7
+        sub = build_propagation(SpanningSubgraph.from_indices(path4, [0, 2]),
+                                GCN_SYMMETRIC)
+        report = gradient_noise(model, full_propagation(path4), sub,
+                                path4.features, path4.labels, path4.train_mask)
         assert np.isfinite(report.total_noise_norm)
         assert np.isfinite(report.total_z_diff_norm)
 
@@ -140,14 +146,16 @@ class TestEmbeddingVariance:
     def test_full_budget_variance_is_zero(self, path4):
         probs = vm_weights(path4)
         w = np.array([[1.0], [0.5]])
-        report = embedding_variance(path4, probs, 3, 64, path4.features, w)
+        report = embedding_variance(path4, full_propagation(path4), probs, 3, 64,
+                                    path4.features, w)
         assert report.estimator_variance == pytest.approx(0.0, abs=1e-18)
 
     def test_single_edge_graph_unbiased(self):
         g = graph_from_edges(2, [[0, 1]])
         probs = uniform_weights(g)
         w = np.array([[1.0], [2.0]])
-        report = embedding_variance(g, probs, 1, 500, g.features, w, seed=4)
+        report = embedding_variance(g, full_propagation(g), probs, 1, 500,
+                                    g.features, w, seed=4)
         exact = oracle_edge_contributions(g, GCN_SYMMETRIC, g.features, w)[0]
         np.testing.assert_allclose(report.estimator_mean, exact, atol=1e-12)
         assert report.estimator_variance == pytest.approx(0.0, abs=1e-18)
@@ -160,8 +168,8 @@ class TestEmbeddingVariance:
         for probs in (vm_weights(path4), uniform_weights(path4)):
             exact_mean, exact_var = oracle_estimator_stats(
                 path4, probs, budget, path4.features, w)
-            report = embedding_variance(path4, probs, budget, M,
-                                        path4.features, w, seed=11)
+            report = embedding_variance(path4, full_propagation(path4), probs,
+                                        budget, M, path4.features, w, seed=11)
             se = report.squared_deviation_std / np.sqrt(M)
             assert abs(report.estimator_variance - exact_var) <= 3.0 * se + 1e-12
             np.testing.assert_allclose(report.estimator_mean, exact_mean,
@@ -177,12 +185,13 @@ class TestEmbeddingVariance:
         w = np.ones((2, 1))
         # budget 3 forces the uniform-fill fallback onto zero-weight edges
         with pytest.raises(ValueError, match="zero inclusion"):
-            embedding_variance(g, probs, 3, 8, g.features, w, seed=0)
+            embedding_variance(g, full_propagation(g), probs, 3, 8, g.features, w,
+                               seed=0)
 
     def test_requires_two_samples(self, path4):
         with pytest.raises(ValueError, match="2 Monte-Carlo"):
-            embedding_variance(path4, vm_weights(path4), 2, 1,
-                               path4.features, np.ones((2, 1)))
+            embedding_variance(path4, full_propagation(path4), vm_weights(path4),
+                               2, 1, path4.features, np.ones((2, 1)))
 
 
 class TestMemoryProxy:

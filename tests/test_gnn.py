@@ -7,7 +7,6 @@ from spangraph.errors import NumericalError
 from spangraph.gnn import (
     BackwardTape,
     GnnModel,
-    TrainState,
     forward,
     init_model,
     load_weights,
@@ -144,37 +143,35 @@ class TestGradients:
 
 
 class TestSgdStep:
-    def _state(self, w):
-        return TrainState(GnnModel("gcn", [np.array(w, dtype=float)]),
-                          learning_rate=0.1)
+    def _model(self, w):
+        return GnnModel("gcn", [np.array(w, dtype=float)])
 
     def test_zero_gradient_no_change(self):
-        state = self._state([[1.0]])
-        sgd_step(state, [np.array([[0.0]])])
-        np.testing.assert_array_equal(state.model.weights[0], [[1.0]])
+        model = self._model([[1.0]])
+        sgd_step(model, [np.array([[0.0]])], 0.1)
+        np.testing.assert_array_equal(model.weights[0], [[1.0]])
 
     def test_arithmetic(self):
-        state = self._state([[1.0]])
-        sgd_step(state, [np.array([[2.0]])])
-        np.testing.assert_allclose(state.model.weights[0], [[0.8]])
+        model = self._model([[1.0]])
+        sgd_step(model, [np.array([[2.0]])], 0.1)
+        np.testing.assert_allclose(model.weights[0], [[0.8]])
 
     def test_two_steps_sum_for_constant_gradients(self):
         """With weight-independent gradients, steps compose additively."""
         rng = np.random.default_rng(4)
         g1 = rng.normal(size=(3, 2))
         g2 = rng.normal(size=(3, 2))
-        a = TrainState(GnnModel("gcn", [np.ones((3, 2))]), learning_rate=0.05)
-        b = TrainState(GnnModel("gcn", [np.ones((3, 2))]), learning_rate=0.05)
-        sgd_step(a, [g1])
-        sgd_step(a, [g2])
-        sgd_step(b, [g1 + g2])
-        np.testing.assert_allclose(a.model.weights[0], b.model.weights[0],
-                                   atol=1e-12)
+        a = GnnModel("gcn", [np.ones((3, 2))])
+        b = GnnModel("gcn", [np.ones((3, 2))])
+        sgd_step(a, [g1], 0.05)
+        sgd_step(a, [g2], 0.05)
+        sgd_step(b, [g1 + g2], 0.05)
+        np.testing.assert_allclose(a.weights[0], b.weights[0], atol=1e-12)
 
     def test_non_finite_gradient_aborts(self):
-        state = self._state([[1.0]])
+        model = self._model([[1.0]])
         with pytest.raises(NumericalError):
-            sgd_step(state, [np.array([[np.nan]])])
+            sgd_step(model, [np.array([[np.nan]])], 0.1)
 
 
 class TestEvaluate:
@@ -208,8 +205,7 @@ class TestEvaluate:
                              labels=[0, 1, 0, 1, 0, 1])
         p = build_propagation(SpanningSubgraph.empty(g), GCN_SYMMETRIC)
         model = init_model("gcn", 2, 4, 2, 2, seed=0)
-        state = TrainState(model, learning_rate=0.1)
-        train_step(state, p, g.features, g.labels, g.train_mask)
+        train_step(model, p, g.features, g.labels, g.train_mask, 0.1)
         pred = np.argmax(forward(model, p, g.features)[0], axis=1)
         acc, f1 = masked_scores(pred, g.labels, g.train_mask)
         assert 0.0 <= acc <= 1.0

@@ -170,7 +170,7 @@ class TestBuildPropagation:
     def test_spanning_property_node_set_fixed(self, path4):
         for mask in (np.zeros(3, bool), np.array([1, 0, 1], bool)):
             p = build_propagation(SpanningSubgraph(path4, mask), MEAN_ROW)
-            assert p.shape == (4, 4)
+            assert p.matrix.shape == (4, 4)
 
 
 class TestColumnNorms:

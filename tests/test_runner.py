@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from spangraph import graphstore
 from spangraph.errors import ConfigError
 from spangraph.runner import (
     METRIC_COLUMNS,
@@ -87,6 +88,19 @@ class TestDiagnosticsEmission:
         assert lines[0] == ("epoch,sampler,noise_norm_l0,noise_norm_l1,"
                             "z_diff_norm,var_xi,peak_edges")
         assert len(lines) == 4
+
+    def test_diag_rows_reuse_the_epoch_matrices(self, monkeypatch):
+        """One full-graph matrix in setup and one per epoch, diagnostics or not."""
+        built = []
+        make = graphstore.PropagationMatrix
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return make(*args, **kwargs)
+
+        monkeypatch.setattr(graphstore, "PropagationMatrix", counting)
+        run_training(small_cfg(epochs=5, diag_every=1, diag_samples=2))
+        assert len(built) == 5 + 1
 
 
 class TestCompare:
