@@ -238,7 +238,7 @@ def _cmd_compare(opts: dict) -> int:
 def _cmd_sample_inspect(opts: dict) -> int:
     from .gnn import PROPAGATION_KIND
     from .graphstore import SpanningSubgraph, build_propagation
-    from .runner import load_run_graph
+    from .runner import load_run_graph, make_out_dir
     from .sampler import make_weights
     cfg = _build_run_config(opts)
     g = load_run_graph(cfg)
@@ -252,8 +252,7 @@ def _cmd_sample_inspect(opts: dict) -> int:
         lines.append(f"{i},{u},{v},{float(probs.weights[i])!r},{float(norm[i])!r}")
     text = "\n".join(lines) + "\n"
     if cfg.out_dir is not None:
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        out = make_out_dir(cfg.out_dir)
         (out / "sample_inspect.csv").write_text(text, encoding="utf-8")
         print(f"wrote {out / 'sample_inspect.csv'}")
     else:
@@ -288,11 +287,13 @@ def _cmd_bench_sampling(opts: dict) -> int:
 
 
 def _cmd_gen_data(opts: dict) -> int:
+    from .runner import make_out_dir
     from .synthetic import generate_synthetic
     out = opts.get("out")
     if out is None:
         raise ConfigError("gen-data requires --out DIR")
     spec = _generator_spec(opts, opts["kind"])
+    make_out_dir(out)
     g = generate_synthetic(spec, out, binary_features=opts["binary_features"])
     print(f"wrote {spec.kind} dataset to {out}: {g.num_nodes} nodes, "
           f"{g.num_edges} edges, {g.num_classes} classes")

@@ -7,18 +7,35 @@ on every layer except the last):
     sage-mean:  Z = [H || P H] W,     H' = relu(Z)
 
 For sage-mean P is the row-mean matrix, so the concatenation is
-"self features || neighborhood mean" (the mean includes the self-loop).
+"self features || neighborhood mean" (the mean includes the self-loop),
+and W stacks W_self over W_agg.
 
-The loss is mean softmax cross-entropy over the training nodes.  The
-backward pass mirrors the forward algebra exactly:
+Each layer multiplies by P on its narrow side (``transforms_first``).
+With d_in and d_out the layer's input and output widths, a layer with
+d_out < d_in transforms first and propagates the narrow product; every
+other layer aggregates first.  Every sparse product then has width
+min(d_in, d_out).  With delta = dL/dZ:
 
-    grad W  = A^T delta         with A = P H  (gcn)  or  [H || P H]  (sage)
-    dL/dH   = P^T (delta W^T)   (gcn)
-            = (delta W^T)_self + P^T (delta W^T)_agg   (sage)
+    aggregate first (d_out >= d_in), A = P H  or  [H || P H]:
+        forward   Z = A W
+        grad W  = A^T delta
+        dL/dH   = P^T (delta W^T)                           (gcn)
+                = delta W_self^T + P^T (delta W_agg^T)      (sage)
+
+    transform first (d_out < d_in), U = P^T delta:
+        forward   Z = P (H W)              (gcn)
+                  Z = H W_self + P (H W_agg)   (sage)
+        grad W  = H^T U                    (gcn)
+                = [H^T delta ; H^T U]      (sage)
+        dL/dH   = U W^T                    (gcn)
+                = delta W_self^T + U W_agg^T   (sage)
+
     delta'  = dL/dH * relu'(Z_prev)
 
-Updates are plain gradient descent, W -= lr * grad, no momentum and no
-weight decay.  Everything runs in float64.
+The tape keeps A for an aggregate-first layer and H for a
+transform-first one.  The loss is mean softmax cross-entropy over the
+training nodes.  Updates are plain gradient descent, W -= lr * grad, no
+momentum and no weight decay.  Everything runs in float64.
 """
 
 from __future__ import annotations
@@ -57,9 +74,15 @@ class GnnModel:
     def propagation_kind(self) -> str:
         return PROPAGATION_KIND[self.layer_type]
 
-    def input_dim(self) -> int:
-        rows = self.weights[0].shape[0]
+    def input_dim(self, layer: int = 0) -> int:
+        rows = self.weights[layer].shape[0]
         return rows // 2 if self.layer_type == SAGE_MEAN else rows
+
+
+def transforms_first(model: GnnModel, layer: int) -> bool:
+    """Whether ``layer`` multiplies by W before P: only when its output is
+    narrower than its input, so that P always meets the narrow side."""
+    return model.weights[layer].shape[1] < model.input_dim(layer)
 
 
 @dataclass
@@ -67,8 +90,8 @@ class BackwardTape:
     """Forward-pass cache consumed by loss_and_backward."""
 
     model: GnnModel
-    aggregated: list[np.ndarray]  # A = P H  or  [H || P H]
-    pre_acts: list[np.ndarray]    # Z per layer
+    saved: list[np.ndarray]     # per layer: H if it transforms first, else A
+    pre_acts: list[np.ndarray]  # Z per layer
 
 
 def init_model(layer_type: str, in_dim: int, hidden_dim: int, out_dim: int,
@@ -95,28 +118,24 @@ def forward(model: GnnModel, p: PropagationMatrix,
     h = np.asarray(features, dtype=np.float64)
     if h.ndim != 2:
         raise ValueError("features must be a 2-d matrix")
-    if model.input_dim() != h.shape[1]:
-        raise ValueError(
-            f"feature dim {h.shape[1]} does not match first layer "
-            f"input dim {model.input_dim()}"
-        )
-    aggregated, pre_acts = [], []
+    sage = model.layer_type == SAGE_MEAN
+    saved, pre_acts = [], []
     last = model.num_layers - 1
     for layer, w in enumerate(model.weights):
-        if model.layer_type == SAGE_MEAN:
-            a = np.hstack([h, p.matrix @ h])
+        d = model.input_dim(layer)
+        if h.shape[1] != d:
+            raise ValueError(f"layer {layer}: input dim {h.shape[1]} does not "
+                             f"match the weights' input dim {d}")
+        if transforms_first(model, layer):
+            x = h
+            z = h @ w[:d] + p.matrix @ (h @ w[d:]) if sage else p.matrix @ (h @ w)
         else:
-            a = p.matrix @ h
-        if a.shape[1] != w.shape[0]:
-            raise ValueError(
-                f"layer {layer}: aggregated dim {a.shape[1]} does not match "
-                f"weight rows {w.shape[0]}"
-            )
-        z = a @ w
-        aggregated.append(a)
+            x = np.hstack([h, p.matrix @ h]) if sage else p.matrix @ h
+            z = x @ w
+        saved.append(x)
         pre_acts.append(z)
         h = np.maximum(z, 0.0) if layer < last else z
-    return h, BackwardTape(model=model, aggregated=aggregated, pre_acts=pre_acts)
+    return h, BackwardTape(model=model, saved=saved, pre_acts=pre_acts)
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray,
@@ -147,19 +166,24 @@ def loss_and_backward(tape: BackwardTape, logits: np.ndarray,
                       p: PropagationMatrix) -> tuple[float, list[np.ndarray]]:
     """Loss plus per-layer weight gradients via the chain rule over P."""
     model = tape.model
+    sage = model.layer_type == SAGE_MEAN
     loss, delta = softmax_cross_entropy(logits, labels, train_mask)
     grads: list[np.ndarray] = [np.empty(0)] * model.num_layers
     for layer in range(model.num_layers - 1, -1, -1):
-        w = model.weights[layer]
-        grads[layer] = tape.aggregated[layer].T @ delta
+        w, x = model.weights[layer], tape.saved[layer]
+        d = model.input_dim(layer)
+        w_agg = w[d:] if sage else w
+        narrow = transforms_first(model, layer)
+        if narrow:
+            u = p.matrix.T @ delta
+            grads[layer] = np.vstack([x.T @ delta, x.T @ u]) if sage else x.T @ u
+        else:
+            grads[layer] = x.T @ delta
         if layer == 0:
             break
-        g = delta @ w.T
-        if model.layer_type == SAGE_MEAN:
-            d = g.shape[1] // 2
-            dh = g[:, :d] + p.matrix.T @ g[:, d:]
-        else:
-            dh = p.matrix.T @ g
+        dh = u @ w_agg.T if narrow else p.matrix.T @ (delta @ w_agg.T)
+        if sage:
+            dh += delta @ w[:d].T
         delta = dh * (tape.pre_acts[layer - 1] > 0.0)
     return loss, grads
 

@@ -202,6 +202,16 @@ def _now_ms() -> int:
     return time.perf_counter_ns() // 1_000_000
 
 
+def make_out_dir(path) -> Path:
+    """Create an output directory (and its parents) or raise ConfigError."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from None
+    return out
+
+
 def _dropedge_subgraph(g: Graph, beta: float, seed, epoch: int) -> SpanningSubgraph:
     rng = spawn_rng(seed, epoch, "dropedge")
     m = g.num_edges
@@ -223,6 +233,7 @@ def run_training(cfg: RunConfig, graph: Graph | None = None) -> RunResult:
                           "at least one edge")
     if not g.train_mask.any():
         raise DataError("the dataset has no nodes in the train split")
+    out = make_out_dir(cfg.out_dir) if cfg.out_dir is not None else None
 
     kind = PROPAGATION_KIND[cfg.layer_type]
     p_full = build_propagation(SpanningSubgraph.full(g), kind)
@@ -304,9 +315,7 @@ def run_training(cfg: RunConfig, graph: Graph | None = None) -> RunResult:
         peak_directed_edges=proxy.peak_directed_edges,
         diagnostics=diagnostics,
     )
-    if cfg.out_dir is not None:
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         write_csv(out / "metrics.csv", METRIC_COLUMNS,
                   [m.row(timings=cfg.timings) for m in metrics])
         save_weights(out / "checkpoint.spgw", model)
@@ -379,15 +388,14 @@ def run_compare(cfg: RunConfig, variants: list[str]) -> dict[str, RunResult]:
         raise ConfigError("compare needs at least 2 variants")
     cfg.validate()
     g = load_run_graph(cfg)
+    out = make_out_dir(cfg.out_dir) if cfg.out_dir is not None else None
     results: dict[str, RunResult] = {}
     for name in variants:
         if name in results:
             continue
         results[name] = run_training(variant_config(cfg, name), graph=g)
 
-    if cfg.out_dir is not None:
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         write_csv(out / "combined.csv", ("variant", *METRIC_COLUMNS),
                   [[name, *m.row(timings=cfg.timings)]
                    for name in variants for m in results[name].metrics])

@@ -86,24 +86,28 @@ def test_criterion_03_gradient_correctness():
     rng = np.random.default_rng(1003)
     worst = 0.0
     cases = 0
-    for layer_type in ("gcn", "sage-mean"):
-        for num_layers in (1, 2, 3):
-            n = int(rng.integers(5, 21))
-            spec = GeneratorSpec(kind="sbm", nodes=n, classes=2, feature_dim=3,
-                                 seed=int(rng.integers(2**31)),
-                                 p_in=0.7, p_out=0.3)
-            g = make_graph(spec)
-            kind = "gcn-symmetric" if layer_type == "gcn" else "mean-row"
-            p = build_propagation(SpanningSubgraph.full(g), kind)
-            model = gnn.init_model(layer_type, 3, 4, 2, num_layers,
-                                   seed=int(rng.integers(2**31)))
-            logits, tape = gnn.forward(model, p, g.features)
-            _, analytic = gnn.loss_and_backward(tape, logits, g.labels,
-                                                g.train_mask, p)
-            numeric = numeric_gradients(model, p, g.features, g.labels,
-                                        g.train_mask)
-            worst = max(worst, max_relative_error(analytic, numeric))
-            cases += 1
+    # (layer type, feature dim, hidden dim, layers): a widening first layer,
+    # then a narrowing one, which multiplies by W before P
+    layer_types = ("gcn", "sage-mean")
+    shapes = ([(t, 3, 4, n) for t in layer_types for n in (1, 2, 3)]
+              + [(t, 6, 3, n) for t in layer_types for n in (2, 3)])
+    for layer_type, in_dim, hidden, num_layers in shapes:
+        n = int(rng.integers(5, 21))
+        spec = GeneratorSpec(kind="sbm", nodes=n, classes=2, feature_dim=in_dim,
+                             seed=int(rng.integers(2**31)),
+                             p_in=0.7, p_out=0.3)
+        g = make_graph(spec)
+        kind = "gcn-symmetric" if layer_type == "gcn" else "mean-row"
+        p = build_propagation(SpanningSubgraph.full(g), kind)
+        model = gnn.init_model(layer_type, in_dim, hidden, 2, num_layers,
+                               seed=int(rng.integers(2**31)))
+        logits, tape = gnn.forward(model, p, g.features)
+        _, analytic = gnn.loss_and_backward(tape, logits, g.labels,
+                                            g.train_mask, p)
+        numeric = numeric_gradients(model, p, g.features, g.labels,
+                                    g.train_mask)
+        worst = max(worst, max_relative_error(analytic, numeric))
+        cases += 1
     elapsed = time.perf_counter() - start
     ok = worst < 1e-4 and elapsed < 60.0
     report(3, "gradient correctness", ok,

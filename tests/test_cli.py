@@ -259,14 +259,19 @@ class TestInputErrors:
          1, "config error:"),
         ("train --data {bad_data}", 2, "data error:"),
         ("train --config {bad_config}", 1, "config error:"),
+        ("train --gen sbm --nodes 40 --epochs 2 --out {file}/x", 1, "config error:"),
+        ("gen-data --out {file}/x", 1, "config error:"),
     ])
     def test_exit_code_and_message(self, argv, code, prefix, dataset_dir,
                                    tmp_path, capsys):
         (dataset_dir / "labels.txt").write_bytes(b"0\n\xff\xfe\n")
         (tmp_path / "bad.cfg").write_bytes(b"epochs=\xe9\n")
-        argv = argv.format(bad_data=dataset_dir, bad_config=tmp_path / "bad.cfg")
+        (tmp_path / "file").write_bytes(b"")
+        argv = argv.format(bad_data=dataset_dir, bad_config=tmp_path / "bad.cfg",
+                           file=tmp_path / "file")
+        out = [] if "--out" in argv else ["--out", str(tmp_path / "out")]
         capsys.readouterr()
-        assert run_cli(*argv.split(), "--out", str(tmp_path / "out")) == code
+        assert run_cli(*argv.split(), *out) == code
         err = capsys.readouterr().err
         assert err.startswith(prefix)
         assert "Traceback" not in err

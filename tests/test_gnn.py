@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from spangraph.errors import NumericalError
 from spangraph.gnn import (
@@ -21,6 +22,7 @@ from spangraph.gnn import (
 from spangraph.graphstore import (
     GCN_SYMMETRIC,
     MEAN_ROW,
+    PropagationMatrix,
     SpanningSubgraph,
     build_graph,
     build_propagation,
@@ -94,7 +96,7 @@ class TestForward:
         assert model.weights[1].shape == (8, 3)
         logits, tape = forward(model, p, triangle.features)
         assert logits.shape == (3, 3)
-        assert tape.aggregated[0].shape == (3, 4)
+        assert tape.saved[0].shape == (3, 4)
 
 
 class TestLoss:
@@ -126,20 +128,116 @@ class TestLoss:
                                   np.zeros(4, bool))
 
 
+def widths_id(widths):
+    return "-".join(map(str, widths))
+
+
+def model_with_widths(layer_type, widths, seed):
+    """A model whose layer l maps widths[l] features to widths[l + 1]."""
+    rng = np.random.default_rng(seed)
+    rows = 2 if layer_type == "sage-mean" else 1
+    return GnnModel(layer_type, [rng.uniform(-0.8, 0.8, size=(rows * a, b))
+                                 for a, b in zip(widths, widths[1:])])
+
+
 class TestGradients:
-    @pytest.mark.parametrize("layer_type", ["gcn", "sage-mean"])
-    @pytest.mark.parametrize("num_layers", [1, 2, 3])
-    def test_analytic_matches_finite_differences(self, layer_type, num_layers):
-        spec = GeneratorSpec(kind="sbm", nodes=9, classes=2, feature_dim=3,
+    @staticmethod
+    def _max_error(layer_type, feature_dim, model):
+        spec = GeneratorSpec(kind="sbm", nodes=9, classes=2, feature_dim=feature_dim,
                              seed=41, p_in=0.8, p_out=0.3)
         g = make_graph(spec)
         kind = GCN_SYMMETRIC if layer_type == "gcn" else MEAN_ROW
         p = build_propagation(SpanningSubgraph.full(g), kind)
-        model = init_model(layer_type, 3, 5, 2, num_layers, seed=13)
         logits, tape = forward(model, p, g.features)
         _, analytic = loss_and_backward(tape, logits, g.labels, g.train_mask, p)
         numeric = numeric_gradients(model, p, g.features, g.labels, g.train_mask)
-        assert max_relative_error(analytic, numeric) < 1e-4
+        return max_relative_error(analytic, numeric)
+
+    @pytest.mark.parametrize("layer_type", ["gcn", "sage-mean"])
+    @pytest.mark.parametrize("num_layers", [1, 2, 3])
+    def test_analytic_matches_finite_differences(self, layer_type, num_layers):
+        model = init_model(layer_type, 3, 5, 2, num_layers, seed=13)
+        assert self._max_error(layer_type, 3, model) < 1e-4
+
+    @pytest.mark.parametrize("layer_type", ["gcn", "sage-mean"])
+    @pytest.mark.parametrize("widths", [(6, 3, 2), (6, 3, 3, 2), (6, 4, 3, 2)], ids=widths_id)
+    def test_narrowing_layers_match_finite_differences(self, layer_type, widths):
+        """A first layer that transforms first, below an aggregate-first or a
+        transform-first hidden layer, gets its delta through their dH."""
+        model = model_with_widths(layer_type, widths, seed=13)
+        assert self._max_error(layer_type, widths[0], model) < 1e-4
+
+
+class WidthRecorder:
+    """Stands in for P (or P^T): multiplies like it and logs the column
+    count of every dense operand."""
+
+    def __init__(self, matrix, log, name="P"):
+        self.matrix, self.log, self.name = matrix, log, name
+
+    def __matmul__(self, dense):
+        self.log.append((self.name, dense.shape[1]))
+        return self.matrix @ dense
+
+    @property
+    def T(self):
+        return WidthRecorder(self.matrix.T, self.log, "P.T")
+
+
+class TestNarrowSide:
+    """P meets every layer at width min(d_in, d_out)."""
+
+    @pytest.mark.parametrize("layer_type", ["gcn", "sage-mean"])
+    @pytest.mark.parametrize("widths", [(16, 8, 8, 3), (4, 8, 3), (5, 5)], ids=widths_id)
+    def test_sparse_products_run_at_the_narrow_width(self, layer_type, widths):
+        spec = GeneratorSpec(kind="sbm", nodes=30, classes=3, feature_dim=widths[0],
+                             seed=8, p_in=0.4, p_out=0.1)
+        g = make_graph(spec)
+        kind = GCN_SYMMETRIC if layer_type == "gcn" else MEAN_ROW
+        log = []
+        p = PropagationMatrix(kind, WidthRecorder(
+            build_propagation(SpanningSubgraph.full(g), kind).matrix, log))
+        model = model_with_widths(layer_type, widths, seed=2)
+        layers = list(zip(widths, widths[1:]))
+        fwd = [("P", min(a, b)) for a, b in layers]
+        # going down: a narrowing layer always needs U = P^T delta for its
+        # gradient; an aggregate-first one propagates dH, and at layer 0
+        # (the 4-8-3 and 5-5 models) it runs no sparse product at all
+        bwd = [("P.T", min(a, b))
+               for layer, (a, b) in reversed(list(enumerate(layers)))
+               if b < a or layer > 0]
+
+        train_step(model, p, g.features, g.labels, g.train_mask, 0.1)
+        assert log == fwd + bwd
+        log.clear()
+        forward(model, p, g.features)
+        assert log == fwd
+
+
+class TestOrderEquivalence:
+    @staticmethod
+    def textbook_logits(layer_type, p, h, weights):
+        """P H W or [H || P H] W per layer, relu between layers."""
+        for i, w in enumerate(weights):
+            a = p @ h if layer_type == "gcn" else np.hstack([h, p @ h])
+            h = a @ w if i == len(weights) - 1 else np.maximum(a @ w, 0.0)
+        return h
+
+    @pytest.mark.parametrize("layer_type", ["gcn", "sage-mean"])
+    @pytest.mark.parametrize("widths", [(6, 2), (3, 5), (4, 4), (6, 3, 5, 2)], ids=widths_id)
+    def test_forward_matches_textbook_order(self, layer_type, widths):
+        """Both orders give the textbook logits; d_out < d_in transforms first."""
+        rng = np.random.default_rng(17)
+        n = 12
+        dense = rng.uniform(0.1, 1.0, size=(n, n)) * (rng.random((n, n)) < 0.4)
+        p = PropagationMatrix(MEAN_ROW, sp.csr_matrix(dense))
+        h = rng.uniform(0.1, 1.0, size=(n, widths[0]))
+        model = model_with_widths(layer_type, widths, seed=5)
+        for w in model.weights:
+            np.abs(w, out=w)  # positive: no cancellation, so rtol is meaningful
+        logits, _ = forward(model, p, h)
+        expected = self.textbook_logits(layer_type, dense, h, model.weights)
+        np.testing.assert_allclose(logits, expected, rtol=1e-12)
 
 
 class TestSgdStep:
