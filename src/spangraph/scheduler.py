@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .graphstore import Graph, SpanningSubgraph
+from .graphstore import Graph, SpanningSubgraph, sorted_unique
 from .sampler import SAMPLER_KINDS, EdgeProbabilities, SampleRequest, two_step_sample
 from .seeding import as_rng, derive_seed, spawn_rng
 
@@ -113,7 +113,7 @@ def graph_update(sub: SpanningSubgraph, delta: np.ndarray, cap: int,
         raise ValueError("delta contains edge indices outside the parent graph")
     mask = sub.mask.copy()
     fresh = delta[~mask[delta]]
-    fresh = np.unique(fresh)
+    fresh = sorted_unique(fresh)
     current = sub.active_count
     if current + fresh.size > cap:
         keep = cap - current

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .graphstore import Graph, build_graph, save_dataset
+from .graphstore import Graph, build_graph, canonicalize_edges, save_dataset
 from .seeding import spawn_rng
 
 SBM = "sbm"
@@ -162,11 +162,7 @@ def random_edge_graph(nodes: int, edges: int, seed: int = 0) -> Graph:
         need = edges - collected.shape[0]
         draw = rng.integers(0, nodes, size=(need + need // 4 + 16, 2))
         draw = draw[draw[:, 0] != draw[:, 1]]
-        lo = np.minimum(draw[:, 0], draw[:, 1])
-        hi = np.maximum(draw[:, 0], draw[:, 1])
-        collected = np.unique(
-            np.concatenate([collected, np.stack([lo, hi], axis=1)]), axis=0
-        )
+        collected = canonicalize_edges(np.concatenate([collected, draw]), nodes)
     # uniform subset of the collected pairs, not the lexicographically first
     keep = rng.permutation(collected.shape[0])[:edges]
     collected = collected[keep]

@@ -6,16 +6,25 @@ import pytest
 from spangraph.errors import DataError
 from spangraph.graphstore import (
     GCN_SYMMETRIC,
+    MAX_KEYED_NODES,
     MEAN_ROW,
     SpanningSubgraph,
     build_graph,
     build_propagation,
+    canonicalize_edges,
     column_norms,
     load_dataset,
     load_graph,
+    read_edge_list,
     read_features,
+    read_labels,
+    read_splits,
     save_dataset,
+    sorted_unique,
+    write_edge_list,
     write_features_binary,
+    write_labels,
+    write_splits,
 )
 
 from conftest import graph_from_edges
@@ -102,6 +111,125 @@ class TestLoadGraph:
         path.write_bytes(b"SPGF" + b"\x00" * 10)
         with pytest.raises(DataError, match="truncated"):
             read_features(path)
+
+
+class TestLoaderErrorContract:
+    """Each rejected file names its fault and ``file:line`` exactly."""
+
+    @pytest.mark.parametrize("reader, text, where", [
+        (read_edge_list, "nodes 3\n0 1\n-1 2\n", "3: negative node id"),
+        (read_edge_list, "0 1\n1 -2\n", "2: negative node id"),
+        (read_edge_list, "# c\nnodes x\n0 1\n", "2: malformed node-count declaration"),
+        (read_edge_list, "nodes 3 4\n0 1\n", "1: malformed node-count declaration"),
+        (read_edge_list, "nodes\n0 1\n", "1: malformed node-count declaration"),
+        (read_edge_list, "0 1\nnodes 5\n", "2: non-integer node id in 'nodes 5'"),
+        (read_edge_list, "nodes 5\n0 1\nnodes 5\n", "3: non-integer node id in 'nodes 5'"),
+        (read_edge_list, "0 1\n1 2\n0 1 # x\n", "3: expected 'u v', got '0 1 # x'"),
+        (read_edge_list, "0 1\n1.0 2\n", "2: non-integer node id in '1.0 2'"),
+        (read_labels, "0\n1\n\nx\n", "4: non-integer label 'x'"),
+        (read_labels, "0\n1 2\n", "2: non-integer label '1 2'"),
+        (read_splits, "train\nval\nbogus\n", "3: unknown split 'bogus'"),
+        (read_splits, "train\ntrain val\n", "2: unknown split 'train val'"),
+        (read_features, "1,2\n3,4\n5,6,7\n", "3: row has 3 columns, expected 2"),
+        (read_features, "1,2\n3,x\n", "2: non-numeric feature value"),
+    ])
+    def test_message_and_line(self, tmp_path, reader, text, where):
+        path = tmp_path / "data.txt"
+        path.write_text(text)
+        with pytest.raises(DataError) as info:
+            reader(path)
+        assert str(info.value) == f"{path}:{where}"
+
+
+class TestAcceptedEdgeFormats:
+    """The edge-list grammar accepts these spellings, each as one graph."""
+
+    @pytest.mark.parametrize("text, declared, pairs", [
+        ("nodes 4\r\n0 1\r\n2 3\r\n", 4, [[0, 1], [2, 3]]),
+        ("0 1\r1 2\r", None, [[0, 1], [1, 2]]),
+        ("0\t1\n1\t\t2\n", None, [[0, 1], [1, 2]]),
+        ("0 1   \n  1 2 \t\n", None, [[0, 1], [1, 2]]),
+        ("0 1\n1 2", None, [[0, 1], [1, 2]]),
+        ("0 1\n   \n\t\n\n1 2\n", None, [[0, 1], [1, 2]]),
+        ("# a\n  # b\nnodes 5\n# c\n0 1\n", 5, [[0, 1]]),
+        ("0 1\n# mid\n1 2\n", None, [[0, 1], [1, 2]]),
+        ("nodes 7\n", 7, []),
+        ("nodes 7", 7, []),
+        ("", None, []),
+        ("\n \n# only comments\n", None, []),
+        ("3 4\n", None, [[3, 4]]),
+        ("+1 007\n1_0 2\n", None, [[1, 7], [10, 2]]),
+        ("0\xa01\n", None, [[0, 1]]),
+    ])
+    def test_same_pairs(self, tmp_path, text, declared, pairs):
+        path = tmp_path / "edges.txt"
+        path.write_bytes(text.encode("utf-8"))
+        got_declared, got = read_edge_list(path)
+        assert got_declared == declared
+        assert got.dtype == np.int64 and got.shape == (len(pairs), 2)
+        assert got.tolist() == pairs
+
+    def test_labels_splits_and_features(self, tmp_path):
+        (tmp_path / "labels.txt").write_bytes(b"0\r\n-1\r\n\r\n +2 \r\n")
+        (tmp_path / "splits.txt").write_bytes(b"train\n val \n\ntest\nnone")
+        (tmp_path / "features.csv").write_bytes(b"1, 2.5\r\n\n-0.0,1e-320\n")
+        assert read_labels(tmp_path / "labels.txt").tolist() == [0, -1, 2]
+        assert read_splits(tmp_path / "splits.txt").tolist() == ["train", "val", "test", "none"]
+        x = read_features(tmp_path / "features.csv")
+        assert x.tolist() == [[1.0, 2.5], [-0.0, 1e-320]]
+        assert np.signbit(x[1, 0])
+
+    def test_feature_values_parse_as_python_floats(self, tmp_path):
+        rng = np.random.default_rng(11)
+        cells = [repr(float(v)) for v in rng.normal(size=60) * 10.0 ** rng.integers(-300, 300, 60)]
+        cells += ["".join(map(str, rng.integers(0, 10, 25))) + "e-" + str(k) for k in range(0, 340, 17)]
+        path = tmp_path / "features.csv"
+        path.write_text("\n".join(",".join(cells[i:i + 4]) for i in range(0, 80, 4)) + "\n")
+        got = read_features(path)
+        want = np.array([float(c) for c in cells]).reshape(20, 4)
+        assert got.tobytes() == want.tobytes()
+
+
+class TestCanonicalizeEdges:
+    @pytest.mark.parametrize("seed, n, m", [(0, 2, 10), (1, 5, 40), (2, 50, 600), (3, 1000, 5000)])
+    def test_equals_unique_rows(self, seed, n, m):
+        rng = np.random.default_rng(seed)
+        edges = rng.integers(0, n, size=(m, 2))
+        edges = np.concatenate([edges, edges[::-1, ::-1], edges[:5]])
+        kept = edges[edges[:, 0] != edges[:, 1]]
+        lo, hi = kept.min(axis=1), kept.max(axis=1)
+        want = np.unique(np.stack([lo, hi], 1), axis=0)
+        got = canonicalize_edges(edges, n)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_only_self_loops_leave_no_edge(self):
+        got = canonicalize_edges(np.array([[1, 1], [0, 0]]), 3)
+        assert got.shape == (0, 2) and got.dtype == np.int64
+
+    def test_node_count_past_the_key_bound_is_refused(self):
+        canonicalize_edges(np.array([[0, MAX_KEYED_NODES - 1]]), MAX_KEYED_NODES)
+        with pytest.raises(DataError, match="int64 edge keys"):
+            canonicalize_edges(np.array([[0, 1]]), MAX_KEYED_NODES + 1)
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 1000])
+    def test_sorted_unique_equals_np_unique(self, size):
+        values = np.random.default_rng(size).integers(-50, 50, size=size)
+        want = np.unique(values)
+        got = sorted_unique(values)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestWriters:
+    def test_text_layout(self, tmp_path):
+        write_edge_list(tmp_path / "e.txt", 4, np.array([[0, 1], [2, 3]]))
+        write_edge_list(tmp_path / "empty.txt", 2, np.zeros((0, 2), dtype=np.int64))
+        write_labels(tmp_path / "l.txt", np.array([1, -1, 0]))
+        write_splits(tmp_path / "s.txt", np.array(["train", "none", "val"], dtype=object))
+        assert (tmp_path / "e.txt").read_bytes() == b"nodes 4\n0 1\n2 3\n"
+        assert (tmp_path / "empty.txt").read_bytes() == b"nodes 2\n"
+        assert (tmp_path / "l.txt").read_bytes() == b"1\n-1\n0\n"
+        assert (tmp_path / "s.txt").read_bytes() == b"train\nnone\nval\n"
 
 
 class TestCsrInvariants:
