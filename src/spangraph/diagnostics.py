@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphstore import Graph, PropagationMatrix
-from .gnn import GnnModel, forward, loss_and_backward
+from .gnn import GnnModel, forward, loss_and_backward, pre_activation
 from .sampler import EdgeProbabilities, direct_sample
 from .seeding import spawn_rng
 
@@ -86,17 +86,19 @@ def gradient_noise(model: GnnModel, p_full: PropagationMatrix,
     ``p_sub``; nothing is updated.
     """
     logits_full, tape_full = forward(model, p_full, features)
-    _, grads_full = loss_and_backward(tape_full, logits_full, labels, mask, p_full)
     logits_sub, tape_sub = forward(model, p_sub, features)
+    # each Z is rebuilt from the tapes' saved inputs before backward pops them
+    z_diff_norms = [
+        float(np.linalg.norm(pre_activation(model, layer, p_sub, xs)
+                             - pre_activation(model, layer, p_full, xf)))
+        for layer, (xs, xf) in enumerate(zip(tape_sub.saved, tape_full.saved))
+    ]
+    _, grads_full = loss_and_backward(tape_full, logits_full, labels, mask, p_full)
     _, grads_sub = loss_and_backward(tape_sub, logits_sub, labels, mask, p_sub)
 
     noise_norms = [
         float(np.linalg.norm(gs - gf))
         for gs, gf in zip(grads_sub, grads_full)
-    ]
-    z_diff_norms = [
-        float(np.linalg.norm(zs - zf))
-        for zs, zf in zip(tape_sub.pre_acts, tape_full.pre_acts)
     ]
     return NoiseReport(noise_norms=noise_norms, z_diff_norms=z_diff_norms)
 

@@ -32,10 +32,13 @@ min(d_in, d_out).  With delta = dL/dZ:
 
     delta'  = dL/dH * relu'(Z_prev)
 
-The tape keeps A for an aggregate-first layer and H for a
-transform-first one.  The loss is mean softmax cross-entropy over the
-training nodes.  Updates are plain gradient descent, W -= lr * grad, no
-momentum and no weight decay.  Everything runs in float64.
+The tape keeps only what backward reads: A for an aggregate-first layer,
+H for a transform-first one, and each hidden layer's bool mask Z > 0;
+relu overwrites Z in place.  Backward consumes the tape, dropping each
+saved input once its layer's gradient is formed and masking dL/dH in
+place.  The loss is mean softmax cross-entropy over the training nodes.
+Updates are plain gradient descent, W -= lr * grad, no momentum and no
+weight decay.  Everything runs in float64.
 """
 
 from __future__ import annotations
@@ -87,11 +90,23 @@ def transforms_first(model: GnnModel, layer: int) -> bool:
 
 @dataclass
 class BackwardTape:
-    """Forward-pass cache consumed by loss_and_backward."""
+    """What backward reads of a forward pass; one loss_and_backward pops it."""
 
     model: GnnModel
     saved: list[np.ndarray]     # per layer: H if it transforms first, else A
-    pre_acts: list[np.ndarray]  # Z per layer
+    masks: list[np.ndarray]     # per hidden layer: Z > 0
+
+
+def pre_activation(model: GnnModel, layer: int, p: PropagationMatrix,
+                   x: np.ndarray) -> np.ndarray:
+    """Z of ``layer`` from its saved input ``x`` (H or A, as on the tape)."""
+    w = model.weights[layer]
+    if not transforms_first(model, layer):
+        return x @ w
+    if model.layer_type == SAGE_MEAN:
+        d = model.input_dim(layer)
+        return x @ w[:d] + p.matrix @ (x @ w[d:])
+    return p.matrix @ (x @ w)
 
 
 def init_model(layer_type: str, in_dim: int, hidden_dim: int, out_dim: int,
@@ -119,23 +134,23 @@ def forward(model: GnnModel, p: PropagationMatrix,
     if h.ndim != 2:
         raise ValueError("features must be a 2-d matrix")
     sage = model.layer_type == SAGE_MEAN
-    saved, pre_acts = [], []
+    saved, masks = [], []
     last = model.num_layers - 1
-    for layer, w in enumerate(model.weights):
+    for layer in range(model.num_layers):
         d = model.input_dim(layer)
         if h.shape[1] != d:
             raise ValueError(f"layer {layer}: input dim {h.shape[1]} does not "
                              f"match the weights' input dim {d}")
         if transforms_first(model, layer):
             x = h
-            z = h @ w[:d] + p.matrix @ (h @ w[d:]) if sage else p.matrix @ (h @ w)
         else:
             x = np.hstack([h, p.matrix @ h]) if sage else p.matrix @ h
-            z = x @ w
         saved.append(x)
-        pre_acts.append(z)
-        h = np.maximum(z, 0.0) if layer < last else z
-    return h, BackwardTape(model=model, saved=saved, pre_acts=pre_acts)
+        h = pre_activation(model, layer, p, x)
+        if layer < last:
+            masks.append(h > 0.0)
+            np.maximum(h, 0.0, out=h)
+    return h, BackwardTape(model=model, saved=saved, masks=masks)
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray,
@@ -164,13 +179,16 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray,
 def loss_and_backward(tape: BackwardTape, logits: np.ndarray,
                       labels: np.ndarray, train_mask: np.ndarray,
                       p: PropagationMatrix) -> tuple[float, list[np.ndarray]]:
-    """Loss plus per-layer weight gradients via the chain rule over P."""
+    """Loss plus per-layer weight gradients via the chain rule over P;
+    consumes ``tape``."""
     model = tape.model
+    if len(tape.saved) != model.num_layers:
+        raise ValueError("the backward tape was consumed by an earlier backward")
     sage = model.layer_type == SAGE_MEAN
     loss, delta = softmax_cross_entropy(logits, labels, train_mask)
     grads: list[np.ndarray] = [np.empty(0)] * model.num_layers
     for layer in range(model.num_layers - 1, -1, -1):
-        w, x = model.weights[layer], tape.saved[layer]
+        w, x = model.weights[layer], tape.saved.pop()
         d = model.input_dim(layer)
         w_agg = w[d:] if sage else w
         narrow = transforms_first(model, layer)
@@ -179,12 +197,13 @@ def loss_and_backward(tape: BackwardTape, logits: np.ndarray,
             grads[layer] = np.vstack([x.T @ delta, x.T @ u]) if sage else x.T @ u
         else:
             grads[layer] = x.T @ delta
+        del x
         if layer == 0:
             break
         dh = u @ w_agg.T if narrow else p.matrix.T @ (delta @ w_agg.T)
         if sage:
             dh += delta @ w[:d].T
-        delta = dh * (tape.pre_acts[layer - 1] > 0.0)
+        delta = np.multiply(dh, tape.masks.pop(), out=dh)
     return loss, grads
 
 

@@ -55,6 +55,7 @@ SPLITS_FILE = "splits.txt"
 
 # Largest node count whose edge keys lo * n + hi (at most n*n - 1) fit int64.
 MAX_KEYED_NODES = 3_037_000_499  # math.isqrt(2**63)
+INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
 
 # Leading blank and comment lines and a ``nodes N`` header, spelled so that
 # the scanner reads them the same way; the numpy pass parses what follows.
@@ -306,7 +307,8 @@ def read_edge_list(path) -> tuple[int | None, np.ndarray]:
             return None
         tokens = line.split()
         if not saw_edge and declared is None and tokens[0] == "nodes":
-            if len(tokens) != 2 or not tokens[1].isdigit():
+            # isdecimal, not isdigit: int() refuses digits such as '²'
+            if len(tokens) != 2 or not tokens[1].isdecimal():
                 raise DataError("malformed node-count declaration")
             declared = int(tokens[1])
             return None
@@ -318,6 +320,8 @@ def read_edge_list(path) -> tuple[int | None, np.ndarray]:
             raise DataError(f"non-integer node id in {line!r}") from None
         if u < 0 or v < 0:
             raise DataError("negative node id")
+        if max(u, v) > INT64_MAX:
+            raise DataError(f"node id does not fit int64 in {line!r}")
         saw_edge = True
         return u, v
 
@@ -365,9 +369,12 @@ def read_features(path) -> np.ndarray:
 def read_labels(path) -> np.ndarray:
     def parse_line(line):
         try:
-            return int(line)
+            label = int(line)
         except ValueError:
             raise DataError(f"non-integer label {line!r}") from None
+        if not INT64_MIN <= label <= INT64_MAX:
+            raise DataError(f"label {line!r} does not fit int64")
+        return label
 
     rows = _read_rows(path, lambda text: _table(text, np.int64, 1).reshape(-1), parse_line)
     return np.asarray(rows, dtype=np.int64)

@@ -122,12 +122,20 @@ class TestLoaderErrorContract:
         (read_edge_list, "# c\nnodes x\n0 1\n", "2: malformed node-count declaration"),
         (read_edge_list, "nodes 3 4\n0 1\n", "1: malformed node-count declaration"),
         (read_edge_list, "nodes\n0 1\n", "1: malformed node-count declaration"),
+        (read_edge_list, "nodes \u00b2\n0 1\n", "1: malformed node-count declaration"),
+        (read_edge_list, "0 1\n1 9223372036854775808\n",
+         "2: node id does not fit int64 in '1 9223372036854775808'"),
+        (read_edge_list, "nodes 3\n18446744073709551616 0\n",
+         "2: node id does not fit int64 in '18446744073709551616 0'"),
         (read_edge_list, "0 1\nnodes 5\n", "2: non-integer node id in 'nodes 5'"),
         (read_edge_list, "nodes 5\n0 1\nnodes 5\n", "3: non-integer node id in 'nodes 5'"),
         (read_edge_list, "0 1\n1 2\n0 1 # x\n", "3: expected 'u v', got '0 1 # x'"),
         (read_edge_list, "0 1\n1.0 2\n", "2: non-integer node id in '1.0 2'"),
         (read_labels, "0\n1\n\nx\n", "4: non-integer label 'x'"),
         (read_labels, "0\n1 2\n", "2: non-integer label '1 2'"),
+        (read_labels, "0\n9223372036854775808\n", "2: label '9223372036854775808' does not fit int64"),
+        (read_labels, "-1\n-9223372036854775809\n",
+         "2: label '-9223372036854775809' does not fit int64"),
         (read_splits, "train\nval\nbogus\n", "3: unknown split 'bogus'"),
         (read_splits, "train\ntrain val\n", "2: unknown split 'train val'"),
         (read_features, "1,2\n3,4\n5,6,7\n", "3: row has 3 columns, expected 2"),
@@ -135,7 +143,7 @@ class TestLoaderErrorContract:
     ])
     def test_message_and_line(self, tmp_path, reader, text, where):
         path = tmp_path / "data.txt"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(DataError) as info:
             reader(path)
         assert str(info.value) == f"{path}:{where}"
@@ -160,6 +168,7 @@ class TestAcceptedEdgeFormats:
         ("3 4\n", None, [[3, 4]]),
         ("+1 007\n1_0 2\n", None, [[1, 7], [10, 2]]),
         ("0\xa01\n", None, [[0, 1]]),
+        ("0 9223372036854775807\n", None, [[0, 2**63 - 1]]),
     ])
     def test_same_pairs(self, tmp_path, text, declared, pairs):
         path = tmp_path / "edges.txt"
