@@ -32,11 +32,16 @@ min(d_in, d_out).  With delta = dL/dZ:
 
     delta'  = dL/dH * relu'(Z_prev)
 
-The tape keeps only what backward reads: A for an aggregate-first layer,
-H for a transform-first one, and each hidden layer's bool mask Z > 0;
-relu overwrites Z in place.  Backward consumes the tape, dropping each
-saved input once its layer's gradient is formed and masking dL/dH in
-place.  The loss is mean softmax cross-entropy over the training nodes.
+The tape keeps each layer's input H and each hidden layer's bool mask
+Z > 0; relu overwrites Z in place.  An aggregate-first layer recomputes
+A from H for its gradient, one sparse product at width d_in, instead of
+holding A through the rest of the forward pass and the loss (Chen et al.,
+*Training Deep Nets with Sublinear Memory Cost*, 2016).  Backward
+consumes the tape: it drops each input once its layer's gradient is
+formed, drops delta as soon as only U is read, and masks dL/dH in place.
+Eval runs ``forward(..., tape=False)``, which keeps no inputs or masks.
+The loss is mean softmax cross-entropy over the training nodes, computed
+in place in one gathered copy of their logits.
 Updates are plain gradient descent, W -= lr * grad, no momentum and no
 weight decay.  Everything runs in float64.
 """
@@ -93,20 +98,25 @@ class BackwardTape:
     """What backward reads of a forward pass; one loss_and_backward pops it."""
 
     model: GnnModel
-    saved: list[np.ndarray]     # per layer: H if it transforms first, else A
+    saved: list[np.ndarray]     # per layer: its input H
     masks: list[np.ndarray]     # per hidden layer: Z > 0
 
 
+def aggregate(model: GnnModel, p: PropagationMatrix, h: np.ndarray) -> np.ndarray:
+    """A of an aggregate-first layer with input ``h``: P H, or [H || P H]."""
+    return np.hstack([h, p.matrix @ h]) if model.layer_type == SAGE_MEAN else p.matrix @ h
+
+
 def pre_activation(model: GnnModel, layer: int, p: PropagationMatrix,
-                   x: np.ndarray) -> np.ndarray:
-    """Z of ``layer`` from its saved input ``x`` (H or A, as on the tape)."""
+                   h: np.ndarray) -> np.ndarray:
+    """Z of ``layer`` from its input ``h``."""
     w = model.weights[layer]
     if not transforms_first(model, layer):
-        return x @ w
+        return aggregate(model, p, h) @ w
     if model.layer_type == SAGE_MEAN:
         d = model.input_dim(layer)
-        return x @ w[:d] + p.matrix @ (x @ w[d:])
-    return p.matrix @ (x @ w)
+        return h @ w[:d] + p.matrix @ (h @ w[d:])
+    return p.matrix @ (h @ w)
 
 
 def init_model(layer_type: str, in_dim: int, hidden_dim: int, out_dim: int,
@@ -127,13 +137,13 @@ def init_model(layer_type: str, in_dim: int, hidden_dim: int, out_dim: int,
     return GnnModel(layer_type=layer_type, weights=weights)
 
 
-def forward(model: GnnModel, p: PropagationMatrix,
-            features: np.ndarray) -> tuple[np.ndarray, BackwardTape]:
-    """Full-batch forward pass; returns logits and the backward tape."""
+def forward(model: GnnModel, p: PropagationMatrix, features: np.ndarray,
+            tape: bool = True) -> tuple[np.ndarray, BackwardTape | None]:
+    """Full-batch forward pass; returns logits and the backward tape, or
+    ``None`` with ``tape=False``, which saves no inputs or masks."""
     h = np.asarray(features, dtype=np.float64)
     if h.ndim != 2:
         raise ValueError("features must be a 2-d matrix")
-    sage = model.layer_type == SAGE_MEAN
     saved, masks = [], []
     last = model.num_layers - 1
     for layer in range(model.num_layers):
@@ -141,16 +151,14 @@ def forward(model: GnnModel, p: PropagationMatrix,
         if h.shape[1] != d:
             raise ValueError(f"layer {layer}: input dim {h.shape[1]} does not "
                              f"match the weights' input dim {d}")
-        if transforms_first(model, layer):
-            x = h
-        else:
-            x = np.hstack([h, p.matrix @ h]) if sage else p.matrix @ h
-        saved.append(x)
-        h = pre_activation(model, layer, p, x)
+        if tape:
+            saved.append(h)
+        h = pre_activation(model, layer, p, h)
         if layer < last:
-            masks.append(h > 0.0)
+            if tape:
+                masks.append(h > 0.0)
             np.maximum(h, 0.0, out=h)
-    return h, BackwardTape(model=model, saved=saved, masks=masks)
+    return h, BackwardTape(model=model, saved=saved, masks=masks) if tape else None
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray,
@@ -163,16 +171,18 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray,
     if rows.size == 0:
         raise ValueError("training mask is empty")
     z = logits[rows]
-    z_shift = z - z.max(axis=1, keepdims=True)
-    exp = np.exp(z_shift)
-    denom = exp.sum(axis=1, keepdims=True)
-    log_probs = z_shift - np.log(denom)
-    y = labels[rows]
-    loss = float(-log_probs[np.arange(rows.size), y].mean())
-    grad_rows = exp / denom
-    grad_rows[np.arange(rows.size), y] -= 1.0
+    z -= z.max(axis=1, keepdims=True)
+    pick = (np.arange(rows.size), labels[rows])
+    picked = z[pick]
+    np.exp(z, out=z)
+    denom = z.sum(axis=1, keepdims=True)
+    loss = float(-(picked - np.log(denom[:, 0])).mean())
+    z /= denom
+    z[pick] -= 1.0
+    z /= rows.size
+    del pick, picked, denom
     grad = np.zeros_like(logits)
-    grad[rows] = grad_rows / rows.size
+    grad[rows] = z
     return loss, grad
 
 
@@ -194,13 +204,19 @@ def loss_and_backward(tape: BackwardTape, logits: np.ndarray,
         narrow = transforms_first(model, layer)
         if narrow:
             u = p.matrix.T @ delta
+            if not sage:
+                del delta           # gcn reads only U from here on
             grads[layer] = np.vstack([x.T @ delta, x.T @ u]) if sage else x.T @ u
         else:
-            grads[layer] = x.T @ delta
+            grads[layer] = aggregate(model, p, x).T @ delta
         del x
         if layer == 0:
             break
-        dh = u @ w_agg.T if narrow else p.matrix.T @ (delta @ w_agg.T)
+        if narrow:
+            dh = u @ w_agg.T
+            del u
+        else:
+            dh = p.matrix.T @ (delta @ w_agg.T)
         if sage:
             dh += delta @ w[:d].T
         delta = np.multiply(dh, tape.masks.pop(), out=dh)

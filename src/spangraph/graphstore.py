@@ -477,20 +477,35 @@ def build_propagation(sub: SpanningSubgraph, kind: str) -> PropagationMatrix:
     Both directions of every active edge are materialized, plus one
     self-loop per node.  Degrees are recomputed from the active edge set
     only, so an empty subgraph yields an identity-like self-loop matrix.
+
+    Each canonical edge's value is computed once and serves both
+    directions.  The coordinates are int32 (int64 only when n >= 2**31)
+    and listed as the (v, u) half, the self-loops, then the (u, v) half.
+    Since the canonical edges are sorted by (u, v), row r then reads its
+    columns u < r in ascending order, then r, then v > r: already the
+    canonical CSR order, so the conversion needs no sort pass.
     """
     if kind not in PROPAGATION_KINDS:
         raise ValueError(f"unknown propagation kind {kind!r}")
     g = sub.parent
     n = g.num_nodes
-    active = g.edges[sub.mask]
+    index = np.int32 if n < 2**31 else np.int64
+    active = np.compress(sub.mask, g.edges, axis=0).astype(index)
     u, v = active[:, 0], active[:, 1]
-    rows = np.concatenate([u, v, np.arange(n, dtype=np.int64)])
-    cols = np.concatenate([v, u, np.arange(n, dtype=np.int64)])
-    dhat = np.bincount(np.concatenate([u, v]), minlength=n).astype(np.float64) + 1.0
+    loops = np.arange(n, dtype=index)
+    dhat = (np.bincount(u, minlength=n) + np.bincount(v, minlength=n)).astype(np.float64) + 1.0
     if kind == GCN_SYMMETRIC:
-        vals = 1.0 / np.sqrt(dhat[rows] * dhat[cols])
+        lower = upper = dhat[u]         # one array serves both directions
+        upper *= dhat[v]
+        np.divide(1.0, np.sqrt(upper, out=upper), out=upper)
+        on_loops = 1.0 / np.sqrt(dhat * dhat)
     else:
-        vals = 1.0 / dhat[rows]
+        on_loops = 1.0 / dhat
+        lower, upper = on_loops[v], on_loops[u]
+    vals = np.concatenate([lower, on_loops, upper])
+    rows = np.concatenate([v, loops, u])
+    cols = np.concatenate([u, loops, v])
+    del active, u, v, loops, dhat, lower, on_loops, upper
     matrix = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
     return PropagationMatrix(kind=kind, matrix=matrix)
 

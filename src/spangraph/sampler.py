@@ -156,6 +156,18 @@ def make_weights(kind: str, g: Graph, p: PropagationMatrix | None = None) -> Edg
     raise ValueError(f"unknown sampler kind {kind!r}")
 
 
+def _first_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of ``values`` in order of first occurrence."""
+    if values.size <= 64:     # a dict beats numpy's per-call overhead here
+        return np.fromiter(dict.fromkeys(values.tolist()), np.int64)
+    order = np.argsort(values)
+    ranked = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+    first = np.minimum.reduceat(order, starts)
+    first.sort()
+    return values[first]
+
+
 def _weighted_distinct(rng: np.random.Generator, cumulative: np.ndarray,
                        count: int) -> np.ndarray:
     """Sequential weighted draws with duplicate rejection, batched.
@@ -175,16 +187,13 @@ def _weighted_distinct(rng: np.random.Generator, cumulative: np.ndarray,
     rejection_cap = _REJECTION_CAP_FACTOR * count
     while found < count:
         batch = (count - found) + (count - found) // 8 + 16
-        u = rng.random(batch) * total
-        idx = np.searchsorted(cumulative, u, side="right")
+        idx = cumulative.searchsorted(rng.random(batch) * total, side="right")
         np.minimum(idx, m - 1, out=idx)
-        fresh = idx[~chosen[idx]]
+        fresh = idx[~chosen[idx]] if found else idx
         if fresh.size:
             # keep first occurrences in draw order so the process matches
             # one-at-a-time rejection sampling exactly
-            _, first = np.unique(fresh, return_index=True)
-            ordered = fresh[np.sort(first)]
-            take = ordered[: count - found]
+            take = _first_distinct(fresh)[: count - found]
             chosen[take] = True
             out[found:found + take.size] = take
             found += take.size
@@ -200,7 +209,8 @@ def _weighted_distinct(rng: np.random.Generator, cumulative: np.ndarray,
                 )
                 out[found:found + fill.size] = fill
                 found += fill.size
-    return np.sort(out[:count])
+    out.sort()
+    return out
 
 
 def direct_sample(g: Graph, probs: EdgeProbabilities, s2: int, seed) -> np.ndarray:
@@ -218,7 +228,7 @@ def direct_sample(g: Graph, probs: EdgeProbabilities, s2: int, seed) -> np.ndarr
     if s2 == m:
         return np.arange(m, dtype=np.int64)
     rng = as_rng(seed)
-    cumulative = np.cumsum(probs.weights)
+    cumulative = probs.weights.cumsum()
     return _weighted_distinct(rng, cumulative, s2)
 
 

@@ -11,6 +11,7 @@ from spangraph.errors import NumericalError
 from spangraph.gnn import (
     BackwardTape,
     GnnModel,
+    aggregate,
     forward,
     init_model,
     load_weights,
@@ -100,7 +101,8 @@ class TestForward:
         assert model.weights[1].shape == (8, 3)
         logits, tape = forward(model, p, triangle.features)
         assert logits.shape == (3, 3)
-        assert tape.saved[0].shape == (3, 4)
+        assert tape.saved[0].shape == (3, 2)  # the tape keeps the layer's input
+        assert aggregate(model, p, triangle.features).shape == (3, 4)
 
 
 class TestLoss:
@@ -130,6 +132,39 @@ class TestLoss:
         with pytest.raises(ValueError, match="empty"):
             softmax_cross_entropy(np.zeros((4, 2)), path4.labels,
                                   np.zeros(4, bool))
+
+    @staticmethod
+    def reference_loss(logits, labels, mask):
+        """The loss with a fresh array per step: shift, exp, log-probs,
+        then the gradient from exp / denom."""
+        rows = np.flatnonzero(mask)
+        z = logits[rows]
+        z_shift = z - z.max(axis=1, keepdims=True)
+        exp = np.exp(z_shift)
+        denom = exp.sum(axis=1, keepdims=True)
+        log_probs = z_shift - np.log(denom)
+        y = labels[rows]
+        loss = float(-log_probs[np.arange(rows.size), y].mean())
+        grad_rows = exp / denom
+        grad_rows[np.arange(rows.size), y] -= 1.0
+        grad = np.zeros_like(logits)
+        grad[rows] = grad_rows / rows.size
+        return loss, grad
+
+    def test_in_place_loss_matches_the_reference_bitwise(self):
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            n, k = int(rng.integers(1, 301)), int(rng.integers(1, 9))
+            logits = rng.normal(size=(n, k)) * 10.0 ** rng.uniform(-3, np.log10(300))
+            labels = rng.integers(0, k, size=n)
+            mask = rng.random(n) < rng.uniform(0.05, 1.0)
+            mask[rng.integers(n)] = True
+            before = logits.copy()
+            loss, grad = softmax_cross_entropy(logits, labels, mask)
+            want_loss, want_grad = self.reference_loss(logits, labels, mask)
+            assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+            assert grad.tobytes() == want_grad.tobytes()
+            assert logits.tobytes() == before.tobytes()
 
 
 def widths_id(widths):
@@ -205,11 +240,12 @@ class TestNarrowSide:
         layers = list(zip(widths, widths[1:]))
         fwd = [("P", min(a, b)) for a, b in layers]
         # going down: a narrowing layer always needs U = P^T delta for its
-        # gradient; an aggregate-first one propagates dH, and at layer 0
-        # (the 4-8-3 and 5-5 models) it runs no sparse product at all
-        bwd = [("P.T", min(a, b))
-               for layer, (a, b) in reversed(list(enumerate(layers)))
-               if b < a or layer > 0]
+        # gradient; an aggregate-first one recomputes A = P H for its
+        # gradient and then propagates dH, except at layer 0 (the 4-8-3
+        # and 5-5 models)
+        bwd = [step for layer, (a, b) in reversed(list(enumerate(layers)))
+               for step in ([("P.T", b)] if b < a
+                            else [("P", a)] + [("P.T", a)] * (layer > 0))]
 
         train_step(model, p, g.features, g.labels, g.train_mask, 0.1)
         assert log == fwd + bwd
@@ -322,6 +358,25 @@ class TestBackwardTape:
         loss_and_backward(tape, *args)
         with pytest.raises(ValueError, match="tape was consumed"):
             loss_and_backward(tape, *args)
+
+
+class TestEvalForward:
+    """forward(..., tape=False) gives the taped logits and keeps no tape."""
+
+    @pytest.mark.parametrize("layer_type", ["gcn", "sage-mean"])
+    @pytest.mark.parametrize("widths", [(3, 5, 2), (6, 3, 2), (6, 3, 5, 2)], ids=widths_id)
+    def test_logits_match_the_taped_forward_bitwise(self, layer_type, widths):
+        spec = GeneratorSpec(kind="sbm", nodes=40, classes=widths[-1], feature_dim=widths[0],
+                             seed=5, p_in=0.3, p_out=0.05)
+        g = make_graph(spec)
+        kind = GCN_SYMMETRIC if layer_type == "gcn" else MEAN_ROW
+        p = build_propagation(SpanningSubgraph.full(g), kind)
+        model = model_with_widths(layer_type, widths, seed=9)
+        logits, tape = forward(model, p, g.features)
+        eval_logits, no_tape = forward(model, p, g.features, tape=False)
+        assert no_tape is None
+        assert len(tape.saved) == len(widths) - 1
+        assert eval_logits.tobytes() == logits.tobytes()
 
 
 class TestSgdStep:
@@ -473,16 +528,23 @@ class TestLossFiniteness:
 
 
 class TestPeakMemory:
-    """Traced peak of one propagation build plus one train step on a dense
-    PA graph (5k nodes, attach 50, about 242k edges): with node-sized state
-    kept lean, the edge-sized state a smaller subgraph drops shows up."""
+    """Traced peaks on a dense PA graph (5k nodes, attach 50, about 242k
+    edges): with node-sized state kept lean, the edge-sized state a smaller
+    subgraph drops shows up, and the build holds little beyond its result."""
 
-    # measured 0.20 (5.17 / 25.45 MB); a tape that keeps Z gives 0.49
+    # measured 0.294 (4.04 / 13.71 MB, the 1.0 run's peak set by the build);
+    # a tape that also keeps A reads 0.34
     MAX_RATIO = 0.3
+    # measured 2.37; a COO build with int64 coordinates and a sort pass reads 4.37
+    MAX_BUILD_RATIO = 2.5
 
-    def test_peak_follows_the_edge_fraction(self):
-        g = make_graph(GeneratorSpec(kind="preferential-attachment", nodes=5000,
-                                     classes=4, feature_dim=16, attach=50, seed=1))
+    @pytest.fixture(scope="class")
+    def dense_pa(self):
+        return make_graph(GeneratorSpec(kind="preferential-attachment", nodes=5000,
+                                        classes=4, feature_dim=16, attach=50, seed=1))
+
+    def test_peak_follows_the_edge_fraction(self, dense_pa):
+        g = dense_pa
         order = np.random.default_rng(0).permutation(g.num_edges)
         peaks = []
         for fraction in (0.1, 0.5, 1.0):
@@ -498,3 +560,15 @@ class TestPeakMemory:
                 tracemalloc.stop()
         assert peaks[0] < peaks[1] < peaks[2]
         assert peaks[0] < self.MAX_RATIO * peaks[2], peaks
+
+    @pytest.mark.parametrize("kind", [GCN_SYMMETRIC, MEAN_ROW])
+    def test_full_build_peak_stays_near_its_result(self, dense_pa, kind):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            matrix = build_propagation(SpanningSubgraph.full(dense_pa), kind).matrix
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        resident = matrix.indptr.nbytes + matrix.indices.nbytes + matrix.data.nbytes
+        assert peak <= self.MAX_BUILD_RATIO * resident, peak / resident

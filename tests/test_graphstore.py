@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from spangraph.errors import DataError
 from spangraph.graphstore import (
@@ -26,6 +27,7 @@ from spangraph.graphstore import (
     write_labels,
     write_splits,
 )
+from spangraph.synthetic import GeneratorSpec, make_graph
 
 from conftest import graph_from_edges
 
@@ -308,6 +310,57 @@ class TestBuildPropagation:
         for mask in (np.zeros(3, bool), np.array([1, 0, 1], bool)):
             p = build_propagation(SpanningSubgraph(path4, mask), MEAN_ROW)
             assert p.matrix.shape == (4, 4)
+
+
+def coo_build(sub, kind):
+    """Both directions and the self-loops as int64 COO triplets, one value
+    per entry, converted (and sorted) by scipy."""
+    g = sub.parent
+    n = g.num_nodes
+    active = g.edges[sub.mask]
+    u, v = active[:, 0], active[:, 1]
+    rows = np.concatenate([u, v, np.arange(n, dtype=np.int64)])
+    cols = np.concatenate([v, u, np.arange(n, dtype=np.int64)])
+    dhat = np.bincount(np.concatenate([u, v]), minlength=n).astype(np.float64) + 1.0
+    if kind == GCN_SYMMETRIC:
+        vals = 1.0 / np.sqrt(dhat[rows] * dhat[cols])
+    else:
+        vals = 1.0 / dhat[rows]
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+class TestBuildMatchesCooReference:
+    """The build lists its entries in canonical CSR order, so scipy never
+    sorts them, and matches a sorted COO conversion bitwise."""
+
+    @staticmethod
+    def graphs():
+        rng = np.random.default_rng(17)
+        edges = rng.integers(0, 40, size=(120, 2))   # nodes 40..59 stay isolated
+        yield graph_from_edges(60, edges[edges[:, 0] != edges[:, 1]])
+        yield make_graph(GeneratorSpec(kind="preferential-attachment", nodes=500,
+                                       classes=3, feature_dim=4, attach=6, seed=3))
+
+    @pytest.mark.parametrize("kind", [GCN_SYMMETRIC, MEAN_ROW])
+    def test_bitwise_equal_on_every_mask(self, kind, monkeypatch):
+        rng = np.random.default_rng(29)
+        sorted_by_scipy = []
+        for g in self.graphs():
+            m = g.num_edges
+            for indices in ([], [int(rng.integers(m))], rng.permutation(m)[:m // 4],
+                            np.arange(m)):
+                sub = SpanningSubgraph.from_indices(g, indices)
+                with monkeypatch.context() as patch:
+                    patch.setattr(sp.csr_matrix, "sort_indices",
+                                  lambda matrix: sorted_by_scipy.append(matrix))
+                    got = build_propagation(sub, kind).matrix
+                want = coo_build(sub, kind)
+                assert not sorted_by_scipy
+                assert got.has_canonical_format
+                assert got.indices.dtype == got.indptr.dtype == np.int32
+                assert got.indptr.tobytes() == want.indptr.tobytes()
+                assert got.indices.tobytes() == want.indices.tobytes()
+                assert got.data.tobytes() == want.data.tobytes()
 
 
 class TestColumnNorms:
