@@ -32,14 +32,15 @@ min(d_in, d_out).  With delta = dL/dZ:
 
     delta'  = dL/dH * relu'(Z_prev)
 
-The tape keeps each layer's input H and each hidden layer's bool mask
-Z > 0; relu overwrites Z in place.  An aggregate-first layer recomputes
-A from H for its gradient, one sparse product at width d_in, instead of
-holding A through the rest of the forward pass and the loss (Chen et al.,
-*Training Deep Nets with Sublinear Memory Cost*, 2016).  Backward
-consumes the tape: it drops each input once its layer's gradient is
-formed, drops delta as soon as only U is read, and masks dL/dH in place.
-Eval runs ``forward(..., tape=False)``, which keeps no inputs or masks.
+The tape is each layer's input H, kept by the one forward pass that training
+and eval share; relu overwrites Z in place.  Above the first layer H =
+relu(Z_prev), which is > 0 exactly where Z_prev > 0, so backward forms each
+relu mask from the H it pops.  An aggregate-first layer recomputes A from H
+for its gradient, one sparse product at width d_in, instead of holding A
+through the rest of the forward pass and the loss (Chen et al., *Training
+Deep Nets with Sublinear Memory Cost*, 2016).  Backward consumes the tape:
+it drops each H once its gradient and mask are formed, drops delta as soon
+as only U is read, and masks dL/dH in place.
 The loss is mean softmax cross-entropy over the training nodes, computed
 in place in one gathered copy of their logits.
 Updates are plain gradient descent, W -= lr * grad, no momentum and no
@@ -99,7 +100,6 @@ class BackwardTape:
 
     model: GnnModel
     saved: list[np.ndarray]     # per layer: its input H
-    masks: list[np.ndarray]     # per hidden layer: Z > 0
 
 
 def aggregate(model: GnnModel, p: PropagationMatrix, h: np.ndarray) -> np.ndarray:
@@ -137,28 +137,25 @@ def init_model(layer_type: str, in_dim: int, hidden_dim: int, out_dim: int,
     return GnnModel(layer_type=layer_type, weights=weights)
 
 
-def forward(model: GnnModel, p: PropagationMatrix, features: np.ndarray,
-            tape: bool = True) -> tuple[np.ndarray, BackwardTape | None]:
-    """Full-batch forward pass; returns logits and the backward tape, or
-    ``None`` with ``tape=False``, which saves no inputs or masks."""
+def forward(model: GnnModel, p: PropagationMatrix,
+            features: np.ndarray) -> tuple[np.ndarray, BackwardTape]:
+    """Full-batch forward pass; returns logits and the backward tape, the
+    layers' inputs, which eval drops as soon as the pass returns."""
     h = np.asarray(features, dtype=np.float64)
     if h.ndim != 2:
         raise ValueError("features must be a 2-d matrix")
-    saved, masks = [], []
+    saved = []
     last = model.num_layers - 1
     for layer in range(model.num_layers):
         d = model.input_dim(layer)
         if h.shape[1] != d:
             raise ValueError(f"layer {layer}: input dim {h.shape[1]} does not "
                              f"match the weights' input dim {d}")
-        if tape:
-            saved.append(h)
+        saved.append(h)
         h = pre_activation(model, layer, p, h)
         if layer < last:
-            if tape:
-                masks.append(h > 0.0)
             np.maximum(h, 0.0, out=h)
-    return h, BackwardTape(model=model, saved=saved, masks=masks) if tape else None
+    return h, BackwardTape(model=model, saved=saved)
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray,
@@ -209,9 +206,10 @@ def loss_and_backward(tape: BackwardTape, logits: np.ndarray,
             grads[layer] = np.vstack([x.T @ delta, x.T @ u]) if sage else x.T @ u
         else:
             grads[layer] = aggregate(model, p, x).T @ delta
-        del x
         if layer == 0:
             break
+        mask = x > 0.0              # x = relu(Z_prev): x > 0 iff Z_prev > 0
+        del x
         if narrow:
             dh = u @ w_agg.T
             del u
@@ -219,15 +217,16 @@ def loss_and_backward(tape: BackwardTape, logits: np.ndarray,
             dh = p.matrix.T @ (delta @ w_agg.T)
         if sage:
             dh += delta @ w[:d].T
-        delta = np.multiply(dh, tape.masks.pop(), out=dh)
+        delta = np.multiply(dh, mask, out=dh)
+        del mask
     return loss, grads
 
 
 def sgd_step(model: GnnModel, gradients: list[np.ndarray],
              learning_rate: float) -> None:
     """Plain gradient descent in place; aborts on non-finite gradients."""
-    if learning_rate <= 0:
-        raise ValueError("learning_rate must be positive")
+    if not 0 < learning_rate < np.inf:
+        raise ValueError(f"learning_rate must be finite and > 0, got {learning_rate}")
     if len(gradients) != model.num_layers:
         raise ValueError("gradient count does not match layer count")
     for layer, (w, g) in enumerate(zip(model.weights, gradients)):

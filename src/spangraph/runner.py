@@ -102,8 +102,8 @@ class RunConfig:
             raise ConfigError(f"unknown sampler {self.sampler_kind!r}")
         if self.hidden_dim < 1 or self.num_layers < 1:
             raise ConfigError("hidden_dim and num_layers must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigError(f"learning rate must be finite and > 0, got {self.learning_rate}")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.diag_every < 0:
@@ -273,7 +273,7 @@ def run_training(cfg: RunConfig, graph: Graph | None = None) -> RunResult:
                           cfg.learning_rate)
         t2 = _now_ms()
 
-        logits_full = forward(model, p_full, g.features, tape=False)[0]
+        logits_full = forward(model, p_full, g.features)[0]
         pred = np.argmax(logits_full, axis=1)
         train_acc = float(np.mean(pred[g.train_mask] == g.labels[g.train_mask]))
         if has_val:

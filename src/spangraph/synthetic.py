@@ -51,8 +51,8 @@ class GeneratorSpec:
             raise ConfigError("sbm probabilities must be in [0, 1]")
         if self.kind == PREFERENTIAL_ATTACHMENT and self.attach < 1:
             raise ConfigError("attach must be >= 1")
-        if self.feature_noise < 0:
-            raise ConfigError("feature_noise must be >= 0")
+        if not 0 <= self.feature_noise < np.inf:
+            raise ConfigError(f"feature_noise must be finite and >= 0, got {self.feature_noise}")
 
 
 def _sbm_edges(spec: GeneratorSpec, labels: np.ndarray,

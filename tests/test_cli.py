@@ -261,6 +261,10 @@ class TestInputErrors:
         ("train --config {bad_config}", 1, "config error:"),
         ("train --gen sbm --nodes 40 --epochs 2 --out {file}/x", 1, "config error:"),
         ("gen-data --out {file}/x", 1, "config error:"),
+        ("train --gen sbm --nodes 40 --epochs 2 --lr nan", 1, "config error:"),
+        ("train --gen sbm --nodes 40 --epochs 2 --lr inf", 1, "config error:"),
+        ("train --gen sbm --nodes 40 --epochs 2 --feature-noise nan", 1, "config error:"),
+        ("train --gen sbm --nodes 40 --epochs 2 --feature-noise inf", 1, "config error:"),
     ])
     def test_exit_code_and_message(self, argv, code, prefix, dataset_dir,
                                    tmp_path, capsys):

@@ -317,8 +317,16 @@ def reference_pass(model, p, features, labels, mask):
     return h, grads, zs
 
 
+@pytest.fixture(scope="module")
+def pa3k():
+    """A 3k-node preferential-attachment graph for the traced-memory tests."""
+    return make_graph(GeneratorSpec(kind="preferential-attachment", nodes=3000,
+                                    classes=4, feature_dim=16, attach=4, seed=3))
+
+
 class TestBackwardTape:
-    """The tape keeps saved inputs and relu masks, not Z; values stay bitwise."""
+    """The tape keeps each layer's input, not Z or a relu mask; backward forms
+    each mask from the input it pops, and values stay bitwise."""
 
     @pytest.mark.parametrize("layer_type", ["gcn", "sage-mean"])
     @pytest.mark.parametrize("widths", [(3, 5, 2), (6, 3, 2), (6, 3, 5, 2), (4, 8, 8, 3)],
@@ -359,9 +367,42 @@ class TestBackwardTape:
         with pytest.raises(ValueError, match="tape was consumed"):
             loss_and_backward(tape, *args)
 
+    # slack for the tape's Python objects and first-call caches: measured
+    # 0.5-3.0 KB; bool masks for the two hidden layers would add 192 KB
+    TAPE_SLACK = 4096
+
+    @pytest.mark.parametrize("layer_type", ["gcn", "sage-mean"])
+    def test_a_taped_forward_holds_its_hidden_inputs_and_nothing_else(self, layer_type, pa3k):
+        g = pa3k
+        kind = GCN_SYMMETRIC if layer_type == "gcn" else MEAN_ROW
+        p = build_propagation(SpanningSubgraph.full(g), kind)
+        model = init_model(layer_type, g.feature_dim, 32, 4, 3, seed=0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            logits, tape = forward(model, p, g.features)
+            held = tracemalloc.get_traced_memory()[0] - base - logits.nbytes
+        finally:
+            tracemalloc.stop()
+        assert tape.saved[0] is g.features
+        hidden = sum(a.nbytes for a in tape.saved[1:])
+        assert hidden <= held <= hidden + self.TAPE_SLACK, held - hidden
+
+
+def traced_peak(fn, *args):
+    """Traced peak bytes of ``fn(*args)`` above what was held before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
 
 class TestEvalForward:
-    """forward(..., tape=False) gives the taped logits and keeps no tape."""
+    """Eval is the training forward with its tape dropped: its logits are the
+    ones the training loss reads, and its peak stays within a train step's."""
 
     @pytest.mark.parametrize("layer_type", ["gcn", "sage-mean"])
     @pytest.mark.parametrize("widths", [(3, 5, 2), (6, 3, 2), (6, 3, 5, 2)], ids=widths_id)
@@ -372,11 +413,24 @@ class TestEvalForward:
         kind = GCN_SYMMETRIC if layer_type == "gcn" else MEAN_ROW
         p = build_propagation(SpanningSubgraph.full(g), kind)
         model = model_with_widths(layer_type, widths, seed=9)
+        eval_logits = forward(model, p, g.features)[0]
         logits, tape = forward(model, p, g.features)
-        eval_logits, no_tape = forward(model, p, g.features, tape=False)
-        assert no_tape is None
         assert len(tape.saved) == len(widths) - 1
+        loss_and_backward(tape, logits, g.labels, g.train_mask, p)
+        assert tape.saved == []
         assert eval_logits.tobytes() == logits.tobytes()
+
+    @pytest.mark.parametrize("layer_type", ["gcn", "sage-mean"])
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    def test_eval_never_sets_the_run_peak(self, layer_type, depth, pa3k):
+        g = pa3k
+        kind = GCN_SYMMETRIC if layer_type == "gcn" else MEAN_ROW
+        p_full = build_propagation(SpanningSubgraph.full(g), kind)
+        model = init_model(layer_type, g.feature_dim, 64, 4, depth, seed=0)
+        eval_peak = traced_peak(lambda: forward(model, p_full, g.features)[0])
+        step_peak = traced_peak(train_step, model, p_full, g.features, g.labels,
+                                g.train_mask, 0.1)
+        assert eval_peak <= step_peak, (eval_peak, step_peak)
 
 
 class TestSgdStep:
@@ -409,6 +463,13 @@ class TestSgdStep:
         model = self._model([[1.0]])
         with pytest.raises(NumericalError):
             sgd_step(model, [np.array([[np.nan]])], 0.1)
+
+    @pytest.mark.parametrize("rate", [np.nan, np.inf])
+    def test_non_finite_learning_rate_is_refused(self, rate):
+        model = self._model([[1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            sgd_step(model, [np.array([[2.0]])], rate)
+        np.testing.assert_array_equal(model.weights[0], [[1.0]])
 
 
 class TestEvaluate:
