@@ -85,16 +85,16 @@ def gradient_noise(model: GnnModel, p_full: PropagationMatrix,
     Both passes use the same weights, one with ``p_full`` and one with
     ``p_sub``; nothing is updated.
     """
-    logits_full, tape_full = forward(model, p_full, features)
-    logits_sub, tape_sub = forward(model, p_sub, features)
+    tape_full = forward(model, p_full, features)
+    tape_sub = forward(model, p_sub, features)
     # each Z is rebuilt from the tapes' saved inputs before backward pops them
     z_diff_norms = [
         float(np.linalg.norm(pre_activation(model, layer, p_sub, xs)
                              - pre_activation(model, layer, p_full, xf)))
         for layer, (xs, xf) in enumerate(zip(tape_sub.saved, tape_full.saved))
     ]
-    _, grads_full = loss_and_backward(tape_full, logits_full, labels, mask, p_full)
-    _, grads_sub = loss_and_backward(tape_sub, logits_sub, labels, mask, p_sub)
+    _, grads_full = loss_and_backward(tape_full, labels, mask)
+    _, grads_sub = loss_and_backward(tape_sub, labels, mask)
 
     noise_norms = [
         float(np.linalg.norm(gs - gf))
@@ -159,7 +159,9 @@ def embedding_variance(g: Graph, p_full: PropagationMatrix,
 
     ``p_full`` is the full-graph propagation matrix; ``weights`` is the
     linear map applied to the features before aggregation (typically the
-    model's first-layer weight block).
+    model's first-layer weight block).  Only the M edge selections are
+    kept: one pass over them sums the mean, and a second rebuilds each xi
+    for its squared deviation, so the node-sized state does not grow with M.
     """
     if M < 2:
         raise ValueError("need at least 2 Monte-Carlo samples")
@@ -170,19 +172,20 @@ def embedding_variance(g: Graph, p_full: PropagationMatrix,
     p_uv = np.asarray(p_full.matrix[u, v]).ravel()
     pi = inclusion_probabilities(probs, edge_budget)
 
-    n, d = g.num_nodes, xt.shape[1]
-    samples = np.zeros((M, n, d))
-    for rep in range(M):
-        sel = direct_sample(g, probs, edge_budget, spawn_rng(seed, rep, "var-subgraph"))
-        if (pi[sel] == 0.0).any():
-            raise ValueError("sampled an edge with zero inclusion probability")
+    selections = [direct_sample(g, probs, edge_budget, spawn_rng(seed, rep, "var-subgraph"))
+                  for rep in range(M)]
+    if any((pi[sel] == 0.0).any() for sel in selections):
+        raise ValueError("sampled an edge with zero inclusion probability")
+
+    def estimate(sel: np.ndarray) -> np.ndarray:
+        xi = np.zeros((g.num_nodes, xt.shape[1]))
         inv = 1.0 / pi[sel]
-        xi = samples[rep]
         np.add.at(xi, v[sel], (p_vu[sel] * inv)[:, None] * xt[u[sel]])
         np.add.at(xi, u[sel], (p_uv[sel] * inv)[:, None] * xt[v[sel]])
+        return xi
 
-    mean = samples.mean(axis=0)
-    sq_dev = ((samples - mean) ** 2).sum(axis=(1, 2))
+    mean = sum(map(estimate, selections)) / M
+    sq_dev = np.array([np.square(estimate(sel) - mean).sum() for sel in selections])
     variance = float(sq_dev.sum() / (M - 1))
     return VarianceReport(
         estimator_mean=mean,

@@ -32,15 +32,17 @@ min(d_in, d_out).  With delta = dL/dZ:
 
     delta'  = dL/dH * relu'(Z_prev)
 
-The tape is each layer's input H, kept by the one forward pass that training
-and eval share; relu overwrites Z in place.  Above the first layer H =
-relu(Z_prev), which is > 0 exactly where Z_prev > 0, so backward forms each
-relu mask from the H it pops.  An aggregate-first layer recomputes A from H
-for its gradient, one sparse product at width d_in, instead of holding A
-through the rest of the forward pass and the loss (Chen et al., *Training
-Deep Nets with Sublinear Memory Cost*, 2016).  Backward consumes the tape:
-it drops each H once its gradient and mask are formed, drops delta as soon
-as only U is read, and masks dL/dH in place.
+The tape is P, each layer's input H and the logits, kept by the one forward
+pass that training and eval share; relu overwrites Z in place.  Above the
+first layer H = relu(Z_prev), which is > 0 exactly where Z_prev > 0, so
+backward forms each relu mask from the H it pops.  An aggregate-first layer
+recomputes A from H for its gradient, one sparse product at width d_in,
+instead of holding A through the rest of the forward pass and the loss
+(Chen et al., *Training Deep Nets with Sublinear Memory Cost*, 2016).
+Backward consumes the tape: it drops the logits once the loss has read
+them, each H once its gradient and mask are formed, and delta as soon as
+only U is read, and it masks dL/dH in place.  Since backward reads P from
+the tape, it propagates with the matrix the forward pass used.
 The loss is mean softmax cross-entropy over the training nodes, computed
 in place in one gathered copy of their logits.
 Updates are plain gradient descent, W -= lr * grad, no momentum and no
@@ -99,7 +101,9 @@ class BackwardTape:
     """What backward reads of a forward pass; one loss_and_backward pops it."""
 
     model: GnnModel
+    p: PropagationMatrix        # the matrix the pass propagated with
     saved: list[np.ndarray]     # per layer: its input H
+    logits: np.ndarray | None   # the pass's output; backward drops it first
 
 
 def aggregate(model: GnnModel, p: PropagationMatrix, h: np.ndarray) -> np.ndarray:
@@ -138,9 +142,9 @@ def init_model(layer_type: str, in_dim: int, hidden_dim: int, out_dim: int,
 
 
 def forward(model: GnnModel, p: PropagationMatrix,
-            features: np.ndarray) -> tuple[np.ndarray, BackwardTape]:
-    """Full-batch forward pass; returns logits and the backward tape, the
-    layers' inputs, which eval drops as soon as the pass returns."""
+            features: np.ndarray) -> BackwardTape:
+    """Full-batch forward pass; returns the backward tape, which holds P, the
+    layers' inputs and the logits.  Eval reads the logits and drops the rest."""
     h = np.asarray(features, dtype=np.float64)
     if h.ndim != 2:
         raise ValueError("features must be a 2-d matrix")
@@ -155,7 +159,7 @@ def forward(model: GnnModel, p: PropagationMatrix,
         h = pre_activation(model, layer, p, h)
         if layer < last:
             np.maximum(h, 0.0, out=h)
-    return h, BackwardTape(model=model, saved=saved)
+    return BackwardTape(model=model, p=p, saved=saved, logits=h)
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray,
@@ -183,16 +187,16 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray,
     return loss, grad
 
 
-def loss_and_backward(tape: BackwardTape, logits: np.ndarray,
-                      labels: np.ndarray, train_mask: np.ndarray,
-                      p: PropagationMatrix) -> tuple[float, list[np.ndarray]]:
-    """Loss plus per-layer weight gradients via the chain rule over P;
-    consumes ``tape``."""
-    model = tape.model
-    if len(tape.saved) != model.num_layers:
+def loss_and_backward(tape: BackwardTape, labels: np.ndarray,
+                      train_mask: np.ndarray) -> tuple[float, list[np.ndarray]]:
+    """Loss plus per-layer weight gradients via the chain rule over the tape's
+    P; consumes ``tape`` and drops its logits once the loss has read them."""
+    if tape.logits is None:
         raise ValueError("the backward tape was consumed by an earlier backward")
+    model, p = tape.model, tape.p
     sage = model.layer_type == SAGE_MEAN
-    loss, delta = softmax_cross_entropy(logits, labels, train_mask)
+    loss, delta = softmax_cross_entropy(tape.logits, labels, train_mask)
+    tape.logits = None
     grads: list[np.ndarray] = [np.empty(0)] * model.num_layers
     for layer in range(model.num_layers - 1, -1, -1):
         w, x = model.weights[layer], tape.saved.pop()
@@ -241,10 +245,10 @@ def train_step(model: GnnModel, p: PropagationMatrix, features: np.ndarray,
                labels: np.ndarray, train_mask: np.ndarray,
                learning_rate: float) -> float:
     """One full-batch forward/backward/update; returns the loss."""
-    logits, tape = forward(model, p, features)
-    if not np.isfinite(logits).all():
+    tape = forward(model, p, features)
+    if not np.isfinite(tape.logits).all():
         raise NumericalError("non-finite logits; the learning rate is likely too high")
-    loss, grads = loss_and_backward(tape, logits, labels, train_mask, p)
+    loss, grads = loss_and_backward(tape, labels, train_mask)
     if not np.isfinite(loss):
         raise NumericalError(f"non-finite training loss {loss}")
     sgd_step(model, grads, learning_rate)

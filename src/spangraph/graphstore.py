@@ -148,14 +148,13 @@ class SpanningSubgraph:
 
 @dataclass(frozen=True)
 class PropagationMatrix:
-    """Normalized sparse propagation operator (CSR) with its kind tag.
+    """Normalized sparse propagation operator (CSR).
 
     ``gcn-symmetric`` entries are 1/sqrt(dhat(v)*dhat(u)) where dhat is the
     degree-plus-one over the chosen edge set; ``mean-row`` rows average the
     neighborhood including the node itself, so every row sums to 1.
     """
 
-    kind: str
     matrix: sp.csr_matrix
 
 
@@ -507,7 +506,7 @@ def build_propagation(sub: SpanningSubgraph, kind: str) -> PropagationMatrix:
     cols = np.concatenate([u, loops, v])
     del active, u, v, loops, dhat, lower, on_loops, upper
     matrix = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    return PropagationMatrix(kind=kind, matrix=matrix)
+    return PropagationMatrix(matrix)
 
 
 def column_norms(p: PropagationMatrix) -> np.ndarray:

@@ -273,7 +273,7 @@ def run_training(cfg: RunConfig, graph: Graph | None = None) -> RunResult:
                           cfg.learning_rate)
         t2 = _now_ms()
 
-        logits_full = forward(model, p_full, g.features)[0]
+        logits_full = forward(model, p_full, g.features).logits
         pred = np.argmax(logits_full, axis=1)
         train_acc = float(np.mean(pred[g.train_mask] == g.labels[g.train_mask]))
         if has_val:

@@ -17,8 +17,11 @@ never change while the subgraph evolves.
 
 Selection is either direct (build the cumulative weight array over the
 whole edge set, then draw) or two-step: a uniform pre-sample of S1 distinct
-edges confines the weighted draw of S2 edges to that pool, which replaces
-the O(|E|) scan with O(S1) work per epoch.
+edges confines the weighted draw of S2 edges to that pool.  The pool draw
+is O(S1) only while S1 <= |E|/50 and |E| > 10,000: otherwise
+``Generator.choice`` shuffles the tail of ``arange(|E|)``.  Above
+S1 = |E|/50, two-step's speedup over direct falls below 5x (README.md,
+"Two-step speedup by pool size").
 
 Two-step draws its pool with ``Generator.choice(replace=False)`` and picks
 the S2 edges by exponential keys ``E_i / w_i`` (``E_i ~ Exp(1)``), keeping

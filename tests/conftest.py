@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spangraph.gnn import forward, loss_and_backward
 from spangraph.graphstore import build_graph
 
 
@@ -33,3 +34,31 @@ def path4():
 def star4():
     """Star K1,3: center 0, leaves 1..3."""
     return graph_from_edges(4, [[0, 1], [0, 2], [0, 3]])
+
+
+def numeric_gradients(model, p, features, labels, mask, h=1e-5):
+    """Central finite differences of the loss w.r.t. every weight entry."""
+    def loss():
+        return loss_and_backward(forward(model, p, features), labels, mask)[0]
+
+    grads = []
+    for w in model.weights:
+        grad = np.zeros_like(w)
+        for idx in np.ndindex(w.shape):
+            orig = w[idx]
+            w[idx] = orig + h
+            loss_plus = loss()
+            w[idx] = orig - h
+            loss_minus = loss()
+            w[idx] = orig
+            grad[idx] = (loss_plus - loss_minus) / (2.0 * h)
+        grads.append(grad)
+    return grads
+
+
+def max_relative_error(analytic, numeric):
+    worst = 0.0
+    for a, n in zip(analytic, numeric):
+        denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-3)
+        worst = max(worst, float((np.abs(a - n) / denom).max()))
+    return worst

@@ -29,8 +29,8 @@ from spangraph.scheduler import ScheduleConfig, init_schedule, step_epoch
 from spangraph.seeding import spawn_rng
 from spangraph.synthetic import GeneratorSpec, make_graph, random_edge_graph
 
+from conftest import max_relative_error, numeric_gradients
 from test_diagnostics import oracle_estimator_stats
-from test_gnn import max_relative_error, numeric_gradients
 
 
 def report(number, name, ok, details):
@@ -101,9 +101,8 @@ def test_criterion_03_gradient_correctness():
         p = build_propagation(SpanningSubgraph.full(g), kind)
         model = gnn.init_model(layer_type, in_dim, hidden, 2, num_layers,
                                seed=int(rng.integers(2**31)))
-        logits, tape = gnn.forward(model, p, g.features)
-        _, analytic = gnn.loss_and_backward(tape, logits, g.labels,
-                                            g.train_mask, p)
+        _, analytic = gnn.loss_and_backward(gnn.forward(model, p, g.features),
+                                            g.labels, g.train_mask)
         numeric = numeric_gradients(model, p, g.features, g.labels,
                                     g.train_mask)
         worst = max(worst, max_relative_error(analytic, numeric))

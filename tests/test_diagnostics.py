@@ -1,5 +1,6 @@
 """Gradient-noise, estimator-variance, and memory-proxy measurements."""
 
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -187,6 +188,31 @@ class TestEmbeddingVariance:
         with pytest.raises(ValueError, match="zero inclusion"):
             embedding_variance(g, full_propagation(g), probs, 3, 8, g.features, w,
                                seed=0)
+
+    # per extra selection: its ndarray object and the spread of the sampler's
+    # transients between draws; measured at most 0.5 KB
+    SELECTION_SLACK = 1024
+
+    def test_peak_grows_by_the_selections_alone(self):
+        """Holding all M estimates grows the peak by 2 M n d 8 bytes (61 MB
+        from M = 4 to 16 here); holding the M edge selections grows it by
+        their bytes."""
+        g = make_graph(GeneratorSpec(kind="preferential-attachment", nodes=5000,
+                                     classes=4, feature_dim=16, attach=4, seed=3))
+        p, probs = full_propagation(g), vm_weights(g)
+        w = np.random.default_rng(0).uniform(-1.0, 1.0, size=(g.feature_dim, 64))
+        budget = g.num_edges // 4
+        peaks = {}
+        for M in (4, 16):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                embedding_variance(g, p, probs, budget, M, g.features, w)
+                peaks[M] = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        extra = 12 * (budget * np.dtype(np.int64).itemsize + self.SELECTION_SLACK)
+        assert peaks[16] - peaks[4] <= extra, peaks
 
     def test_requires_two_samples(self, path4):
         with pytest.raises(ValueError, match="2 Monte-Carlo"):

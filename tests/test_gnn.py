@@ -1,11 +1,13 @@
 """Forward/backward correctness, optimizer behavior, and evaluation."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from spangraph import gnn
 from spangraph.diagnostics import gradient_noise
 from spangraph.errors import NumericalError
 from spangraph.gnn import (
@@ -35,34 +37,7 @@ from spangraph.graphstore import (
 from spangraph.runner import RunConfig, run_training
 from spangraph.synthetic import GeneratorSpec, make_graph
 
-from conftest import graph_from_edges
-
-
-def numeric_gradients(model, p, features, labels, mask, h=1e-5):
-    """Central finite differences of the loss w.r.t. every weight entry."""
-    grads = []
-    for w in model.weights:
-        grad = np.zeros_like(w)
-        for idx in np.ndindex(w.shape):
-            orig = w[idx]
-            w[idx] = orig + h
-            logits, tape = forward(model, p, features)
-            loss_plus, _ = loss_and_backward(tape, logits, labels, mask, p)
-            w[idx] = orig - h
-            logits, tape = forward(model, p, features)
-            loss_minus, _ = loss_and_backward(tape, logits, labels, mask, p)
-            w[idx] = orig
-            grad[idx] = (loss_plus - loss_minus) / (2.0 * h)
-        grads.append(grad)
-    return grads
-
-
-def max_relative_error(analytic, numeric):
-    worst = 0.0
-    for a, n in zip(analytic, numeric):
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-3)
-        worst = max(worst, float((np.abs(a - n) / denom).max()))
-    return worst
+from conftest import graph_from_edges, max_relative_error, numeric_gradients
 
 
 class TestForward:
@@ -70,7 +45,7 @@ class TestForward:
         g = graph_from_edges(3, np.zeros((0, 2)), feature_dim=3)
         p = build_propagation(SpanningSubgraph.empty(g), MEAN_ROW)
         model = GnnModel("gcn", [np.eye(3)])
-        logits, _ = forward(model, p, g.features)
+        logits = forward(model, p, g.features).logits
         np.testing.assert_array_equal(logits, g.features)
 
     def test_two_node_mean_row_hand_product(self):
@@ -79,13 +54,13 @@ class TestForward:
                         np.array([0, 1]), np.array(["train", "train"]))
         p = build_propagation(SpanningSubgraph.full(g), MEAN_ROW)
         model = GnnModel("gcn", [np.array([[1.0]])])
-        logits, _ = forward(model, p, g.features)
+        logits = forward(model, p, g.features).logits
         np.testing.assert_allclose(logits, [[3.0], [3.0]])
 
     def test_zero_weights_give_zero_logits(self, triangle):
         p = build_propagation(SpanningSubgraph.full(triangle), GCN_SYMMETRIC)
         model = GnnModel("gcn", [np.zeros((2, 4)), np.zeros((4, 2))])
-        logits, _ = forward(model, p, triangle.features)
+        logits = forward(model, p, triangle.features).logits
         np.testing.assert_array_equal(logits, np.zeros((3, 2)))
 
     def test_feature_dim_mismatch(self, triangle):
@@ -99,8 +74,8 @@ class TestForward:
         model = init_model("sage-mean", 2, 4, 3, 2, seed=0)
         assert model.weights[0].shape == (4, 4)
         assert model.weights[1].shape == (8, 3)
-        logits, tape = forward(model, p, triangle.features)
-        assert logits.shape == (3, 3)
+        tape = forward(model, p, triangle.features)
+        assert tape.logits.shape == (3, 3)
         assert tape.saved[0].shape == (3, 2)  # the tape keeps the layer's input
         assert aggregate(model, p, triangle.features).shape == (3, 4)
 
@@ -187,8 +162,7 @@ class TestGradients:
         g = make_graph(spec)
         kind = GCN_SYMMETRIC if layer_type == "gcn" else MEAN_ROW
         p = build_propagation(SpanningSubgraph.full(g), kind)
-        logits, tape = forward(model, p, g.features)
-        _, analytic = loss_and_backward(tape, logits, g.labels, g.train_mask, p)
+        _, analytic = loss_and_backward(forward(model, p, g.features), g.labels, g.train_mask)
         numeric = numeric_gradients(model, p, g.features, g.labels, g.train_mask)
         return max_relative_error(analytic, numeric)
 
@@ -223,6 +197,23 @@ class WidthRecorder:
         return WidthRecorder(self.matrix.T, self.log, "P.T")
 
 
+class LogitsWatcher:
+    """Stands in for P (or P^T): multiplies like it and logs, at every
+    product, whether the logits behind ``ref`` are still alive."""
+
+    def __init__(self, matrix, log, ref=None):
+        self.matrix, self.log, self.ref = matrix, log, ref
+
+    def __matmul__(self, dense):
+        if self.ref is not None:
+            self.log.append(self.ref() is not None)
+        return self.matrix @ dense
+
+    @property
+    def T(self):
+        return LogitsWatcher(self.matrix.T, self.log, self.ref)
+
+
 class TestNarrowSide:
     """P meets every layer at width min(d_in, d_out)."""
 
@@ -234,7 +225,7 @@ class TestNarrowSide:
         g = make_graph(spec)
         kind = GCN_SYMMETRIC if layer_type == "gcn" else MEAN_ROW
         log = []
-        p = PropagationMatrix(kind, WidthRecorder(
+        p = PropagationMatrix(WidthRecorder(
             build_propagation(SpanningSubgraph.full(g), kind).matrix, log))
         model = model_with_widths(layer_type, widths, seed=2)
         layers = list(zip(widths, widths[1:]))
@@ -270,12 +261,12 @@ class TestOrderEquivalence:
         rng = np.random.default_rng(17)
         n = 12
         dense = rng.uniform(0.1, 1.0, size=(n, n)) * (rng.random((n, n)) < 0.4)
-        p = PropagationMatrix(MEAN_ROW, sp.csr_matrix(dense))
+        p = PropagationMatrix(sp.csr_matrix(dense))
         h = rng.uniform(0.1, 1.0, size=(n, widths[0]))
         model = model_with_widths(layer_type, widths, seed=5)
         for w in model.weights:
             np.abs(w, out=w)  # positive: no cancellation, so rtol is meaningful
-        logits, _ = forward(model, p, h)
+        logits = forward(model, p, h).logits
         expected = self.textbook_logits(layer_type, dense, h, model.weights)
         np.testing.assert_allclose(logits, expected, rtol=1e-12)
 
@@ -345,8 +336,9 @@ class TestBackwardTape:
         model = model_with_widths(layer_type, widths, seed=6)
         args = (g.features, g.labels, g.train_mask)
 
-        logits, tape = forward(model, p_sub, g.features)
-        _, grads = loss_and_backward(tape, logits, *args[1:], p_sub)
+        tape = forward(model, p_sub, g.features)
+        logits = tape.logits
+        _, grads = loss_and_backward(tape, *args[1:])
         want_logits, want_grads, zs_sub = reference_pass(model, p_sub, *args)
         assert any((z <= 0.0).any() for z in zs_sub[:-1])  # relu masks something
         assert logits.tobytes() == want_logits.tobytes()
@@ -361,11 +353,37 @@ class TestBackwardTape:
     def test_a_consumed_tape_is_refused(self, triangle):
         p = build_propagation(SpanningSubgraph.full(triangle), GCN_SYMMETRIC)
         model = init_model("gcn", 2, 4, 2, 2, seed=0)
-        logits, tape = forward(model, p, triangle.features)
-        args = (logits, triangle.labels, triangle.train_mask, p)
-        loss_and_backward(tape, *args)
+        tape = forward(model, p, triangle.features)
+        loss_and_backward(tape, triangle.labels, triangle.train_mask)
         with pytest.raises(ValueError, match="tape was consumed"):
-            loss_and_backward(tape, *args)
+            loss_and_backward(tape, triangle.labels, triangle.train_mask)
+
+    @pytest.mark.parametrize("layer_type", ["gcn", "sage-mean"])
+    @pytest.mark.parametrize("widths", [(6, 3, 2), (3, 5, 2)], ids=widths_id)
+    def test_train_step_frees_the_logits_before_the_first_backward_product(
+            self, layer_type, widths, monkeypatch):
+        """No reference to the logits outlives the loss: not the caller's, not
+        the tape's.  (6, 3, 2) starts backward with P^T delta, (3, 5, 2) with
+        the recomputed A = P H."""
+        spec = GeneratorSpec(kind="sbm", nodes=30, classes=2, feature_dim=widths[0],
+                             seed=8, p_in=0.4, p_out=0.1)
+        g = make_graph(spec)
+        kind = GCN_SYMMETRIC if layer_type == "gcn" else MEAN_ROW
+        alive = []
+        watcher = LogitsWatcher(build_propagation(SpanningSubgraph.full(g), kind).matrix,
+                                alive)
+        model = model_with_widths(layer_type, widths, seed=2)
+        taped_forward = gnn.forward
+
+        def forward_then_watch(*args):
+            tape = taped_forward(*args)
+            watcher.ref = weakref.ref(tape.logits)
+            return tape
+
+        monkeypatch.setattr(gnn, "forward", forward_then_watch)
+        train_step(model, PropagationMatrix(watcher), g.features, g.labels,
+                   g.train_mask, 0.1)
+        assert alive and not any(alive), alive
 
     # slack for the tape's Python objects and first-call caches: measured
     # 0.5-3.0 KB; bool masks for the two hidden layers would add 192 KB
@@ -380,8 +398,8 @@ class TestBackwardTape:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            logits, tape = forward(model, p, g.features)
-            held = tracemalloc.get_traced_memory()[0] - base - logits.nbytes
+            tape = forward(model, p, g.features)
+            held = tracemalloc.get_traced_memory()[0] - base - tape.logits.nbytes
         finally:
             tracemalloc.stop()
         assert tape.saved[0] is g.features
@@ -413,11 +431,12 @@ class TestEvalForward:
         kind = GCN_SYMMETRIC if layer_type == "gcn" else MEAN_ROW
         p = build_propagation(SpanningSubgraph.full(g), kind)
         model = model_with_widths(layer_type, widths, seed=9)
-        eval_logits = forward(model, p, g.features)[0]
-        logits, tape = forward(model, p, g.features)
+        eval_logits = forward(model, p, g.features).logits
+        tape = forward(model, p, g.features)
+        logits = tape.logits
         assert len(tape.saved) == len(widths) - 1
-        loss_and_backward(tape, logits, g.labels, g.train_mask, p)
-        assert tape.saved == []
+        loss_and_backward(tape, g.labels, g.train_mask)
+        assert tape.saved == [] and tape.logits is None
         assert eval_logits.tobytes() == logits.tobytes()
 
     @pytest.mark.parametrize("layer_type", ["gcn", "sage-mean"])
@@ -427,7 +446,7 @@ class TestEvalForward:
         kind = GCN_SYMMETRIC if layer_type == "gcn" else MEAN_ROW
         p_full = build_propagation(SpanningSubgraph.full(g), kind)
         model = init_model(layer_type, g.feature_dim, 64, 4, depth, seed=0)
-        eval_peak = traced_peak(lambda: forward(model, p_full, g.features)[0])
+        eval_peak = traced_peak(lambda: forward(model, p_full, g.features).logits)
         step_peak = traced_peak(train_step, model, p_full, g.features, g.labels,
                                 g.train_mask, 0.1)
         assert eval_peak <= step_peak, (eval_peak, step_peak)
@@ -486,7 +505,7 @@ class TestEvaluate:
         g2 = build_graph(4, np.zeros((0, 2)), logits, g.labels,
                          np.array(["train"] * 4))
         model = GnnModel("gcn", [np.eye(2)])
-        pred = np.argmax(forward(model, p, g2.features)[0], axis=1)
+        pred = np.argmax(forward(model, p, g2.features).logits, axis=1)
         acc, f1 = masked_scores(pred, g2.labels, g2.train_mask)
         assert acc == 1.0
         assert f1 == 1.0
@@ -504,7 +523,7 @@ class TestEvaluate:
         p = build_propagation(SpanningSubgraph.empty(g), GCN_SYMMETRIC)
         model = init_model("gcn", 2, 4, 2, 2, seed=0)
         train_step(model, p, g.features, g.labels, g.train_mask, 0.1)
-        pred = np.argmax(forward(model, p, g.features)[0], axis=1)
+        pred = np.argmax(forward(model, p, g.features).logits, axis=1)
         acc, f1 = masked_scores(pred, g.labels, g.train_mask)
         assert 0.0 <= acc <= 1.0
 
@@ -522,14 +541,14 @@ class TestEquivariance:
             g = build_graph(n, edges, feats, labels, splits)
             model = init_model(layer_type, 3, 4, 2, 2, seed=7)
             p = build_propagation(SpanningSubgraph.full(g), kind)
-            logits, _ = forward(model, p, g.features)
+            logits = forward(model, p, g.features).logits
 
             perm = rng.permutation(n)
             pedges = perm[g.edges]
             pg = build_graph(n, pedges, feats[np.argsort(perm)],
                              labels[np.argsort(perm)], splits)
             pp = build_propagation(SpanningSubgraph.full(pg), kind)
-            plogits, _ = forward(model, pp, pg.features)
+            plogits = forward(model, pp, pg.features).logits
             np.testing.assert_allclose(plogits[perm], logits, atol=1e-12)
 
 
