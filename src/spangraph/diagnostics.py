@@ -35,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphstore import Graph, PropagationMatrix
-from .gnn import GnnModel, forward, loss_and_backward, pre_activation
+from .gnn import (BackwardTape, GnnModel, forward, loss_and_backward, pre_activation_rows,
+                  row_blocks)
 from .sampler import EdgeProbabilities, direct_sample
 from .seeding import spawn_rng
 
@@ -87,12 +88,8 @@ def gradient_noise(model: GnnModel, p_full: PropagationMatrix,
     """
     tape_full = forward(model, p_full, features)
     tape_sub = forward(model, p_sub, features)
-    # each Z is rebuilt from the tapes' saved inputs before backward pops them
-    z_diff_norms = [
-        float(np.linalg.norm(pre_activation(model, layer, p_sub, xs)
-                             - pre_activation(model, layer, p_full, xf)))
-        for layer, (xs, xf) in enumerate(zip(tape_sub.saved, tape_full.saved))
-    ]
+    z_diff_norms = [_z_diff_norm(model, layer, tape_sub, tape_full)
+                    for layer in range(model.num_layers)]
     _, grads_full = loss_and_backward(tape_full, labels, mask)
     _, grads_sub = loss_and_backward(tape_sub, labels, mask)
 
@@ -101,6 +98,19 @@ def gradient_noise(model: GnnModel, p_full: PropagationMatrix,
         for gs, gf in zip(grads_sub, grads_full)
     ]
     return NoiseReport(noise_norms=noise_norms, z_diff_norms=z_diff_norms)
+
+
+def _z_diff_norm(model: GnnModel, layer: int, tape_a: BackwardTape,
+                 tape_b: BackwardTape) -> float:
+    """Frobenius norm of the tapes' Z difference at ``layer``, formed a row
+    block at a time and summed as np.linalg.norm sums, sqrt(d . d)."""
+    def sq_rows(rows: slice) -> float:
+        z = pre_activation_rows(model, layer, tape_a.saved[layer], rows)
+        diff = np.subtract(z, pre_activation_rows(model, layer, tape_b.saved[layer], rows),
+                           out=z if z.flags.owndata else None)  # z may view the tape
+        return diff.ravel() @ diff.ravel()
+
+    return float(np.sqrt(sum(map(sq_rows, row_blocks(len(tape_a.features))), 0.0)))
 
 
 def successive_inclusion_probabilities(probabilities: np.ndarray,

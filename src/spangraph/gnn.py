@@ -32,17 +32,22 @@ min(d_in, d_out).  With delta = dL/dZ:
 
     delta'  = dL/dH * relu'(Z_prev)
 
-The tape is P, each layer's input H and the logits, kept by the one forward
-pass that training and eval share; relu overwrites Z in place.  Above the
-first layer H = relu(Z_prev), which is > 0 exactly where Z_prev > 0, so
-backward forms each relu mask from the H it pops.  An aggregate-first layer
-recomputes A from H for its gradient, one sparse product at width d_in,
-instead of holding A through the rest of the forward pass and the loss
-(Chen et al., *Training Deep Nets with Sublinear Memory Cost*, 2016).
-Backward consumes the tape: it drops the logits once the loss has read
-them, each H once its gradient and mask are formed, and delta as soon as
-only U is read, and it masks dL/dH in place.  Since backward reads P from
-the tape, it propagates with the matrix the forward pass used.
+Sparse products run on whole matrices.  The work between two of them
+(the weight product after propagation, relu, the next layer's
+transform-first product and sage's self term) is row-local, so it runs in
+blocks of ROW_BLOCK rows (operator reorganization, Zhang et al., MLSys
+2022).  The one forward pass that training and eval share returns the tape:
+P, the features, the logits, and per layer only n x min(d_in, d_out)
+arrays, S = P H of an aggregate-first layer (and H for sage) or Z of a
+transform-first one.  Backward rebuilds each block of Z, of H = relu(Z)
+and of the relu mask (H > 0 iff Z > 0) from them instead of storing them
+(Chen et al., *Training Deep Nets with Sublinear Memory Cost*, 2016).  It
+consumes the tape, dropping the logits once the loss has read them and
+each entry once the chain below its layer has run, and it propagates with
+the tape's P, the matrix the forward pass used.  Blocks leave the logits
+as a whole-matrix pass computes them, save where the BLAS picks another
+kernel for a block than for the whole product (last bits only); weight
+gradients are sums over blocks, so past ROW_BLOCK rows their last bits move.
 The loss is mean softmax cross-entropy over the training nodes, computed
 in place in one gathered copy of their logits.
 Updates are plain gradient descent, W -= lr * grad, no momentum and no
@@ -68,6 +73,9 @@ LAYER_TYPES = (GCN, SAGE_MEAN)
 PROPAGATION_KIND = {GCN: GCN_SYMMETRIC, SAGE_MEAN: MEAN_ROW}
 
 WEIGHT_MAGIC = b"SPGW"
+
+# rows per block of the dense chains between sparse products
+ROW_BLOCK = 512
 
 
 @dataclass
@@ -102,25 +110,48 @@ class BackwardTape:
 
     model: GnnModel
     p: PropagationMatrix        # the matrix the pass propagated with
-    saved: list[np.ndarray]     # per layer: its input H
+    features: np.ndarray        # the first layer's input
+    saved: list[tuple[np.ndarray, ...]]  # per layer: the narrow arrays Z is rebuilt from
     logits: np.ndarray | None   # the pass's output; backward drops it first
 
 
-def aggregate(model: GnnModel, p: PropagationMatrix, h: np.ndarray) -> np.ndarray:
-    """A of an aggregate-first layer with input ``h``: P H, or [H || P H]."""
-    return np.hstack([h, p.matrix @ h]) if model.layer_type == SAGE_MEAN else p.matrix @ h
+def row_blocks(n: int) -> list[slice]:
+    """Slices of at most ROW_BLOCK rows covering ``n`` rows; a 1-row tail joins
+    the block before it, so no block's dense product becomes a vector product."""
+    bounds = list(range(0, max(n - 1, 1), ROW_BLOCK)) + [n]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def pre_activation(model: GnnModel, layer: int, p: PropagationMatrix,
-                   h: np.ndarray) -> np.ndarray:
-    """Z of ``layer`` from its input ``h``."""
-    w = model.weights[layer]
+def _a_rows(entry: tuple[np.ndarray, ...], rows: slice) -> np.ndarray:
+    """An aggregate-first layer's A on ``rows``: P H, or [H || P H] for sage."""
+    return entry[0][rows] if len(entry) == 1 else np.hstack([x[rows] for x in entry])
+
+
+def pre_activation_rows(model: GnnModel, layer: int, entry: tuple[np.ndarray, ...],
+                        rows: slice) -> np.ndarray:
+    """Z of ``layer`` on ``rows``, rebuilt from the layer's tape entry (a
+    transform-first layer's entry is Z itself, so this is a view of it)."""
+    if transforms_first(model, layer):
+        return entry[0][rows]
+    return _a_rows(entry, rows) @ model.weights[layer]
+
+
+def _hidden_rows(model: GnnModel, layer: int, entry: tuple[np.ndarray, ...],
+                 rows: slice) -> np.ndarray:
+    """H = relu(Z) of hidden ``layer`` on ``rows``, as a fresh array."""
+    z = pre_activation_rows(model, layer, entry, rows)
+    return np.maximum(z, 0.0, out=z if z.flags.owndata else None)  # z may view the tape
+
+
+def _operands(model: GnnModel, layer: int, h: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """What ``layer`` hands P for input rows ``h``, and sage's self term
+    H W_self of a transform-first layer."""
     if not transforms_first(model, layer):
-        return aggregate(model, p, h) @ w
+        return h, None
+    w, d = model.weights[layer], model.input_dim(layer)
     if model.layer_type == SAGE_MEAN:
-        d = model.input_dim(layer)
-        return h @ w[:d] + p.matrix @ (h @ w[d:])
-    return p.matrix @ (h @ w)
+        return h @ w[d:], h @ w[:d]
+    return h @ w, None
 
 
 def init_model(layer_type: str, in_dim: int, hidden_dim: int, out_dim: int,
@@ -143,23 +174,52 @@ def init_model(layer_type: str, in_dim: int, hidden_dim: int, out_dim: int,
 
 def forward(model: GnnModel, p: PropagationMatrix,
             features: np.ndarray) -> BackwardTape:
-    """Full-batch forward pass; returns the backward tape, which holds P, the
-    layers' inputs and the logits.  Eval reads the logits and drops the rest."""
-    h = np.asarray(features, dtype=np.float64)
-    if h.ndim != 2:
+    """Full-batch forward pass; returns the backward tape, which holds P, each
+    layer's narrow products and the logits.  Eval reads the logits and drops
+    the rest."""
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2:
         raise ValueError("features must be a 2-d matrix")
+    width = x.shape[1]
+    for layer, w in enumerate(model.weights):
+        if width != model.input_dim(layer):
+            raise ValueError(f"layer {layer}: input dim {width} does not match "
+                             f"the weights' input dim {model.input_dim(layer)}")
+        width = w.shape[1]
+    n, last = x.shape[0], model.num_layers - 1
     saved = []
-    last = model.num_layers - 1
+    operand, self_term = _operands(model, 0, x)
     for layer in range(model.num_layers):
-        d = model.input_dim(layer)
-        if h.shape[1] != d:
-            raise ValueError(f"layer {layer}: input dim {h.shape[1]} does not "
-                             f"match the weights' input dim {d}")
-        saved.append(h)
-        h = pre_activation(model, layer, p, h)
-        if layer < last:
-            np.maximum(h, 0.0, out=h)
-    return BackwardTape(model=model, p=p, saved=saved, logits=h)
+        s = p.matrix @ operand
+        if transforms_first(model, layer):
+            if self_term is not None:
+                s += self_term
+            entry = (s,)            # s is Z
+        else:
+            entry = (operand, s) if model.layer_type == SAGE_MEAN else (s,)
+        saved.append(entry)
+        operand = self_term = None
+        if layer == last:
+            break
+        # the row-local chain up to the next sparse product, a block at a time
+        nxt = layer + 1
+        narrow = transforms_first(model, nxt)
+        cols = model.weights[nxt].shape[1] if narrow else model.input_dim(nxt)
+        operand = np.empty((n, cols))
+        if narrow and model.layer_type == SAGE_MEAN:
+            self_term = np.empty((n, cols))
+        for rows in row_blocks(n):
+            operand[rows], self_rows = _operands(model, nxt,
+                                                 _hidden_rows(model, layer, entry, rows))
+            if self_term is not None:
+                self_term[rows] = self_rows
+    if transforms_first(model, last):
+        logits = entry[0]
+    else:
+        logits = np.empty((n, model.weights[last].shape[1]))
+        for rows in row_blocks(n):
+            logits[rows] = pre_activation_rows(model, last, entry, rows)
+    return BackwardTape(model=model, p=p, features=x, saved=saved, logits=logits)
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray,
@@ -187,6 +247,41 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray,
     return loss, grad
 
 
+def _narrow_grad(model: GnnModel, h: np.ndarray, dz: np.ndarray | None,
+                u: np.ndarray) -> np.ndarray:
+    """A transform-first layer's gradient on a row block: H^T U (gcn) or
+    [H^T delta ; H^T U] (sage)."""
+    return np.vstack([h.T @ dz, h.T @ u]) if model.layer_type == SAGE_MEAN else h.T @ u
+
+
+def _add_to(grads: list, layer: int, g: np.ndarray) -> None:
+    """Sum a row block's gradient into ``grads[layer]`` (the first block is
+    kept as it is, so a one-block pass is bitwise the whole-matrix one)."""
+    grads[layer] = g if grads[layer] is None else grads[layer] + g
+
+
+def _delta_rows(model: GnnModel, layer: int, entry: tuple[np.ndarray, ...], rows: slice,
+                u: np.ndarray, carried: np.ndarray | None, grads: list) -> np.ndarray:
+    """delta = dL/dZ of hidden ``layer`` on ``rows``, from the layer above's
+    U and sage term; adds the layer above's gradient if it transforms first."""
+    sage = model.layer_type == SAGE_MEAN
+    above = layer + 1
+    w, d = model.weights[above], model.input_dim(above)
+    h = _hidden_rows(model, layer, entry, rows)
+    mask = h > 0.0          # h = relu(Z) > 0 exactly where Z > 0
+    if transforms_first(model, above):
+        c = carried[rows] if sage else None
+        _add_to(grads, above, _narrow_grad(model, h, c, u[rows]))
+        del h
+        dh = u[rows] @ (w[d:] if sage else w).T
+        if sage:
+            dh += c @ w[:d].T
+    else:                   # a gcn dh is a view of U, which no later block reads
+        del h
+        dh = u[rows] + carried[rows] if sage else u[rows]
+    return np.multiply(dh, mask, out=dh)
+
+
 def loss_and_backward(tape: BackwardTape, labels: np.ndarray,
                       train_mask: np.ndarray) -> tuple[float, list[np.ndarray]]:
     """Loss plus per-layer weight gradients via the chain rule over the tape's
@@ -197,32 +292,41 @@ def loss_and_backward(tape: BackwardTape, labels: np.ndarray,
     sage = model.layer_type == SAGE_MEAN
     loss, delta = softmax_cross_entropy(tape.logits, labels, train_mask)
     tape.logits = None
-    grads: list[np.ndarray] = [np.empty(0)] * model.num_layers
+    n = delta.shape[0]
+    grads: list = [None] * model.num_layers
+    # from the layer above: U = P^T G and, for sage, delta (transform first)
+    # or delta W_self^T (aggregate first)
+    u = carried = None
     for layer in range(model.num_layers - 1, -1, -1):
-        w, x = model.weights[layer], tape.saved.pop()
-        d = model.input_dim(layer)
-        w_agg = w[d:] if sage else w
+        entry = tape.saved.pop()
+        w, d = model.weights[layer], model.input_dim(layer)
         narrow = transforms_first(model, layer)
-        if narrow:
-            u = p.matrix.T @ delta
-            if not sage:
-                del delta           # gcn reads only U from here on
-            grads[layer] = np.vstack([x.T @ delta, x.T @ u]) if sage else x.T @ u
+        if u is None and narrow:
+            g, d_self = delta, None
         else:
-            grads[layer] = aggregate(model, p, x).T @ delta
-        if layer == 0:
+            # G is what P^T meets next: delta itself, or delta W_agg^T
+            g = np.empty((n, w.shape[1] if narrow else d)) if narrow or layer > 0 else None
+            d_self = np.empty((n, d)) if sage and not narrow and layer > 0 else None
+            for rows in row_blocks(n):
+                dz = delta[rows] if u is None else _delta_rows(model, layer, entry, rows,
+                                                               u, carried, grads)
+                if narrow:
+                    g[rows] = dz
+                else:
+                    _add_to(grads, layer, _a_rows(entry, rows).T @ dz)
+                    if g is not None:
+                        g[rows] = dz @ (w[d:] if sage else w).T
+                    if d_self is not None:
+                        d_self[rows] = dz @ w[:d].T
+                del dz
+        entry = delta = u = carried = None
+        if g is None:
             break
-        mask = x > 0.0              # x = relu(Z_prev): x > 0 iff Z_prev > 0
-        del x
-        if narrow:
-            dh = u @ w_agg.T
-            del u
-        else:
-            dh = p.matrix.T @ (delta @ w_agg.T)
-        if sage:
-            dh += delta @ w[:d].T
-        delta = np.multiply(dh, mask, out=dh)
-        del mask
+        u = p.matrix.T @ g
+        carried = (g if narrow else d_self) if sage else None
+        if layer == 0:
+            grads[0] = _narrow_grad(model, tape.features, carried, u)
+        g = d_self = None
     return loss, grads
 
 

@@ -255,7 +255,6 @@ def run_training(cfg: RunConfig, graph: Graph | None = None) -> RunResult:
     active_history: list[int] = []
     best_acc = 0.0
     best_f1 = 0.0
-    has_val = bool(g.val_mask.any())
 
     for epoch in range(cfg.epochs):
         t0 = _now_ms()
@@ -273,13 +272,7 @@ def run_training(cfg: RunConfig, graph: Graph | None = None) -> RunResult:
                           cfg.learning_rate)
         t2 = _now_ms()
 
-        logits_full = forward(model, p_full, g.features).logits
-        pred = np.argmax(logits_full, axis=1)
-        train_acc = float(np.mean(pred[g.train_mask] == g.labels[g.train_mask]))
-        if has_val:
-            val_acc, val_f1 = masked_scores(pred, g.labels, g.val_mask)
-        else:
-            val_acc, val_f1 = 0.0, 0.0
+        train_acc, val_acc, val_f1 = _evaluate(model, p_full, g)
         best_acc = max(best_acc, val_acc)
         best_f1 = max(best_f1, val_f1)
 
@@ -322,6 +315,16 @@ def run_training(cfg: RunConfig, graph: Graph | None = None) -> RunResult:
         if diagnostics:
             write_csv(out / "diagnostics.csv", diag_columns(cfg.num_layers), diagnostics)
     return result
+
+
+def _evaluate(model: GnnModel, p_full, g: Graph) -> tuple[float, float, float]:
+    """Train accuracy, val accuracy and val macro-F1 of a full-graph forward;
+    the logits and predictions die on return, before the next train step."""
+    pred = np.argmax(forward(model, p_full, g.features).logits, axis=1)
+    train_acc = float(np.mean(pred[g.train_mask] == g.labels[g.train_mask]))
+    if not g.val_mask.any():
+        return train_acc, 0.0, 0.0
+    return (train_acc, *masked_scores(pred, g.labels, g.val_mask))
 
 
 def _diagnostics_row(cfg: RunConfig, g: Graph, model: GnnModel, p_full, p_train,

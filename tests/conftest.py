@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from spangraph.gnn import forward, loss_and_backward
 from spangraph.graphstore import build_graph
+from spangraph.synthetic import GeneratorSpec, make_graph
 
 
 def graph_from_edges(num_nodes, edges, feature_dim=2, labels=None, train=None):
@@ -34,6 +37,24 @@ def path4():
 def star4():
     """Star K1,3: center 0, leaves 1..3."""
     return graph_from_edges(4, [[0, 1], [0, 2], [0, 3]])
+
+
+@pytest.fixture(scope="session")
+def pa3k():
+    """A 3k-node preferential-attachment graph for the traced-memory tests."""
+    return make_graph(GeneratorSpec(kind="preferential-attachment", nodes=3000,
+                                    classes=4, feature_dim=16, attach=4, seed=3))
+
+
+def traced_peak(fn, *args):
+    """Traced peak bytes of ``fn(*args)`` above what was held before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def numeric_gradients(model, p, features, labels, mask, h=1e-5):

@@ -13,13 +13,13 @@ from spangraph.errors import NumericalError
 from spangraph.gnn import (
     BackwardTape,
     GnnModel,
-    aggregate,
     forward,
     init_model,
     load_weights,
     loss_and_backward,
     macro_f1,
     masked_scores,
+    row_blocks,
     save_weights,
     sgd_step,
     softmax_cross_entropy,
@@ -37,7 +37,7 @@ from spangraph.graphstore import (
 from spangraph.runner import RunConfig, run_training
 from spangraph.synthetic import GeneratorSpec, make_graph
 
-from conftest import graph_from_edges, max_relative_error, numeric_gradients
+from conftest import graph_from_edges, max_relative_error, numeric_gradients, traced_peak
 
 
 class TestForward:
@@ -76,8 +76,10 @@ class TestForward:
         assert model.weights[1].shape == (8, 3)
         tape = forward(model, p, triangle.features)
         assert tape.logits.shape == (3, 3)
-        assert tape.saved[0].shape == (3, 2)  # the tape keeps the layer's input
-        assert aggregate(model, p, triangle.features).shape == (3, 4)
+        # the tape keeps the layer's input H and S = P H, the halves of [H || P H]
+        h, s = tape.saved[0]
+        assert h is tape.features and s.shape == (3, 2)
+        assert np.hstack([h, s]).shape == (3, 4)
 
 
 class TestLoss:
@@ -231,12 +233,10 @@ class TestNarrowSide:
         layers = list(zip(widths, widths[1:]))
         fwd = [("P", min(a, b)) for a, b in layers]
         # going down: a narrowing layer always needs U = P^T delta for its
-        # gradient; an aggregate-first one recomputes A = P H for its
-        # gradient and then propagates dH, except at layer 0 (the 4-8-3
-        # and 5-5 models)
+        # gradient; an aggregate-first one reads A from the tape and
+        # propagates dH, except at layer 0 (the 4-8-3 and 5-5 models)
         bwd = [step for layer, (a, b) in reversed(list(enumerate(layers)))
-               for step in ([("P.T", b)] if b < a
-                            else [("P", a)] + [("P.T", a)] * (layer > 0))]
+               for step in ([("P.T", b)] if b < a else [("P.T", a)] * (layer > 0))]
 
         train_step(model, p, g.features, g.labels, g.train_mask, 0.1)
         assert log == fwd + bwd
@@ -308,11 +308,14 @@ def reference_pass(model, p, features, labels, mask):
     return h, grads, zs
 
 
-@pytest.fixture(scope="module")
-def pa3k():
-    """A 3k-node preferential-attachment graph for the traced-memory tests."""
-    return make_graph(GeneratorSpec(kind="preferential-attachment", nodes=3000,
-                                    classes=4, feature_dim=16, attach=4, seed=3))
+def sbm40(layer_type, widths):
+    """The 40-node SBM of the tape tests, with its full and half-edge P."""
+    g = make_graph(GeneratorSpec(kind="sbm", nodes=40, classes=widths[-1],
+                                 feature_dim=widths[0], seed=12, p_in=0.3, p_out=0.05))
+    kind = GCN_SYMMETRIC if layer_type == "gcn" else MEAN_ROW
+    half = np.random.default_rng(4).permutation(g.num_edges)[:g.num_edges // 2]
+    return (g, build_propagation(SpanningSubgraph.full(g), kind),
+            build_propagation(SpanningSubgraph.from_indices(g, half), kind))
 
 
 class TestBackwardTape:
@@ -326,13 +329,7 @@ class TestBackwardTape:
         """(6, 3, 5, 2) has a transform-first and an aggregate-first hidden
         layer; (6, 3, 2) transforms first throughout, while (3, 5, 2) and
         (4, 8, 8, 3) aggregate first below the last layer."""
-        spec = GeneratorSpec(kind="sbm", nodes=40, classes=widths[-1], feature_dim=widths[0],
-                             seed=12, p_in=0.3, p_out=0.05)
-        g = make_graph(spec)
-        kind = GCN_SYMMETRIC if layer_type == "gcn" else MEAN_ROW
-        p_full = build_propagation(SpanningSubgraph.full(g), kind)
-        half = np.random.default_rng(4).permutation(g.num_edges)[:g.num_edges // 2]
-        p_sub = build_propagation(SpanningSubgraph.from_indices(g, half), kind)
+        g, p_full, p_sub = sbm40(layer_type, widths)
         model = model_with_widths(layer_type, widths, seed=6)
         args = (g.features, g.labels, g.train_mask)
 
@@ -385,37 +382,34 @@ class TestBackwardTape:
                    g.train_mask, 0.1)
         assert alive and not any(alive), alive
 
-    # slack for the tape's Python objects and first-call caches: measured
-    # 0.5-3.0 KB; bool masks for the two hidden layers would add 192 KB
+    # slack for the tape's Python objects and first-call caches
     TAPE_SLACK = 4096
 
     @pytest.mark.parametrize("layer_type", ["gcn", "sage-mean"])
-    def test_a_taped_forward_holds_its_hidden_inputs_and_nothing_else(self, layer_type, pa3k):
+    @pytest.mark.parametrize("hidden", [32, 8])
+    def test_a_taped_forward_holds_only_narrow_products(self, layer_type, hidden, pa3k):
+        """Every array on the tape is n x min(d_in, d_out) of its layer, and
+        the tape holds nothing else: at hidden 32 (16-32-32-4) the hidden
+        layers aggregate first, at hidden 8 (16-8-8-4) layer 0 transforms
+        first."""
         g = pa3k
         kind = GCN_SYMMETRIC if layer_type == "gcn" else MEAN_ROW
         p = build_propagation(SpanningSubgraph.full(g), kind)
-        model = init_model(layer_type, g.feature_dim, 32, 4, 3, seed=0)
+        model = init_model(layer_type, g.feature_dim, hidden, 4, 3, seed=0)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             tape = forward(model, p, g.features)
-            held = tracemalloc.get_traced_memory()[0] - base - tape.logits.nbytes
+            held = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
-        assert tape.saved[0] is g.features
-        hidden = sum(a.nbytes for a in tape.saved[1:])
-        assert hidden <= held <= hidden + self.TAPE_SLACK, held - hidden
-
-
-def traced_peak(fn, *args):
-    """Traced peak bytes of ``fn(*args)`` above what was held before it."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+        assert tape.features is g.features
+        for layer, entry in enumerate(tape.saved):
+            narrow = min(model.input_dim(layer), model.weights[layer].shape[1])
+            assert entry and all(a.shape == (g.num_nodes, narrow) for a in entry), layer
+        kept = {id(a): a.nbytes for a in [tape.logits, *(a for e in tape.saved for a in e)]
+                if a is not g.features}
+        assert sum(kept.values()) <= held <= sum(kept.values()) + self.TAPE_SLACK, held
 
 
 class TestEvalForward:
@@ -450,6 +444,63 @@ class TestEvalForward:
         step_peak = traced_peak(train_step, model, p_full, g.features, g.labels,
                                 g.train_mask, 0.1)
         assert eval_peak <= step_peak, (eval_peak, step_peak)
+
+
+class TestRowBlocks:
+    """The dense chains between sparse products run ROW_BLOCK rows at a time;
+    patched to 7 rows, a 40-node graph spans six blocks."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 9, 14, 15, 40])
+    def test_blocks_cover_the_rows_with_no_one_row_tail(self, n, monkeypatch):
+        monkeypatch.setattr(gnn, "ROW_BLOCK", 7)
+        blocks = row_blocks(n)
+        assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        sizes = [b.stop - b.start for b in blocks]
+        assert max(sizes) <= 8 and (n < 2 or min(sizes) >= 2), sizes
+
+    @pytest.mark.parametrize("layer_type", ["gcn", "sage-mean"])
+    @pytest.mark.parametrize("widths", [(6, 3, 5, 2), (4, 8, 8, 3)], ids=widths_id)
+    def test_many_blocks_match_one_block(self, layer_type, widths, monkeypatch):
+        """Logits are bitwise those of one block; the gradients, summed over
+        blocks, and the Z differences are within 1e-12 of the reference."""
+        g, p_full, p_sub = sbm40(layer_type, widths)
+        model = model_with_widths(layer_type, widths, seed=6)
+        args = (g.features, g.labels, g.train_mask)
+        one_block = forward(model, p_sub, g.features).logits
+        monkeypatch.setattr(gnn, "ROW_BLOCK", 7)
+        assert len(row_blocks(g.num_nodes)) == 6
+        tape = forward(model, p_sub, g.features)
+        assert tape.logits.tobytes() == one_block.tobytes()
+        _, grads = loss_and_backward(tape, *args[1:])
+        _, want_grads, zs_sub = reference_pass(model, p_sub, *args)
+        for got, want in zip(grads, want_grads, strict=True):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        _, _, zs_full = reference_pass(model, p_full, *args)
+        report = gradient_noise(model, p_full, p_sub, *args)
+        np.testing.assert_allclose(report.z_diff_norms,
+                                   [np.linalg.norm(zs - zf) for zs, zf in zip(zs_sub, zs_full)],
+                                   rtol=1e-12)
+
+    @pytest.mark.parametrize("layer_type", ["gcn", "sage-mean"])
+    @pytest.mark.parametrize("widths", [(6, 3, 5, 2), (4, 8, 8, 3)], ids=widths_id)
+    def test_many_blocks_match_finite_differences(self, layer_type, widths, monkeypatch):
+        monkeypatch.setattr(gnn, "ROW_BLOCK", 7)
+        g, p, _ = sbm40(layer_type, widths)
+        model = model_with_widths(layer_type, widths, seed=13)
+        _, analytic = loss_and_backward(forward(model, p, g.features), g.labels, g.train_mask)
+        numeric = numeric_gradients(model, p, g.features, g.labels, g.train_mask)
+        assert max_relative_error(analytic, numeric) < 1e-4
+
+    def test_a_gcn_train_step_holds_no_n_by_hidden_array(self, pa3k):
+        """2-layer GCN at hidden 64: the step peaks below one n x 64 float64
+        array (measured 0.85 MB against 1.54 MB; a tape of layer inputs
+        reads 1.93 MB)."""
+        g = pa3k
+        p = build_propagation(SpanningSubgraph.full(g), GCN_SYMMETRIC)
+        model = init_model("gcn", g.feature_dim, 64, 4, 2, seed=0)
+        peak = traced_peak(train_step, model, p, g.features, g.labels, g.train_mask, 0.1)
+        assert peak < g.num_nodes * 64 * 8, peak
 
 
 class TestSgdStep:
@@ -612,9 +663,9 @@ class TestPeakMemory:
     edges): with node-sized state kept lean, the edge-sized state a smaller
     subgraph drops shows up, and the build holds little beyond its result."""
 
-    # measured 0.294 (4.04 / 13.71 MB, the 1.0 run's peak set by the build);
-    # a tape that also keeps A reads 0.34
-    MAX_RATIO = 0.3
+    # measured 0.135 (1.85 / 13.71 MB, the 1.0 run's peak set by the build);
+    # a tape of layer inputs reads 0.284, one that also keeps A 0.34
+    MAX_RATIO = 0.16
     # measured 2.37; a COO build with int64 coordinates and a sort pass reads 4.37
     MAX_BUILD_RATIO = 2.5
 

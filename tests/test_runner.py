@@ -1,9 +1,11 @@
 """Training orchestration: baselines, metrics emission, comparisons."""
 
+import weakref
+
 import numpy as np
 import pytest
 
-from spangraph import graphstore
+from spangraph import graphstore, runner
 from spangraph.errors import ConfigError
 from spangraph.runner import (
     METRIC_COLUMNS,
@@ -76,6 +78,28 @@ class TestRunTraining:
             run_training(RunConfig())
         with pytest.raises(ConfigError, match="missing dataset paths"):
             run_training(RunConfig(edges_path="x.txt"))
+
+
+class TestEvalRelease:
+    def test_eval_logits_are_dead_when_the_next_train_step_starts(self, monkeypatch):
+        """The full-graph eval's logits (n x classes) must not stay alive
+        through the next epoch's train step."""
+        refs, alive = [], []
+        eval_forward, step = runner.forward, runner.train_step
+
+        def watched_forward(*args):
+            tape = eval_forward(*args)
+            refs.append(weakref.ref(tape.logits))
+            return tape
+
+        def watched_step(*args):
+            alive.extend(ref() is not None for ref in refs)
+            return step(*args)
+
+        monkeypatch.setattr(runner, "forward", watched_forward)
+        monkeypatch.setattr(runner, "train_step", watched_step)
+        run_training(small_cfg(epochs=4))
+        assert len(refs) == 4 and len(alive) == 6 and not any(alive), alive
 
 
 class TestDiagnosticsEmission:
