@@ -34,7 +34,7 @@ def _apply_thread_cap() -> None:
     cap = os.environ.get("SPANGRAPH_THREADS")
     if not cap:
         return
-    if not cap.isdigit() or int(cap) < 1:
+    if not (cap.isascii() and cap.isdigit()) or int(cap) < 1:
         raise ConfigError(f"SPANGRAPH_THREADS must be a positive integer, got {cap!r}")
     for var in _THREAD_ENV_VARS:
         os.environ.setdefault(var, cap)
@@ -292,6 +292,8 @@ def _cmd_gen_data(opts: dict) -> int:
     out = opts.get("out")
     if out is None:
         raise ConfigError("gen-data requires --out DIR")
+    if opts.get("gen", opts["kind"]) != opts["kind"]:
+        raise ConfigError(f"--gen {opts['gen']!r} names another kind than --kind {opts['kind']!r}")
     spec = _generator_spec(opts, opts["kind"])
     make_out_dir(out)
     g = generate_synthetic(spec, out, binary_features=opts["binary_features"])

@@ -35,8 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphstore import Graph, PropagationMatrix
-from .gnn import (BackwardTape, GnnModel, forward, loss_and_backward, pre_activation_rows,
-                  row_blocks)
+from .gnn import GnnModel, forward, loss_and_backward, z_diff_norms
 from .sampler import EdgeProbabilities, direct_sample
 from .seeding import spawn_rng
 
@@ -88,8 +87,7 @@ def gradient_noise(model: GnnModel, p_full: PropagationMatrix,
     """
     tape_full = forward(model, p_full, features)
     tape_sub = forward(model, p_sub, features)
-    z_diff_norms = [_z_diff_norm(model, layer, tape_sub, tape_full)
-                    for layer in range(model.num_layers)]
+    z_diffs = z_diff_norms(tape_sub, tape_full)
     _, grads_full = loss_and_backward(tape_full, labels, mask)
     _, grads_sub = loss_and_backward(tape_sub, labels, mask)
 
@@ -97,20 +95,7 @@ def gradient_noise(model: GnnModel, p_full: PropagationMatrix,
         float(np.linalg.norm(gs - gf))
         for gs, gf in zip(grads_sub, grads_full)
     ]
-    return NoiseReport(noise_norms=noise_norms, z_diff_norms=z_diff_norms)
-
-
-def _z_diff_norm(model: GnnModel, layer: int, tape_a: BackwardTape,
-                 tape_b: BackwardTape) -> float:
-    """Frobenius norm of the tapes' Z difference at ``layer``, formed a row
-    block at a time and summed as np.linalg.norm sums, sqrt(d . d)."""
-    def sq_rows(rows: slice) -> float:
-        z = pre_activation_rows(model, layer, tape_a.saved[layer], rows)
-        diff = np.subtract(z, pre_activation_rows(model, layer, tape_b.saved[layer], rows),
-                           out=z if z.flags.owndata else None)  # z may view the tape
-        return diff.ravel() @ diff.ravel()
-
-    return float(np.sqrt(sum(map(sq_rows, row_blocks(len(tape_a.features))), 0.0)))
+    return NoiseReport(noise_norms=noise_norms, z_diff_norms=z_diffs)
 
 
 def successive_inclusion_probabilities(probabilities: np.ndarray,
@@ -211,11 +196,7 @@ def memory_proxy(active_edge_counts, num_nodes: int,
     The default per-edge cost, 512 bytes, is 8-byte floats times a hidden
     width of 64; pass the actual ``8 * hidden_dim`` for other widths.
     """
-    counts = list(active_edge_counts)
-    if not counts:
-        peak = num_nodes
-    else:
-        peak = max(2 * int(c) + num_nodes for c in counts)
+    peak = max((2 * int(c) + num_nodes for c in active_edge_counts), default=num_nodes)
     return MemoryProxy(
         peak_directed_edges=int(peak),
         bytes_estimate=int(peak) * int(per_edge_bytes),

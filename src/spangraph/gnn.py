@@ -40,14 +40,17 @@ blocks of ROW_BLOCK rows (operator reorganization, Zhang et al., MLSys
 P, the features, the logits, and per layer only n x min(d_in, d_out)
 arrays, S = P H of an aggregate-first layer (and H for sage) or Z of a
 transform-first one.  Backward rebuilds each block of Z, of H = relu(Z)
-and of the relu mask (H > 0 iff Z > 0) from them instead of storing them
-(Chen et al., *Training Deep Nets with Sublinear Memory Cost*, 2016).  It
-consumes the tape, dropping the logits once the loss has read them and
-each entry once the chain below its layer has run, and it propagates with
-the tape's P, the matrix the forward pass used.  Blocks leave the logits
-as a whole-matrix pass computes them, save where the BLAS picks another
-kernel for a block than for the whole product (last bits only); weight
-gradients are sums over blocks, so past ROW_BLOCK rows their last bits move.
+and of the relu mask (H > 0 iff Z > 0) from them, then writes over the
+rows it has read the layer's G, which P^T multiplies next: delta over Z,
+or delta W_agg^T over S and sage's delta W_self^T over H (recomputation
+and memory sharing, Chen et al., *Training Deep Nets with Sublinear Memory
+Cost*, 2016).  So it holds nothing beside the tape, delta and U = P^T G;
+an aggregate-first layer 0 writes nothing, as its entry may hold the
+features.  It propagates with the tape's P, the matrix the forward pass
+used.  Blocks leave the logits as a whole-matrix pass computes them, save
+where the BLAS picks another kernel for a block than for the whole product
+(last bits only); weight gradients are sums over blocks, so past ROW_BLOCK
+rows their last bits move.
 The loss is mean softmax cross-entropy over the training nodes, computed
 in place in one gathered copy of their logits.
 Updates are plain gradient descent, W -= lr * grad, no momentum and no
@@ -106,7 +109,7 @@ def transforms_first(model: GnnModel, layer: int) -> bool:
 
 @dataclass
 class BackwardTape:
-    """What backward reads of a forward pass; one loss_and_backward pops it."""
+    """What backward reads of a forward pass; one loss_and_backward consumes it."""
 
     model: GnnModel
     p: PropagationMatrix        # the matrix the pass propagated with
@@ -122,13 +125,27 @@ def row_blocks(n: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
+def _by_rows(n: int, fill) -> list[np.ndarray]:
+    """n-row arrays filled from ``fill(rows)``, one part each per row block;
+    each block's parts die before the next block is computed."""
+    whole = None
+    for rows in row_blocks(n):
+        parts = fill(rows)
+        if whole is None:
+            whole = [np.empty((n, part.shape[1])) for part in parts]
+        for out, part in zip(whole, parts):
+            out[rows] = part
+        del parts, part
+    return whole
+
+
 def _a_rows(entry: tuple[np.ndarray, ...], rows: slice) -> np.ndarray:
     """An aggregate-first layer's A on ``rows``: P H, or [H || P H] for sage."""
     return entry[0][rows] if len(entry) == 1 else np.hstack([x[rows] for x in entry])
 
 
-def pre_activation_rows(model: GnnModel, layer: int, entry: tuple[np.ndarray, ...],
-                        rows: slice) -> np.ndarray:
+def _pre_activation_rows(model: GnnModel, layer: int, entry: tuple[np.ndarray, ...],
+                         rows: slice) -> np.ndarray:
     """Z of ``layer`` on ``rows``, rebuilt from the layer's tape entry (a
     transform-first layer's entry is Z itself, so this is a view of it)."""
     if transforms_first(model, layer):
@@ -139,19 +156,34 @@ def pre_activation_rows(model: GnnModel, layer: int, entry: tuple[np.ndarray, ..
 def _hidden_rows(model: GnnModel, layer: int, entry: tuple[np.ndarray, ...],
                  rows: slice) -> np.ndarray:
     """H = relu(Z) of hidden ``layer`` on ``rows``, as a fresh array."""
-    z = pre_activation_rows(model, layer, entry, rows)
+    z = _pre_activation_rows(model, layer, entry, rows)
     return np.maximum(z, 0.0, out=z if z.flags.owndata else None)  # z may view the tape
 
 
-def _operands(model: GnnModel, layer: int, h: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """What ``layer`` hands P for input rows ``h``, and sage's self term
+def _operands(model: GnnModel, layer: int, h: np.ndarray) -> tuple[np.ndarray, ...]:
+    """What ``layer`` hands P for input rows ``h``, then sage's self term
     H W_self of a transform-first layer."""
     if not transforms_first(model, layer):
-        return h, None
+        return (h,)
     w, d = model.weights[layer], model.input_dim(layer)
     if model.layer_type == SAGE_MEAN:
         return h @ w[d:], h @ w[:d]
-    return h @ w, None
+    return (h @ w,)
+
+
+def z_diff_norms(tape_a: BackwardTape, tape_b: BackwardTape) -> list[float]:
+    """Per layer, the Frobenius norm of the tapes' Z difference, formed a row
+    block at a time and summed as np.linalg.norm sums, sqrt(d . d); read
+    before a backward writes over either tape."""
+    def sq_rows(layer: int, rows: slice) -> float:
+        z = _pre_activation_rows(tape_a.model, layer, tape_a.saved[layer], rows)
+        diff = np.subtract(z, _pre_activation_rows(tape_b.model, layer, tape_b.saved[layer], rows),
+                           out=z if z.flags.owndata else None)  # z may view the tape
+        return diff.ravel() @ diff.ravel()
+
+    blocks = row_blocks(len(tape_a.features))
+    return [float(np.sqrt(sum((sq_rows(layer, rows) for rows in blocks), 0.0)))
+            for layer in range(tape_a.model.num_layers)]
 
 
 def init_model(layer_type: str, in_dim: int, hidden_dim: int, out_dim: int,
@@ -188,37 +220,26 @@ def forward(model: GnnModel, p: PropagationMatrix,
         width = w.shape[1]
     n, last = x.shape[0], model.num_layers - 1
     saved = []
-    operand, self_term = _operands(model, 0, x)
+    parts = _operands(model, 0, x)
     for layer in range(model.num_layers):
-        s = p.matrix @ operand
+        s = p.matrix @ parts[0]
         if transforms_first(model, layer):
-            if self_term is not None:
-                s += self_term
+            if len(parts) > 1:
+                s += parts[1]       # sage's self term
             entry = (s,)            # s is Z
         else:
-            entry = (operand, s) if model.layer_type == SAGE_MEAN else (s,)
+            entry = (parts[0], s) if model.layer_type == SAGE_MEAN else (s,)
         saved.append(entry)
-        operand = self_term = None
+        parts = None
         if layer == last:
             break
         # the row-local chain up to the next sparse product, a block at a time
-        nxt = layer + 1
-        narrow = transforms_first(model, nxt)
-        cols = model.weights[nxt].shape[1] if narrow else model.input_dim(nxt)
-        operand = np.empty((n, cols))
-        if narrow and model.layer_type == SAGE_MEAN:
-            self_term = np.empty((n, cols))
-        for rows in row_blocks(n):
-            operand[rows], self_rows = _operands(model, nxt,
-                                                 _hidden_rows(model, layer, entry, rows))
-            if self_term is not None:
-                self_term[rows] = self_rows
+        parts = _by_rows(n, lambda rows: _operands(
+            model, layer + 1, _hidden_rows(model, layer, entry, rows)))
     if transforms_first(model, last):
         logits = entry[0]
     else:
-        logits = np.empty((n, model.weights[last].shape[1]))
-        for rows in row_blocks(n):
-            logits[rows] = pre_activation_rows(model, last, entry, rows)
+        [logits] = _by_rows(n, lambda rows: (_pre_activation_rows(model, last, entry, rows),))
     return BackwardTape(model=model, p=p, features=x, saved=saved, logits=logits)
 
 
@@ -285,7 +306,8 @@ def _delta_rows(model: GnnModel, layer: int, entry: tuple[np.ndarray, ...], rows
 def loss_and_backward(tape: BackwardTape, labels: np.ndarray,
                       train_mask: np.ndarray) -> tuple[float, list[np.ndarray]]:
     """Loss plus per-layer weight gradients via the chain rule over the tape's
-    P; consumes ``tape`` and drops its logits once the loss has read them."""
+    P; consumes ``tape``: drops its logits once the loss has read them and
+    writes each layer's G over the entry rows it has read."""
     if tape.logits is None:
         raise ValueError("the backward tape was consumed by an earlier backward")
     model, p = tape.model, tape.p
@@ -302,31 +324,27 @@ def loss_and_backward(tape: BackwardTape, labels: np.ndarray,
         w, d = model.weights[layer], model.input_dim(layer)
         narrow = transforms_first(model, layer)
         if u is None and narrow:
-            g, d_self = delta, None
+            entry = (delta,)        # G is delta itself; the logits die here
         else:
-            # G is what P^T meets next: delta itself, or delta W_agg^T
-            g = np.empty((n, w.shape[1] if narrow else d)) if narrow or layer > 0 else None
-            d_self = np.empty((n, d)) if sage and not narrow and layer > 0 else None
             for rows in row_blocks(n):
                 dz = delta[rows] if u is None else _delta_rows(model, layer, entry, rows,
                                                                u, carried, grads)
                 if narrow:
-                    g[rows] = dz
+                    entry[0][rows] = dz                 # G = delta, over Z
                 else:
                     _add_to(grads, layer, _a_rows(entry, rows).T @ dz)
-                    if g is not None:
-                        g[rows] = dz @ (w[d:] if sage else w).T
-                    if d_self is not None:
-                        d_self[rows] = dz @ w[:d].T
+                    if layer > 0:   # G = delta W_agg^T over S, delta W_self^T over H
+                        entry[-1][rows] = dz @ (w[d:] if sage else w).T
+                        if sage:
+                            entry[0][rows] = dz @ w[:d].T
                 del dz
-        entry = delta = u = carried = None
-        if g is None:
+        delta = u = carried = None
+        if layer == 0 and not narrow:
             break
-        u = p.matrix.T @ g
-        carried = (g if narrow else d_self) if sage else None
+        u = p.matrix.T @ entry[-1]
+        carried = entry[0] if sage else None
         if layer == 0:
             grads[0] = _narrow_grad(model, tape.features, carried, u)
-        g = d_self = None
     return loss, grads
 
 

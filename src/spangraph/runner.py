@@ -297,6 +297,7 @@ def run_training(cfg: RunConfig, graph: Graph | None = None) -> RunResult:
             diagnostics.append(_diagnostics_row(
                 cfg, g, model, p_full, p_train, active, probs, epoch,
                 peak.peak_directed_edges))
+        del p_train     # so the next epoch's build does not sit beside it
 
     proxy = memory_proxy(active_history, g.num_nodes, per_edge_bytes=8 * cfg.hidden_dim)
     result = RunResult(

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, config files, exit codes."""
 
 import itertools
+import os
 
 import pytest
 
@@ -35,6 +36,25 @@ class TestGenData:
         rc = run_cli("gen-data", "--kind", "sbm", "--nodes", "3",
                      "--classes", "5", "--out", str(tmp_path / "d"))
         assert rc == 1
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_gen_naming_another_kind_is_config_error(self, source, tmp_path, capsys):
+        args = ["--nodes", "300", "--out", str(tmp_path / "d")]
+        if source == "flag":
+            args += ["--gen", "preferential-attachment"]
+        else:
+            (tmp_path / "c.cfg").write_text("gen = preferential-attachment\n")
+            args += ["--config", str(tmp_path / "c.cfg")]
+        assert run_cli("gen-data", *args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "'preferential-attachment'" in err and "'sbm'" in err, err
+        assert not (tmp_path / "d").exists()
+
+    def test_gen_naming_the_same_kind_is_accepted(self, tmp_path):
+        assert run_cli("gen-data", "--gen", "preferential-attachment", "--kind",
+                       "preferential-attachment", "--nodes", "30", "--attach", "2",
+                       "--out", str(tmp_path / "d")) == 0
 
     def test_binary_features_flag(self, tmp_path):
         rc = run_cli("gen-data", "--kind", "sbm", "--nodes", "10",
@@ -287,12 +307,25 @@ class TestThreadCap:
         assert main(["gen-data", "--kind", "sbm", "--nodes", "10",
                      "--classes", "2", "--out", "/tmp/ignored"]) == 1
 
+    @pytest.mark.parametrize("cap", ["\u00b2", "\u0663", "\uff12", "0", "+2", "2.0"])
+    def test_a_cap_of_anything_but_ascii_digits_is_config_error(self, cap, monkeypatch,
+                                                                 tmp_path, capsys):
+        """Superscripts pass str.isdigit and Arabic-Indic digits pass int(),
+        but no BLAS reads either."""
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setenv("SPANGRAPH_THREADS", cap)
+        assert main(["gen-data", "--nodes", "10", "--classes", "2",
+                     "--out", str(tmp_path / "d")]) == 1
+        assert capsys.readouterr().err.startswith("config error: SPANGRAPH_THREADS")
+        assert "OMP_NUM_THREADS" not in os.environ
+
     def test_thread_cap_propagates(self, monkeypatch, tmp_path):
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
             monkeypatch.delenv(var, raising=False)
         monkeypatch.setenv("SPANGRAPH_THREADS", "2")
-        import os
         assert main(["gen-data", "--kind", "sbm", "--nodes", "10",
                      "--classes", "2", "--out", str(tmp_path / "d")]) == 0
         assert os.environ["OMP_NUM_THREADS"] == "2"

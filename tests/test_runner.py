@@ -102,6 +102,25 @@ class TestEvalRelease:
         assert len(refs) == 4 and len(alive) == 6 and not any(alive), alive
 
 
+class TestMatrixRelease:
+    @pytest.mark.parametrize("baseline", ["spangnn", "dropedge", "full"])
+    def test_no_earlier_epoch_matrix_is_alive_at_the_next_build(self, baseline, monkeypatch):
+        """Each epoch's propagation matrix dies before the next epoch builds
+        its own; only the setup's full-graph matrix lives through the run."""
+        refs, alive = [], []
+        build = runner.build_propagation
+
+        def watched_build(*args):
+            alive.extend(ref() is not None for ref in refs[1:])
+            p = build(*args)
+            refs.append(weakref.ref(p.matrix))
+            return p
+
+        monkeypatch.setattr(runner, "build_propagation", watched_build)
+        run_training(small_cfg(epochs=4, baseline=baseline, diag_every=2, diag_samples=2))
+        assert len(refs) == 1 + 4 and len(alive) == 6 and not any(alive), alive
+
+
 class TestDiagnosticsEmission:
     def test_diag_rows_written(self, tmp_path):
         cfg = small_cfg(epochs=10, diag_every=5, diag_samples=4,
