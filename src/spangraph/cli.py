@@ -132,6 +132,16 @@ def _on_off(value: str) -> bool:
     return value == "on"
 
 
+def _flag_value(action: argparse.Action):
+    """Value parser of a flag: its type, then its choices, as argparse applies them."""
+    def parse(text: str):
+        value = action.type(text)
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(text)
+        return value
+    return parse
+
+
 def _config_key_types() -> dict:
     """Config-file key -> value parser, one key per common flag and --variants.
 
@@ -140,7 +150,8 @@ def _config_key_types() -> dict:
     """
     probe = argparse.ArgumentParser(add_help=False)
     actions = _add_common_flags(probe) + [_add_variants_flag(probe)]
-    types = {a.dest: a.type for a in actions if a.dest not in ("config", "no_timings")}
+    types = {a.dest: _flag_value(a) for a in actions
+             if a.dest not in ("config", "no_timings")}
     types["timings"] = _on_off
     return types
 
@@ -286,12 +297,19 @@ def _cmd_bench_sampling(opts: dict) -> int:
     return 0
 
 
+# options gen-data reads besides the GeneratorSpec fields
+_GEN_DATA_READS = {"command", "config", "out", "kind", "gen", "binary_features"}
+
+
 def _cmd_gen_data(opts: dict) -> int:
     from .runner import make_out_dir
-    from .synthetic import generate_synthetic
+    from .synthetic import GeneratorSpec, generate_synthetic
     out = opts.get("out")
     if out is None:
         raise ConfigError("gen-data requires --out DIR")
+    unread = sorted(set(opts) - _GEN_DATA_READS - {f.name for f in fields(GeneratorSpec)})
+    if unread:
+        raise ConfigError(f"gen-data does not read {', '.join(unread)}")
     if opts.get("gen", opts["kind"]) != opts["kind"]:
         raise ConfigError(f"--gen {opts['gen']!r} names another kind than --kind {opts['kind']!r}")
     spec = _generator_spec(opts, opts["kind"])

@@ -337,7 +337,7 @@ def _diagnostics_row(cfg: RunConfig, g: Graph, model: GnnModel, p_full, p_train,
         probs = uniform_weights(g)
     var = embedding_variance(
         g, p_full, probs, max(1, active), cfg.diag_samples, g.features,
-        model.weights[0][: g.feature_dim, :],
+        model.weights[0][-g.feature_dim:, :],  # W_agg for sage, all of W for gcn
         seed=derive_seed(cfg.seed, epoch, "diag"),
     )
     sampler = cfg.sampler_kind if cfg.baseline == "spangnn" else cfg.baseline

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .graphstore import Graph, build_graph, canonicalize_edges, save_dataset
+from .graphstore import Graph, build_graph, save_dataset
 from .seeding import spawn_rng
 
 SBM = "sbm"
@@ -55,29 +55,37 @@ class GeneratorSpec:
             raise ConfigError(f"feature_noise must be finite and >= 0, got {self.feature_noise}")
 
 
+def _distinct_pairs(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """``count`` distinct pairs i < j of range(n), a uniform subset of all.
+
+    Draws distinct ranks r = j(j-1)/2 + i and unranks them in closed form
+    (Batagelj & Brandes, PRE 2005).  For n up to MAX_KEYED_NODES, rounding
+    moves the float root by under half its last place, so j overshoots by
+    at most one, just below a triangular rank, and one integer step fixes it.
+    """
+    r = rng.choice(n * (n - 1) // 2, size=count, replace=False, shuffle=False)
+    j = ((1.0 + np.sqrt(8.0 * r + 1.0)) // 2).astype(np.int64)
+    j -= j * (j - 1) // 2 > r
+    return np.stack([r - j * (j - 1) // 2, j], axis=1)
+
+
 def _sbm_edges(spec: GeneratorSpec, labels: np.ndarray,
                rng: np.random.Generator) -> np.ndarray:
-    """Bernoulli draw over all node pairs, block-pair by block-pair."""
-    blocks = [np.flatnonzero(labels == c) for c in range(spec.classes)]
+    """Independent Bernoulli(p) per node pair: each block pair (blocks are
+    contiguous) draws a Binomial count, then a uniform subset of that size."""
+    starts = np.searchsorted(labels, np.arange(spec.classes + 1)).tolist()
     chunks = []
     for a in range(spec.classes):
-        for b in range(a, spec.classes):
-            p = spec.p_in if a == b else spec.p_out
-            if p <= 0.0:
-                continue
-            na, nb = blocks[a], blocks[b]
-            if a == b:
-                iu, ju = np.triu_indices(na.size, k=1)
-                pairs = np.stack([na[iu], na[ju]], axis=1)
-            else:
-                pairs = np.stack(
-                    [np.repeat(na, nb.size), np.tile(nb, na.size)], axis=1
-                )
-            keep = rng.random(pairs.shape[0]) < p
-            chunks.append(pairs[keep])
-    if not chunks:
-        return np.zeros((0, 2), dtype=np.int64)
-    return np.concatenate(chunks, axis=0)
+        sa, na = starts[a], starts[a + 1] - starts[a]
+        pairs = na * (na - 1) // 2
+        chunks.append(sa + _distinct_pairs(rng, na, rng.binomial(pairs, spec.p_in)))
+        for b in range(a + 1, spec.classes):
+            sb, nb = starts[b], starts[b + 1] - starts[b]
+            ranks = rng.choice(na * nb, size=rng.binomial(na * nb, spec.p_out),
+                               replace=False, shuffle=False)
+            i, j = np.divmod(ranks, nb)
+            chunks.append(np.stack([sa + i, sb + j], axis=1))
+    return np.concatenate(chunks)
 
 
 def _preferential_attachment_edges(spec: GeneratorSpec,
@@ -148,25 +156,15 @@ def generate_synthetic(spec: GeneratorSpec, out_dir,
 def random_edge_graph(nodes: int, edges: int, seed: int = 0) -> Graph:
     """Uniform random graph used by the sampling benchmark harness.
 
-    Draws edges until ``edges`` distinct canonical pairs exist; features
-    and labels are placeholders (the benchmark only samples edges).
+    A uniform ``edges``-subset of all node pairs; features and labels are
+    placeholders (the benchmark only samples edges).
     """
     if nodes < 2:
         raise ConfigError("need at least 2 nodes")
-    max_edges = nodes * (nodes - 1) // 2
-    if edges > max_edges:
+    if edges > nodes * (nodes - 1) // 2:
         raise ConfigError(f"{edges} edges do not fit in a {nodes}-node simple graph")
-    rng = spawn_rng(seed, "random-edge-graph")
-    collected = np.zeros((0, 2), dtype=np.int64)
-    while collected.shape[0] < edges:
-        need = edges - collected.shape[0]
-        draw = rng.integers(0, nodes, size=(need + need // 4 + 16, 2))
-        draw = draw[draw[:, 0] != draw[:, 1]]
-        collected = canonicalize_edges(np.concatenate([collected, draw]), nodes)
-    # uniform subset of the collected pairs, not the lexicographically first
-    keep = rng.permutation(collected.shape[0])[:edges]
-    collected = collected[keep]
+    pairs = _distinct_pairs(spawn_rng(seed, "random-edge-graph"), nodes, edges)
     features = np.zeros((nodes, 1))
     labels = np.full(nodes, -1, dtype=np.int64)
     splits = np.full(nodes, "none", dtype=object).astype(str)
-    return build_graph(nodes, collected, features, labels, splits)
+    return build_graph(nodes, pairs, features, labels, splits)

@@ -63,6 +63,30 @@ class TestGenData:
         assert rc == 0
         assert (tmp_path / "d" / "features.bin").exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_options_it_does_not_read_are_config_error(self, source, tmp_path, capsys):
+        unread = ["--data", "/nonexistent", "--epochs", "5", "--baseline", "full",
+                  "--no-timings"]
+        if source == "config":
+            cfg = tmp_path / "gen.cfg"
+            cfg.write_text("data=/nonexistent\nepochs=5\nbaseline=full\ntimings=off\n")
+            unread = ["--config", str(cfg)]
+        rc = run_cli("gen-data", *unread, "--nodes", "30", "--out", str(tmp_path / "d"))
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "config error: gen-data does not read baseline, data, epochs, timings\n")
+        assert not (tmp_path / "d").exists()
+
+    def test_every_option_it_reads_is_accepted(self, tmp_path):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text("gen=preferential-attachment\nseed=4\n")
+        rc = run_cli("gen-data", "--config", str(cfg), "--kind", "preferential-attachment",
+                     "--nodes", "30", "--classes", "3", "--feature-dim", "2",
+                     "--p-in", "0.5", "--p-out", "0.1", "--attach", "2",
+                     "--feature-noise", "0.5", "--binary-features",
+                     "--out", str(tmp_path / "d"))
+        assert rc == 0
+
 
 class TestTrain:
     def test_train_on_generated_dataset(self, dataset_dir, tmp_path, capsys):
@@ -104,7 +128,9 @@ class TestTrain:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numerical_blowup_is_exit_three(self, dataset_dir, tmp_path):
-        rc = run_cli("train", "--data", str(dataset_dir), "--lr", "1e12",
+        # the first step scales the weights by about lr, so the second
+        # forward's logits (about lr**2) overflow before any relu can die
+        rc = run_cli("train", "--data", str(dataset_dir), "--lr", "1e200",
                      "--epochs", "60", "--hidden", "8",
                      "--out", str(tmp_path / "run"))
         assert rc == 3
@@ -180,6 +206,20 @@ class TestConfigFile:
 
     def test_missing_file_is_config_error(self, tmp_path):
         assert run_cli("train", "--config", str(tmp_path / "none.cfg")) == 1
+
+    @pytest.mark.parametrize("command", ["train", "compare", "sample-inspect",
+                                         "bench-sampling", "gen-data"])
+    @pytest.mark.parametrize("key", ["model", "sampler", "baseline"])
+    def test_a_value_outside_the_flags_choices_is_config_error(self, key, command,
+                                                                tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key}=foo\n")
+        rc = run_cli(command, "--config", str(cfg), "--gen", "sbm", "--nodes", "40",
+                     "--epochs", "2", "--s1", "20", "--s2", "5",
+                     "--out", str(tmp_path / "out"))
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"config error: {cfg}:1: bad value 'foo' for key {key!r}\n")
 
 
 class TestSampleInspect:

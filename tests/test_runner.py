@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from spangraph import graphstore, runner
+from spangraph.diagnostics import embedding_variance
 from spangraph.errors import ConfigError
 from spangraph.runner import (
     METRIC_COLUMNS,
@@ -144,6 +145,25 @@ class TestDiagnosticsEmission:
         monkeypatch.setattr(graphstore, "PropagationMatrix", counting)
         run_training(small_cfg(epochs=5, diag_every=1, diag_samples=2))
         assert len(built) == 5 + 1
+
+    def test_sage_var_xi_uses_the_aggregation_weights(self, monkeypatch):
+        """The estimator targets P X W, and for sage the W that multiplies
+        P H is W_agg, the lower block of the first layer's weights."""
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            return embedding_variance(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "embedding_variance", spy)
+        result = run_training(small_cfg(model="sage", epochs=1, diag_every=1,
+                                        diag_samples=3))
+        (args, kwargs), = calls
+        w_self, w_agg = np.split(result.model.weights[0], 2)
+        assert np.array_equal(args[6], w_agg)
+        var = {name: embedding_variance(*args[:6], w, **kwargs).estimator_variance
+               for name, w in (("agg", w_agg), ("self", w_self))}
+        assert result.diagnostics[0][-2] == repr(var["agg"]) != repr(var["self"])
 
 
 class TestCompare:

@@ -1,17 +1,49 @@
 """Synthetic dataset generation."""
 
+import math
+
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from spangraph.errors import ConfigError
-from spangraph.graphstore import load_dataset
+from spangraph.graphstore import MAX_KEYED_NODES, load_dataset
 from spangraph.runner import RunConfig, run_training
 from spangraph.synthetic import (
     GeneratorSpec,
+    _distinct_pairs,
     generate_synthetic,
     make_graph,
     random_edge_graph,
 )
+
+DESK = GeneratorSpec(kind="sbm", nodes=2000, classes=4, feature_dim=16,
+                     p_in=0.015, p_out=0.0015, feature_noise=3.0, seed=101)
+
+
+def pair_frequencies(graphs, n):
+    """Fraction of ``graphs`` that hold each pair i < j, as an n x n array."""
+    counts = np.zeros((n, n))
+    for g in graphs:
+        np.add.at(counts, (g.edges[:, 0], g.edges[:, 1]), 1)
+    return counts / len(graphs)
+
+
+def assert_within_4_se(freq, p, trials):
+    """Every frequency within 4 standard errors of its Bernoulli(p) mean."""
+    se = np.sqrt(p * (1 - p) / trials)
+    assert (np.abs(freq - p) <= 4 * se).all(), (freq, p)
+
+
+class _Ranks:
+    """Generator stand-in whose draw without replacement is the given ranks."""
+
+    def __init__(self, ranks):
+        self.ranks = np.asarray(ranks, dtype=np.int64)
+
+    def choice(self, a, size, replace, shuffle):
+        assert size == self.ranks.size and not replace and (self.ranks < a).all()
+        return self.ranks
 
 
 class TestGeneratorSpec:
@@ -65,6 +97,65 @@ class TestSbm:
             assert (g.train_mask & ids).sum() >= 1
             assert (g.val_mask & ids).sum() >= 1
 
+    def test_each_pair_has_its_blocks_probability(self):
+        """Over 3000 seeds of an 8-node, 2-block SBM every pair's inclusion
+        frequency matches p_in within a block and p_out across blocks."""
+        trials = 3000
+        graphs = [make_graph(GeneratorSpec(kind="sbm", nodes=8, classes=2, feature_dim=1,
+                                           p_in=0.3, p_out=0.1, seed=s))
+                  for s in range(trials)]
+        freq = pair_frequencies(graphs, 8)
+        i, j = np.triu_indices(8, k=1)
+        same = (i < 4) == (j < 4)
+        assert_within_4_se(freq[i[same], j[same]], 0.3, trials)
+        assert_within_4_se(freq[i[~same], j[~same]], 0.1, trials)
+
+    @pytest.mark.parametrize("nodes,classes", [(3, 3), (5, 4), (2, 2)])
+    def test_one_node_blocks_and_zero_probabilities(self, nodes, classes):
+        full = GeneratorSpec(kind="sbm", nodes=nodes, classes=classes, p_in=1.0, p_out=1.0)
+        assert make_graph(full).num_edges == nodes * (nodes - 1) // 2
+        empty = GeneratorSpec(kind="sbm", nodes=nodes, classes=classes, p_in=0.0, p_out=0.0)
+        assert make_graph(empty).num_edges == 0
+
+    def test_desk_graph_draws_only_what_it_keeps(self):
+        """Listing every pair of the 2k-node desk graph traced 14.4 MB."""
+        assert traced_peak(make_graph, DESK) < 2e6
+
+    def test_a_20k_node_sbm_of_average_degree_100(self):
+        """About 1M edges; enumerating its 2e8 pairs would take 3.2 GB."""
+        spec = GeneratorSpec(kind="sbm", nodes=20_000, classes=4, feature_dim=4,
+                             p_in=0.018, p_out=0.0006, seed=1)
+        graphs = []
+        peak = traced_peak(lambda: graphs.append(make_graph(spec)))
+        mean = 4 * math.comb(5000, 2) * 0.018 + 6 * 5000 ** 2 * 0.0006
+        assert abs(graphs[0].num_edges - mean) < 5 * math.sqrt(mean)
+        assert peak < 100e6
+
+
+class TestDistinctPairs:
+    @pytest.mark.parametrize("n", [2, 3, 7, 64])
+    def test_all_ranks_are_all_pairs(self, n):
+        pairs = _distinct_pairs(np.random.default_rng(0), n, n * (n - 1) // 2)
+        assert (pairs[:, 0] < pairs[:, 1]).all() and pairs.min() >= 0 and pairs.max() < n
+        i, j = np.triu_indices(n, k=1)
+        assert np.array_equal(np.unique(pairs, axis=0), np.stack([i, j], axis=1))
+
+    @pytest.mark.parametrize("n", [2, 3, 1000, 2**26, 2**31, MAX_KEYED_NODES])
+    def test_unranking_is_exact(self, n):
+        """Ranks 0, 1 and the last, and either side of 10k triangular ranks
+        t = j(j-1)/2, where the float root lands nearest an integer; past
+        n = 2**26, 8r + 1 no longer fits a float64 mantissa.  A rank is
+        r = j(j-1)/2 + i with 0 <= i < j, which pins the pair down, so the
+        check is exact in integers."""
+        top = n * (n - 1) // 2
+        j = np.random.default_rng(n).integers(2, n, size=10_000, endpoint=True)
+        ranks = np.concatenate([[0, 1, top - 1],
+                                ((j * (j - 1) // 2)[:, None] + [-1, 0, 1]).ravel()])
+        ranks = ranks[(ranks >= 0) & (ranks < top)]
+        i, j = _distinct_pairs(_Ranks(ranks), n, ranks.size).T
+        assert (0 <= i).all() and (i < j).all() and (j < n).all()
+        assert np.array_equal(j * (j - 1) // 2 + i, ranks)
+
 
 class TestPreferentialAttachment:
     def test_edge_count_and_hubs(self):
@@ -106,6 +197,15 @@ class TestRandomEdgeGraph:
         g = random_edge_graph(1000, 5000, seed=0)
         assert g.num_edges == 5000
         assert g.edges.max() < 1000
+
+    def test_a_uniform_subset_of_all_pairs(self):
+        """Each of the 15 pairs of 6 nodes is in a 5-edge graph with
+        probability 5/15."""
+        trials = 3000
+        graphs = [random_edge_graph(6, 5, seed=s) for s in range(trials)]
+        assert all(g.num_edges == 5 for g in graphs)
+        i, j = np.triu_indices(6, k=1)
+        assert_within_4_se(pair_frequencies(graphs, 6)[i, j], 5 / 15, trials)
 
     def test_too_dense_rejected(self):
         with pytest.raises(ConfigError, match="do not fit"):
