@@ -250,12 +250,13 @@ def _cmd_sample_inspect(opts: dict) -> int:
     from .gnn import PROPAGATION_KIND
     from .graphstore import SpanningSubgraph, build_propagation
     from .runner import load_run_graph, make_out_dir
-    from .sampler import make_weights
+    from .sampler import GNR, make_weights
     cfg = _build_run_config(opts)
     g = load_run_graph(cfg)
     if g.num_edges == 0:
         raise DataError("the graph has no edges to weight")
-    p_full = build_propagation(SpanningSubgraph.full(g), PROPAGATION_KIND[cfg.layer_type])
+    p_full = (build_propagation(SpanningSubgraph.full(g), PROPAGATION_KIND[cfg.layer_type])
+              if cfg.sampler_kind == GNR else None)     # only gnr weights read P
     probs = make_weights(cfg.sampler_kind, g, p_full)
     norm = probs.normalized()
     lines = ["edge_index,u,v,weight,normalized_prob"]
@@ -297,19 +298,12 @@ def _cmd_bench_sampling(opts: dict) -> int:
     return 0
 
 
-# options gen-data reads besides the GeneratorSpec fields
-_GEN_DATA_READS = {"command", "config", "out", "kind", "gen", "binary_features"}
-
-
 def _cmd_gen_data(opts: dict) -> int:
     from .runner import make_out_dir
-    from .synthetic import GeneratorSpec, generate_synthetic
+    from .synthetic import generate_synthetic
     out = opts.get("out")
     if out is None:
         raise ConfigError("gen-data requires --out DIR")
-    unread = sorted(set(opts) - _GEN_DATA_READS - {f.name for f in fields(GeneratorSpec)})
-    if unread:
-        raise ConfigError(f"gen-data does not read {', '.join(unread)}")
     if opts.get("gen", opts["kind"]) != opts["kind"]:
         raise ConfigError(f"--gen {opts['gen']!r} names another kind than --kind {opts['kind']!r}")
     spec = _generator_spec(opts, opts["kind"])
@@ -318,6 +312,22 @@ def _cmd_gen_data(opts: dict) -> int:
     print(f"wrote {spec.kind} dataset to {out}: {g.num_nodes} nodes, "
           f"{g.num_edges} edges, {g.num_classes} classes")
     return 0
+
+
+def _reads(command: str) -> set:
+    """Options ``command`` reads; ``main`` refuses any other that is set."""
+    from .synthetic import GeneratorSpec
+    generator = {f.name for f in fields(GeneratorSpec)} - {"kind"}
+    source = {"data", "edges", "features", "labels", "splits", "gen"} | generator
+    run = set(_config_key_types()) - {"variants"}
+    return {"command", "config"} | {
+        "train": run,
+        "compare": run | {"variants"},
+        "sample-inspect": source | {"model", "sampler", "out"},
+        "bench-sampling": source | {"sampler", "s1", "s2", "bench_nodes",
+                                    "bench_edges", "runs"},
+        "gen-data": generator | {"out", "kind", "gen", "binary_features"},
+    }[command]
 
 
 _DISPATCH = {
@@ -334,7 +344,11 @@ def main(argv=None) -> int:
         _apply_thread_cap()
         parser = build_parser()
         args = parser.parse_args(argv)
-        return _DISPATCH[args.command](_options(args))
+        opts = _options(args)
+        unread = sorted(set(opts) - _reads(args.command))
+        if unread:
+            raise ConfigError(f"{args.command} does not read {', '.join(unread)}")
+        return _DISPATCH[args.command](opts)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

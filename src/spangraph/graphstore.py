@@ -477,12 +477,16 @@ def build_propagation(sub: SpanningSubgraph, kind: str) -> PropagationMatrix:
     self-loop per node.  Degrees are recomputed from the active edge set
     only, so an empty subgraph yields an identity-like self-loop matrix.
 
-    Each canonical edge's value is computed once and serves both
-    directions.  The coordinates are int32 (int64 only when n >= 2**31)
-    and listed as the (v, u) half, the self-loops, then the (u, v) half.
-    Since the canonical edges are sorted by (u, v), row r then reads its
-    columns u < r in ascending order, then r, then v > r: already the
-    canonical CSR order, so the conversion needs no sort pass.
+    The build places the pattern first and the values second.  scipy's
+    COO-to-CSR counting sort receives the int32 coordinates (int64 only
+    when n >= 2**31) with one-byte boolean data, listed as the (v, u) half,
+    the self-loops, then the (u, v) half.  The canonical edges are sorted
+    by (u, v), so row r reads its columns u < r in ascending order, then r,
+    then v > r: already canonical, and the conversion needs no sort pass.
+    Once the coordinates are freed, dhat(r) is row r's length, and the
+    values are filled in place from (row, column): dhat(r) * dhat(c)
+    through a square root and a reciprocal for ``gcn-symmetric``,
+    1 / dhat(r) for ``mean-row``.
     """
     if kind not in PROPAGATION_KINDS:
         raise ValueError(f"unknown propagation kind {kind!r}")
@@ -492,24 +496,26 @@ def build_propagation(sub: SpanningSubgraph, kind: str) -> PropagationMatrix:
     active = np.compress(sub.mask, g.edges, axis=0).astype(index)
     u, v = active[:, 0], active[:, 1]
     loops = np.arange(n, dtype=index)
-    dhat = (np.bincount(u, minlength=n) + np.bincount(v, minlength=n)).astype(np.float64) + 1.0
-    if kind == GCN_SYMMETRIC:
-        lower = upper = dhat[u]         # one array serves both directions
-        upper *= dhat[v]
-        np.divide(1.0, np.sqrt(upper, out=upper), out=upper)
-        on_loops = 1.0 / np.sqrt(dhat * dhat)
-    else:
-        on_loops = 1.0 / dhat
-        lower, upper = on_loops[v], on_loops[u]
-    vals = np.concatenate([lower, on_loops, upper])
     rows = np.concatenate([v, loops, u])
     cols = np.concatenate([u, loops, v])
-    del active, u, v, loops, dhat, lower, on_loops, upper
-    matrix = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    del active, u, v, loops
+    matrix = sp.csr_matrix((np.ones(rows.size, dtype=bool), (rows, cols)), shape=(n, n))
+    del rows, cols
+    rowlen = np.diff(matrix.indptr)
+    dhat = rowlen.astype(np.float64)
+    matrix.data = data = np.repeat(dhat, rowlen)    # drops the boolean pattern
+    if kind == GCN_SYMMETRIC:
+        indices = matrix.indices
+        for start in range(0, data.size, 1 << 16):    # no nnz-sized temporary
+            stop = start + (1 << 16)
+            data[start:stop] *= dhat[indices[start:stop]]
+        np.sqrt(data, out=data)
+    np.divide(1.0, data, out=data)
     return PropagationMatrix(matrix)
 
 
 def column_norms(p: PropagationMatrix) -> np.ndarray:
-    """Per-node L2 norm of the propagation matrix columns."""
-    sq = p.matrix.multiply(p.matrix).sum(axis=0)
-    return np.sqrt(np.asarray(sq).ravel())
+    """Per-node L2 norm of the propagation matrix columns, summed in the
+    storage order of ``ones @ P.multiply(P)``, so bitwise the same."""
+    m = p.matrix
+    return np.sqrt(np.bincount(m.indices, weights=m.data * m.data, minlength=m.shape[1]))

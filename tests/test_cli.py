@@ -5,9 +5,10 @@ import os
 
 import pytest
 
-from spangraph import runner
-from spangraph.cli import _config_key_types, main, parse_config_file
+from spangraph import graphstore, runner
+from spangraph.cli import _config_key_types, _reads, main, parse_config_file
 from spangraph.errors import ConfigError
+from spangraph.graphstore import build_propagation
 
 
 def run_cli(*argv):
@@ -248,6 +249,20 @@ class TestSampleInspect:
         text = (tmp_path / "ins" / "sample_inspect.csv").read_text()
         assert text.startswith("edge_index,u,v,weight,normalized_prob")
 
+    @pytest.mark.parametrize("sampler,builds", [("vm", 0), ("uniform", 0), ("gnr", 1)])
+    def test_builds_the_full_matrix_only_for_gnr(self, sampler, builds, dataset_dir,
+                                                  monkeypatch, capsys):
+        calls = []
+
+        def counted(sub, kind):
+            calls.append(kind)
+            return build_propagation(sub, kind)
+
+        monkeypatch.setattr(graphstore, "build_propagation", counted)
+        assert run_cli("sample-inspect", "--data", str(dataset_dir), "--sampler", sampler) == 0
+        assert len(calls) == builds
+        assert capsys.readouterr().out.startswith("edge_index,u,v,weight,normalized_prob\n")
+
 
 class TestCompareCli:
     def test_compare_runs_and_prints_summary(self, dataset_dir, tmp_path, capsys):
@@ -302,6 +317,74 @@ class TestBenchSamplingCli:
         out = capsys.readouterr().out
         assert out.startswith("method,run,elapsed_ms")
         assert "speedup" in out
+
+
+class TestUnreadOptions:
+    """Every subcommand refuses, and names, each option it does not read,
+    whether a flag or a config key sets it, before it reads any data."""
+
+    @pytest.mark.parametrize("command,argv,named", [
+        ("sample-inspect", "--gen sbm --nodes 30 --epochs 5 --alpha-up 0.3 "
+         "--baseline full --lr 9 --no-timings", "alpha_up, baseline, epochs, lr, timings"),
+        ("bench-sampling", "--bench-nodes 2000 --bench-edges 20000 --s1 400 --s2 100 "
+         "--runs 1 --epochs 5 --baseline dropedge --hidden 3 --lr 9 --diag-every 4 "
+         "--out {out}", "baseline, diag_every, epochs, hidden, lr, out"),
+    ])
+    def test_flags(self, command, argv, named, tmp_path, capsys):
+        rc = run_cli(command, *argv.format(out=tmp_path / "out").split())
+        assert rc == 1
+        assert capsys.readouterr().err == f"config error: {command} does not read {named}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,keys,named", [
+        ("train", "variants=spangnn-vm,full\n", "variants"),
+        ("sample-inspect", "alpha_up=0.3\nbeta=0.2\ns1=5\ns2=2\nlayers=3\n"
+         "diag_every=1\ndiag_samples=2\nvariants=full\n",
+         "alpha_up, beta, diag_every, diag_samples, layers, s1, s2, variants"),
+        ("bench-sampling", "model=sage\nout=x\ntimings=off\nepochs=2\n",
+         "epochs, model, out, timings"),
+        ("gen-data", "sampler=gnr\nhidden=4\n", "hidden, sampler"),
+    ])
+    def test_config_keys(self, command, keys, named, dataset_dir, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"data={dataset_dir}\n" * (command != "gen-data") + keys)
+        out = ["--out", str(tmp_path / "out")] * (command in ("train", "gen-data"))
+        capsys.readouterr()
+        assert run_cli(command, "--config", str(cfg), *out) == 1
+        assert capsys.readouterr().err == f"config error: {command} does not read {named}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_compare_reads_every_config_key(self):
+        assert set(_config_key_types()) <= _reads("compare")
+
+    def test_sample_inspect_accepts_every_option_it_reads(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("gen=sbm\nseed=4\n")
+        assert run_cli("sample-inspect", "--config", str(cfg), "--nodes", "30",
+                       "--classes", "3", "--feature-dim", "2", "--p-in", "0.5",
+                       "--p-out", "0.1", "--attach", "2", "--feature-noise", "0.5",
+                       "--model", "sage", "--sampler", "gnr",
+                       "--out", str(tmp_path / "d")) == 0
+
+    def test_bench_sampling_accepts_every_option_it_reads(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("gen=sbm\nseed=4\n")
+        assert run_cli("bench-sampling", "--config", str(cfg), "--nodes", "60",
+                       "--classes", "3", "--feature-dim", "2", "--p-in", "0.5",
+                       "--p-out", "0.1", "--attach", "2", "--feature-noise", "0.5",
+                       "--sampler", "gnr", "--s1", "20", "--s2", "5", "--runs", "1",
+                       "--bench-nodes", "100", "--bench-edges", "200") == 0
+        assert "speedup" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv,fault", [
+        ("--nodes 60", "s1=10000"),
+        ("--nodes 60 --s1 0", "s1=0"),
+        ("--nodes 60 --s1 20 --s2 5 --runs 0", "runs must be >= 1"),
+    ])
+    def test_bench_sampling_names_its_own_faults(self, argv, fault, capsys):
+        assert run_cli("bench-sampling", "--gen", "sbm", *argv.split()) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and fault in err, err
 
 
 class TestInputErrors:

@@ -363,6 +363,65 @@ class TestBuildMatchesCooReference:
                 assert got.data.tobytes() == want.data.tobytes()
 
 
+def triplet_build(sub, kind):
+    """The build as int32 COO triplets carrying their values, listed as the
+    (v, u) half, the self-loops, then the (u, v) half, each canonical
+    edge's value computed once for both directions."""
+    g = sub.parent
+    n = g.num_nodes
+    active = g.edges[sub.mask].astype(np.int32)
+    u, v = active[:, 0], active[:, 1]
+    loops = np.arange(n, dtype=np.int32)
+    dhat = (np.bincount(u, minlength=n) + np.bincount(v, minlength=n)).astype(np.float64) + 1.0
+    if kind == GCN_SYMMETRIC:
+        lower = upper = 1.0 / np.sqrt(dhat[u] * dhat[v])
+        on_loops = 1.0 / np.sqrt(dhat * dhat)
+    else:
+        on_loops = 1.0 / dhat
+        lower, upper = on_loops[v], on_loops[u]
+    vals = np.concatenate([lower, on_loops, upper])
+    rows = np.concatenate([v, loops, u])
+    cols = np.concatenate([u, loops, v])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+class TestBuildMatchesTripletBuild:
+    """Placing a boolean pattern and filling its values in place gives the
+    triplet build's matrix bitwise, and ``column_norms`` gives scipy's
+    column sums of squares bitwise."""
+
+    @staticmethod
+    def subgraphs(pa3k):
+        rng = np.random.default_rng(31)
+        # about 148k entries in full, so the gcn fill crosses two slice bounds
+        sbm = make_graph(GeneratorSpec(kind="sbm", nodes=2000, classes=3, feature_dim=4,
+                                       p_in=0.1, p_out=0.005, seed=8))
+        for g in (pa3k, sbm):
+            m = g.num_edges
+            yield SpanningSubgraph.empty(g)
+            yield SpanningSubgraph.from_indices(g, [int(rng.integers(m))])
+            for fraction in (0.05, 0.25):
+                yield SpanningSubgraph(g, rng.random(m) < fraction)
+            yield SpanningSubgraph.full(g)
+        yield SpanningSubgraph.full(graph_from_edges(30, [[0, 1], [1, 2], [5, 9]]))
+        for n in (0, 1):
+            yield SpanningSubgraph.full(graph_from_edges(n, []))
+
+    @pytest.mark.parametrize("kind", [GCN_SYMMETRIC, MEAN_ROW])
+    def test_bitwise_equal_on_every_subgraph(self, kind, pa3k):
+        for sub in self.subgraphs(pa3k):
+            p = build_propagation(sub, kind)
+            got, want = p.matrix, triplet_build(sub, kind)
+            assert got.has_canonical_format
+            assert got.indices.dtype == got.indptr.dtype == np.int32
+            assert got.data.dtype == np.float64
+            assert got.indptr.tobytes() == want.indptr.tobytes()
+            assert got.indices.tobytes() == want.indices.tobytes()
+            assert got.data.tobytes() == want.data.tobytes()
+            squares = np.asarray(want.multiply(want).sum(axis=0)).ravel()
+            assert column_norms(p).tobytes() == np.sqrt(squares).tobytes()
+
+
 class TestColumnNorms:
     def test_identity_norms_are_one(self, triangle):
         p = build_propagation(SpanningSubgraph.empty(triangle), MEAN_ROW)
