@@ -203,8 +203,12 @@ _RUN_FIELDS = {
 
 
 def _generator_spec(opts: dict, kind: str):
-    """GeneratorSpec of the given kind from the options that name its fields."""
-    from .synthetic import GeneratorSpec
+    """GeneratorSpec of the given kind from the options that name its fields;
+    refuses the fields only the other kind reads."""
+    from .synthetic import SBM, GeneratorSpec
+    unread = sorted(({"attach"} if kind == SBM else {"p_in", "p_out"}) & set(opts))
+    if unread:
+        raise ConfigError(f"the {kind} generator does not read {', '.join(unread)}")
     names = {f.name for f in fields(GeneratorSpec)} - {"kind"}
     return GeneratorSpec(kind=kind, **{k: v for k, v in opts.items() if k in names})
 
@@ -314,19 +318,22 @@ def _cmd_gen_data(opts: dict) -> int:
     return 0
 
 
-def _reads(command: str) -> set:
-    """Options ``command`` reads; ``main`` refuses any other that is set."""
+def _reads(command: str, generated: bool = True) -> set:
+    """Options ``command`` reads; ``main`` refuses any other that is set.
+    Only gen-data and a ``generated`` dataset read the generator's fields;
+    runs and benches read ``seed`` in any case."""
     from .synthetic import GeneratorSpec
-    generator = {f.name for f in fields(GeneratorSpec)} - {"kind"}
+    spec_fields = {f.name for f in fields(GeneratorSpec)} - {"kind"}
+    generator = spec_fields if generated else set()
     source = {"data", "edges", "features", "labels", "splits", "gen"} | generator
-    run = set(_config_key_types()) - {"variants"}
+    run = (set(_config_key_types()) - {"variants"} - spec_fields) | generator | {"seed"}
     return {"command", "config"} | {
         "train": run,
         "compare": run | {"variants"},
         "sample-inspect": source | {"model", "sampler", "out"},
-        "bench-sampling": source | {"sampler", "s1", "s2", "bench_nodes",
+        "bench-sampling": source | {"seed", "sampler", "s1", "s2", "bench_nodes",
                                     "bench_edges", "runs"},
-        "gen-data": generator | {"out", "kind", "gen", "binary_features"},
+        "gen-data": spec_fields | {"out", "kind", "gen", "binary_features"},
     }[command]
 
 
@@ -345,7 +352,7 @@ def main(argv=None) -> int:
         parser = build_parser()
         args = parser.parse_args(argv)
         opts = _options(args)
-        unread = sorted(set(opts) - _reads(args.command))
+        unread = sorted(set(opts) - _reads(args.command, "gen" in opts))
         if unread:
             raise ConfigError(f"{args.command} does not read {', '.join(unread)}")
         return _DISPATCH[args.command](opts)

@@ -46,11 +46,17 @@ or delta W_agg^T over S and sage's delta W_self^T over H (recomputation
 and memory sharing, Chen et al., *Training Deep Nets with Sublinear Memory
 Cost*, 2016).  So it holds nothing beside the tape, delta and U = P^T G;
 an aggregate-first layer 0 writes nothing, as its entry may hold the
-features.  It propagates with the tape's P, the matrix the forward pass
-used.  Blocks leave the logits as a whole-matrix pass computes them, save
-where the BLAS picks another kernel for a block than for the whole product
-(last bits only); weight gradients are sums over blocks, so past ROW_BLOCK
-rows their last bits move.
+features or a cached P X.  It propagates with the tape's P, the matrix the
+forward pass used.  Blocks leave the logits as a whole-matrix pass computes
+them, save where the BLAS picks another kernel for a block than for the
+whole product (last bits only); weight gradients are sums over blocks, so
+past ROW_BLOCK rows their last bits move.
+Eval runs every epoch over the same full-graph P and features, so a run
+forms an aggregate-first layer 0's P X once (``input_aggregate``, as SGC
+precomputes its propagation: Wu et al., *Simplifying Graph Convolutional
+Networks*, ICML 2019) and each eval forward reads it, read-only, in place of
+that product.  Training forwards form it anew, as their P changes every
+epoch.
 The loss is mean softmax cross-entropy over the training nodes, computed
 in place in one gathered copy of their logits.
 Updates are plain gradient descent, W -= lr * grad, no momentum and no
@@ -204,14 +210,33 @@ def init_model(layer_type: str, in_dim: int, hidden_dim: int, out_dim: int,
     return GnnModel(layer_type=layer_type, weights=weights)
 
 
-def forward(model: GnnModel, p: PropagationMatrix,
-            features: np.ndarray) -> BackwardTape:
+def input_aggregate(model: GnnModel, p: PropagationMatrix,
+                    features: np.ndarray) -> np.ndarray | None:
+    """Layer 0's S = P X, read-only, for every forward over the same P and
+    features to reuse; None when layer 0 transforms first, as its first
+    sparse product then reads the weights."""
+    if transforms_first(model, 0):
+        return None
+    s = p.matrix @ np.asarray(features, dtype=np.float64)
+    s.flags.writeable = False
+    return s
+
+
+def forward(model: GnnModel, p: PropagationMatrix, features: np.ndarray,
+            aggregate: np.ndarray | None = None) -> BackwardTape:
     """Full-batch forward pass; returns the backward tape, which holds P, each
     layer's narrow products and the logits.  Eval reads the logits and drops
-    the rest."""
+    the rest.  ``aggregate``, from ``input_aggregate`` over the same P and
+    features, stands in for layer 0's P X."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("features must be a 2-d matrix")
+    if aggregate is not None:
+        if transforms_first(model, 0):
+            raise ValueError("layer 0 transforms first, so it reads no input aggregate")
+        if aggregate.shape != x.shape:
+            raise ValueError(f"input aggregate shape {aggregate.shape} does not match "
+                             f"the features' {x.shape}")
     width = x.shape[1]
     for layer, w in enumerate(model.weights):
         if width != model.input_dim(layer):
@@ -222,7 +247,7 @@ def forward(model: GnnModel, p: PropagationMatrix,
     saved = []
     parts = _operands(model, 0, x)
     for layer in range(model.num_layers):
-        s = p.matrix @ parts[0]
+        s = p.matrix @ parts[0] if layer or aggregate is None else aggregate
         if transforms_first(model, layer):
             if len(parts) > 1:
                 s += parts[1]       # sage's self term

@@ -112,7 +112,7 @@ def _preferential_attachment_edges(spec: GeneratorSpec,
 
 def _stratified_splits(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """60/20/20 per class; train always gets at least one node per class."""
-    splits = np.full(labels.shape[0], "none", dtype=object)
+    splits = np.full(labels.shape[0], "none", dtype="<U5")
     for c in np.unique(labels):
         ids = np.flatnonzero(labels == c)
         ids = ids[rng.permutation(ids.size)]
@@ -121,7 +121,7 @@ def _stratified_splits(labels: np.ndarray, rng: np.random.Generator) -> np.ndarr
         splits[ids[:n_train]] = "train"
         splits[ids[n_train:n_train + n_val]] = "val"
         splits[ids[n_train + n_val:]] = "test"
-    return splits.astype(str)
+    return splits
 
 
 def make_graph(spec: GeneratorSpec) -> Graph:
@@ -166,5 +166,5 @@ def random_edge_graph(nodes: int, edges: int, seed: int = 0) -> Graph:
     pairs = _distinct_pairs(spawn_rng(seed, "random-edge-graph"), nodes, edges)
     features = np.zeros((nodes, 1))
     labels = np.full(nodes, -1, dtype=np.int64)
-    splits = np.full(nodes, "none", dtype=object).astype(str)
+    splits = np.full(nodes, "none")
     return build_graph(nodes, pairs, features, labels, splits)

@@ -15,6 +15,11 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+# the generator flags only one kind reads
+KIND_FLAGS = {"sbm": ["--p-in", "0.5", "--p-out", "0.1"],
+              "preferential-attachment": ["--attach", "2"]}
+
+
 @pytest.fixture
 def dataset_dir(tmp_path):
     rc = run_cli("gen-data", "--kind", "sbm", "--nodes", "50", "--classes", "2",
@@ -79,14 +84,14 @@ class TestGenData:
         assert not (tmp_path / "d").exists()
 
     def test_every_option_it_reads_is_accepted(self, tmp_path):
-        cfg = tmp_path / "gen.cfg"
-        cfg.write_text("gen=preferential-attachment\nseed=4\n")
-        rc = run_cli("gen-data", "--config", str(cfg), "--kind", "preferential-attachment",
-                     "--nodes", "30", "--classes", "3", "--feature-dim", "2",
-                     "--p-in", "0.5", "--p-out", "0.1", "--attach", "2",
-                     "--feature-noise", "0.5", "--binary-features",
-                     "--out", str(tmp_path / "d"))
-        assert rc == 0
+        for kind, knobs in KIND_FLAGS.items():
+            cfg = tmp_path / "gen.cfg"
+            cfg.write_text(f"gen={kind}\nseed=4\n")
+            rc = run_cli("gen-data", "--config", str(cfg), "--kind", kind,
+                         "--nodes", "30", "--classes", "3", "--feature-dim", "2",
+                         *knobs, "--feature-noise", "0.5", "--binary-features",
+                         "--out", str(tmp_path / kind))
+            assert rc == 0, kind
 
 
 class TestTrain:
@@ -329,6 +334,13 @@ class TestUnreadOptions:
         ("bench-sampling", "--bench-nodes 2000 --bench-edges 20000 --s1 400 --s2 100 "
          "--runs 1 --epochs 5 --baseline dropedge --hidden 3 --lr 9 --diag-every 4 "
          "--out {out}", "baseline, diag_every, epochs, hidden, lr, out"),
+        # generator options without --gen
+        ("sample-inspect", "--data /nonexistent --nodes 500 --attach 9 --sampler vm",
+         "attach, nodes"),
+        ("sample-inspect", "--data /nonexistent --seed 3", "seed"),
+        ("train", "--data /nonexistent --nodes 500 --p-in 0.3 --out {out}", "nodes, p_in"),
+        ("compare", "--data /nonexistent --feature-noise 2 --out {out}", "feature_noise"),
+        ("bench-sampling", "--nodes 60 --classes 3", "classes, nodes"),
     ])
     def test_flags(self, command, argv, named, tmp_path, capsys):
         rc = run_cli(command, *argv.format(out=tmp_path / "out").split())
@@ -344,6 +356,7 @@ class TestUnreadOptions:
         ("bench-sampling", "model=sage\nout=x\ntimings=off\nepochs=2\n",
          "epochs, model, out, timings"),
         ("gen-data", "sampler=gnr\nhidden=4\n", "hidden, sampler"),
+        ("train", "nodes=500\np_out=0.1\n", "nodes, p_out"),
     ])
     def test_config_keys(self, command, keys, named, dataset_dir, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
@@ -358,23 +371,24 @@ class TestUnreadOptions:
         assert set(_config_key_types()) <= _reads("compare")
 
     def test_sample_inspect_accepts_every_option_it_reads(self, tmp_path):
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text("gen=sbm\nseed=4\n")
-        assert run_cli("sample-inspect", "--config", str(cfg), "--nodes", "30",
-                       "--classes", "3", "--feature-dim", "2", "--p-in", "0.5",
-                       "--p-out", "0.1", "--attach", "2", "--feature-noise", "0.5",
-                       "--model", "sage", "--sampler", "gnr",
-                       "--out", str(tmp_path / "d")) == 0
+        for kind, knobs in KIND_FLAGS.items():
+            cfg = tmp_path / "c.cfg"
+            cfg.write_text(f"gen={kind}\nseed=4\n")
+            assert run_cli("sample-inspect", "--config", str(cfg), "--nodes", "30",
+                           "--classes", "3", "--feature-dim", "2", *knobs,
+                           "--feature-noise", "0.5", "--model", "sage", "--sampler", "gnr",
+                           "--out", str(tmp_path / kind)) == 0, kind
 
     def test_bench_sampling_accepts_every_option_it_reads(self, tmp_path, capsys):
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text("gen=sbm\nseed=4\n")
-        assert run_cli("bench-sampling", "--config", str(cfg), "--nodes", "60",
-                       "--classes", "3", "--feature-dim", "2", "--p-in", "0.5",
-                       "--p-out", "0.1", "--attach", "2", "--feature-noise", "0.5",
-                       "--sampler", "gnr", "--s1", "20", "--s2", "5", "--runs", "1",
-                       "--bench-nodes", "100", "--bench-edges", "200") == 0
-        assert "speedup" in capsys.readouterr().out
+        for kind, knobs in KIND_FLAGS.items():
+            cfg = tmp_path / "c.cfg"
+            cfg.write_text(f"gen={kind}\nseed=4\n")
+            assert run_cli("bench-sampling", "--config", str(cfg), "--nodes", "60",
+                           "--classes", "3", "--feature-dim", "2", *knobs,
+                           "--feature-noise", "0.5", "--sampler", "gnr", "--s1", "20",
+                           "--s2", "5", "--runs", "1", "--bench-nodes", "100",
+                           "--bench-edges", "200") == 0, kind
+            assert "speedup" in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv,fault", [
         ("--nodes 60", "s1=10000"),
@@ -385,6 +399,29 @@ class TestUnreadOptions:
         assert run_cli("bench-sampling", "--gen", "sbm", *argv.split()) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and fault in err, err
+
+
+class TestGeneratorKinds:
+    """Each generator kind refuses, by name, the options only the other reads."""
+
+    @pytest.mark.parametrize("argv,message", [
+        ("train --gen sbm --attach 9 --out {out}", "the sbm generator does not read attach"),
+        ("sample-inspect --gen preferential-attachment --p-in 0.3 --p-out 0.1",
+         "the preferential-attachment generator does not read p_in, p_out"),
+        ("gen-data --kind sbm --attach 3 --out {out}",
+         "the sbm generator does not read attach"),
+        ("gen-data --kind preferential-attachment --p-out 0.1 --out {out}",
+         "the preferential-attachment generator does not read p_out"),
+        ("train --config {cfg} --out {out}",
+         "the preferential-attachment generator does not read p_in"),
+    ])
+    def test_options_of_the_other_kind(self, argv, message, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("gen=preferential-attachment\np_in=0.2\n")
+        argv = argv.format(cfg=cfg, out=tmp_path / "out")
+        assert run_cli(*argv.split()) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestInputErrors:
@@ -416,12 +453,13 @@ class TestInputErrors:
         (tmp_path / "file").write_bytes(b"")
         argv = argv.format(bad_data=dataset_dir, bad_config=tmp_path / "bad.cfg",
                            file=tmp_path / "file")
-        out = [] if "--out" in argv else ["--out", str(tmp_path / "out")]
+        reads_out = "out" in _reads(argv.split()[0]) and "--out" not in argv
+        out = ["--out", str(tmp_path / "out")] * reads_out
         capsys.readouterr()
         assert run_cli(*argv.split(), *out) == code
         err = capsys.readouterr().err
         assert err.startswith(prefix)
-        assert "Traceback" not in err
+        assert "Traceback" not in err and "does not read" not in err, err
 
 
 class TestThreadCap:

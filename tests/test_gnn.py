@@ -15,6 +15,7 @@ from spangraph.gnn import (
     GnnModel,
     forward,
     init_model,
+    input_aggregate,
     load_weights,
     loss_and_backward,
     macro_f1,
@@ -458,6 +459,70 @@ class TestEvalForward:
         step_peak = traced_peak(train_step, model, p_full, g.features, g.labels,
                                 g.train_mask, 0.1)
         assert eval_peak <= step_peak, (eval_peak, step_peak)
+
+
+class TestInputAggregate:
+    """Eval reads layer 0's P X from ``input_aggregate``: the logits are bitwise
+    those of a forward that forms it, and nothing writes over it."""
+
+    @pytest.mark.parametrize("layer_type", ["gcn", "sage-mean"])
+    @pytest.mark.parametrize("widths", [(3, 4), (3, 5, 2), (3, 5, 5, 2)], ids=widths_id)
+    @pytest.mark.parametrize("nodes", [40, 2 * gnn.ROW_BLOCK + 100])
+    def test_logits_match_a_forward_that_forms_it_bitwise(self, layer_type, widths, nodes):
+        g = make_graph(GeneratorSpec(kind="sbm", nodes=nodes, classes=widths[-1],
+                                     feature_dim=widths[0], seed=5, p_in=0.3 * 40 / nodes,
+                                     p_out=0.05 * 40 / nodes))
+        kind = GCN_SYMMETRIC if layer_type == "gcn" else MEAN_ROW
+        p = build_propagation(SpanningSubgraph.full(g), kind)
+        model = model_with_widths(layer_type, widths, seed=9)
+        cached = input_aggregate(model, p, g.features)
+        assert not cached.flags.writeable
+        assert cached.tobytes() == (p.matrix @ g.features).tobytes()
+        got = forward(model, p, g.features, cached).logits
+        assert got.tobytes() == forward(model, p, g.features).logits.tobytes()
+        zeros = np.zeros_like(cached)   # read in place of P X, not beside it
+        assert forward(model, p, g.features, zeros).logits.tobytes() != got.tobytes()
+
+    @pytest.mark.parametrize("layer_type", ["gcn", "sage-mean"])
+    def test_a_transform_first_layer_0_has_none(self, layer_type):
+        """Features of width 64 meet hidden 16, so layer 0 transforms first."""
+        g = make_graph(GeneratorSpec(kind="sbm", nodes=60, classes=3, feature_dim=64,
+                                     seed=2, p_in=0.3, p_out=0.03))
+        kind = GCN_SYMMETRIC if layer_type == "gcn" else MEAN_ROW
+        p = build_propagation(SpanningSubgraph.full(g), kind)
+        model = init_model(layer_type, 64, 16, 3, 2, seed=1)
+        assert transforms_first(model, 0)
+        assert input_aggregate(model, p, g.features) is None
+
+    def test_forward_refuses_a_misused_aggregate(self, triangle):
+        p = build_propagation(SpanningSubgraph.full(triangle), GCN_SYMMETRIC)
+        wide = init_model("gcn", 2, 4, 2, 2, seed=0)
+        narrow = init_model("gcn", 2, 1, 2, 2, seed=0)
+        cached = input_aggregate(wide, p, triangle.features)
+        with pytest.raises(ValueError, match="transforms first"):
+            forward(narrow, p, triangle.features, cached)
+        with pytest.raises(ValueError, match="input aggregate shape"):
+            forward(wide, p, triangle.features, cached[:2])
+        with pytest.raises(ValueError, match="input aggregate shape"):
+            forward(wide, p, triangle.features, np.hstack([cached, cached]))
+
+    @pytest.mark.parametrize("layer_type", ["gcn", "sage-mean"])
+    @pytest.mark.parametrize("widths", [(3, 5, 2), (4, 8, 8, 3)], ids=widths_id)
+    def test_backward_over_its_tape_leaves_it_unchanged(self, layer_type, widths,
+                                                        monkeypatch):
+        """Six blocks of backward write over every tape entry but layer 0's,
+        and the gradients are bitwise those of a tape that formed P X."""
+        monkeypatch.setattr(gnn, "ROW_BLOCK", 7)
+        g, p, _ = sbm40(layer_type, widths)
+        model = model_with_widths(layer_type, widths, seed=6)
+        cached = input_aggregate(model, p, g.features)
+        before = cached.tobytes()
+        _, grads = loss_and_backward(forward(model, p, g.features, cached),
+                                     g.labels, g.train_mask)
+        assert cached.tobytes() == before
+        _, want = loss_and_backward(forward(model, p, g.features), g.labels, g.train_mask)
+        for a, b in zip(grads, want, strict=True):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestRowBlocks:

@@ -103,6 +103,38 @@ class TestEvalRelease:
         assert len(refs) == 4 and len(alive) == 6 and not any(alive), alive
 
 
+class TestInputAggregate:
+    WIDE = GeneratorSpec(kind="sbm", nodes=60, classes=3, feature_dim=64,
+                         seed=12, p_in=0.3, p_out=0.03)
+
+    @pytest.mark.parametrize("over,has_cache", [
+        (dict(model="gcn"), True),
+        (dict(model="sage"), True),
+        (dict(generator=WIDE, hidden_dim=16), False),   # layer 0 transforms first
+    ], ids=["gcn", "sage", "transform-first"])
+    def test_one_aggregate_serves_every_eval(self, over, has_cache, monkeypatch):
+        """A run forms one read-only aggregate (None when layer 0 transforms
+        first), and every eval forward receives that same object."""
+        made, seen = [], []
+        aggregate, eval_forward = runner.input_aggregate, runner.forward
+
+        def counted(*args):
+            made.append(aggregate(*args))
+            return made[-1]
+
+        def watched_forward(*args):
+            seen.append(args[3])
+            return eval_forward(*args)
+
+        monkeypatch.setattr(runner, "input_aggregate", counted)
+        monkeypatch.setattr(runner, "forward", watched_forward)
+        run_training(small_cfg(epochs=4, **over))
+        [cached] = made
+        assert (cached is not None) == has_cache
+        assert cached is None or not cached.flags.writeable
+        assert len(seen) == 4 and all(a is cached for a in seen)
+
+
 class TestMatrixRelease:
     @pytest.mark.parametrize("baseline", ["spangnn", "dropedge", "full"])
     def test_no_earlier_epoch_matrix_is_alive_at_the_next_build(self, baseline, monkeypatch):

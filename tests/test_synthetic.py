@@ -1,11 +1,13 @@
 """Synthetic dataset generation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import traced_peak
+from spangraph import synthetic
 from spangraph.errors import ConfigError
 from spangraph.graphstore import MAX_KEYED_NODES, load_dataset
 from spangraph.runner import RunConfig, run_training
@@ -190,6 +192,36 @@ class TestDeterminism:
         back = load_dataset(tmp_path)
         # float32 storage: match at float32 precision
         np.testing.assert_allclose(back.features, g.features, atol=1e-6)
+
+
+def object_array_splits(labels, rng):
+    """The former split formula: fill an object array, then convert it to str."""
+    splits = np.full(labels.shape[0], "none", dtype=object)
+    for c in np.unique(labels):
+        ids = np.flatnonzero(labels == c)
+        ids = ids[rng.permutation(ids.size)]
+        n_train = max(1, int(0.6 * ids.size))
+        n_val = int(0.2 * ids.size)
+        splits[ids[:n_train]] = "train"
+        splits[ids[n_train:n_train + n_val]] = "val"
+        splits[ids[n_train + n_val:]] = "test"
+    return splits.astype(str)
+
+
+class TestSplits:
+    @pytest.mark.parametrize("spec", [
+        DESK, GeneratorSpec(kind="preferential-attachment", nodes=500, classes=3, attach=3),
+    ], ids=["sbm", "pa"])
+    def test_masks_match_the_object_array_formula(self, spec, monkeypatch):
+        """Same draws, same splits: the masks are the former formula's."""
+        for seed in range(4):
+            s = replace(spec, seed=seed)
+            g = make_graph(s)
+            monkeypatch.setattr(synthetic, "_stratified_splits", object_array_splits)
+            want = make_graph(s)
+            monkeypatch.undo()
+            for mask in ("train_mask", "val_mask", "test_mask"):
+                assert np.array_equal(getattr(g, mask), getattr(want, mask)), (seed, mask)
 
 
 class TestRandomEdgeGraph:
