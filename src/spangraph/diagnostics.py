@@ -79,13 +79,15 @@ class MemoryProxy:
 
 def gradient_noise(model: GnnModel, p_full: PropagationMatrix,
                    p_sub: PropagationMatrix, features: np.ndarray,
-                   labels: np.ndarray, mask: np.ndarray) -> NoiseReport:
+                   labels: np.ndarray, mask: np.ndarray,
+                   full_aggregate: np.ndarray | None = None) -> NoiseReport:
     """Gradient and pre-activation deviation of subgraph vs full-graph training.
 
     Both passes use the same weights, one with ``p_full`` and one with
-    ``p_sub``; nothing is updated.
+    ``p_sub``; nothing is updated.  ``full_aggregate``, the run's
+    ``input_aggregate`` over ``p_full``, stands in for the full pass's P X.
     """
-    tape_full = forward(model, p_full, features)
+    tape_full = forward(model, p_full, features, full_aggregate)
     tape_sub = forward(model, p_sub, features)
     z_diffs = z_diff_norms(tape_sub, tape_full)
     _, grads_full = loss_and_backward(tape_full, labels, mask)

@@ -55,8 +55,9 @@ Eval runs every epoch over the same full-graph P and features, so a run
 forms an aggregate-first layer 0's P X once (``input_aggregate``, as SGC
 precomputes its propagation: Wu et al., *Simplifying Graph Convolutional
 Networks*, ICML 2019) and each eval forward reads it, read-only, in place of
-that product.  Training forwards form it anew, as their P changes every
-epoch.
+that product.  So does a train step over the full graph (``train_step``
+passes ``aggregate`` on); backward never writes that entry.  A train step
+over a subgraph forms its own, as its P changes every epoch.
 The loss is mean softmax cross-entropy over the training nodes, computed
 in place in one gathered copy of their logits.
 Updates are plain gradient descent, W -= lr * grad, no momentum and no
@@ -278,7 +279,12 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray,
     if rows.size == 0:
         raise ValueError("training mask is empty")
     z = logits[rows]
-    z -= z.max(axis=1, keepdims=True)
+    # the row max over columns: exact, and faster than a reduce over short rows
+    top = z[:, :1].copy()
+    for col in range(1, z.shape[1]):
+        np.maximum(top, z[:, col:col + 1], out=top)
+    z -= top
+    del top         # so it does not sit beside the exp and the gradient
     pick = (np.arange(rows.size), labels[rows])
     picked = z[pick]
     np.exp(z, out=z)
@@ -389,10 +395,11 @@ def sgd_step(model: GnnModel, gradients: list[np.ndarray],
 
 
 def train_step(model: GnnModel, p: PropagationMatrix, features: np.ndarray,
-               labels: np.ndarray, train_mask: np.ndarray,
-               learning_rate: float) -> float:
-    """One full-batch forward/backward/update; returns the loss."""
-    tape = forward(model, p, features)
+               labels: np.ndarray, train_mask: np.ndarray, learning_rate: float,
+               aggregate: np.ndarray | None = None) -> float:
+    """One full-batch forward/backward/update; returns the loss.
+    ``aggregate`` is as for ``forward``."""
+    tape = forward(model, p, features, aggregate)
     if not np.isfinite(tape.logits).all():
         raise NumericalError("non-finite logits; the learning rate is likely too high")
     loss, grads = loss_and_backward(tape, labels, train_mask)

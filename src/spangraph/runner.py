@@ -9,8 +9,12 @@ A run trains one model for ``epochs`` full-batch steps.  Three modes:
   over between epochs.
 * ``full``: every epoch trains on the full graph.
 
-Evaluation always uses the full-graph propagation matrix, and reads the
-first layer's full-graph aggregate formed once in setup.  One metrics
+Evaluation always uses the full-graph propagation matrix.  The first
+layer's full-graph aggregate is formed once in setup, and every forward
+over the full graph reads it: each eval, the gradient-noise diagnostic's
+full-graph pass and, for ``full``, the training forward, whose per-epoch
+matrix equals the setup's bit for bit.  ``spangnn`` and ``dropedge``
+forwards form their own, as their matrix changes every epoch.  One metrics
 row is emitted per epoch; timing columns hold integer milliseconds from a
 monotonic clock and can be suppressed (written as 0) for byte-identical
 reproducibility comparisons.
@@ -271,9 +275,10 @@ def run_training(cfg: RunConfig, graph: Graph | None = None) -> RunResult:
             sub = SpanningSubgraph.full(g)
         t1 = _now_ms()
 
+        # full's P equals p_full bit for bit, so its forward reads the cache
         p_train = build_propagation(sub, kind)
         loss = train_step(model, p_train, g.features, g.labels, g.train_mask,
-                          cfg.learning_rate)
+                          cfg.learning_rate, px_full if cfg.baseline == "full" else None)
         t2 = _now_ms()
 
         train_acc, val_acc, val_f1 = _evaluate(model, p_full, g, px_full)
@@ -299,7 +304,7 @@ def run_training(cfg: RunConfig, graph: Graph | None = None) -> RunResult:
 
         if cfg.diag_every and (epoch % cfg.diag_every == 0 or epoch == cfg.epochs - 1):
             diagnostics.append(_diagnostics_row(
-                cfg, g, model, p_full, p_train, active, probs, epoch,
+                cfg, g, model, p_full, px_full, p_train, active, probs, epoch,
                 peak.peak_directed_edges))
         del p_train     # so the next epoch's build does not sit beside it
 
@@ -334,11 +339,12 @@ def _evaluate(model: GnnModel, p_full, g: Graph,
     return (train_acc, *masked_scores(pred, g.labels, g.val_mask))
 
 
-def _diagnostics_row(cfg: RunConfig, g: Graph, model: GnnModel, p_full, p_train,
-                     active: int, probs, epoch: int, peak: int) -> list:
-    """One diagnostics.csv row (``diag_columns``) from the epoch's matrices."""
+def _diagnostics_row(cfg: RunConfig, g: Graph, model: GnnModel, p_full, px_full,
+                     p_train, active: int, probs, epoch: int, peak: int) -> list:
+    """One diagnostics.csv row (``diag_columns``) from the epoch's matrices and
+    the run's ``input_aggregate``."""
     report = gradient_noise(model, p_full, p_train, g.features, g.labels,
-                            g.train_mask)
+                            g.train_mask, px_full)
     if probs is None:
         probs = uniform_weights(g)
     var = embedding_variance(

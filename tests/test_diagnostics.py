@@ -12,7 +12,7 @@ from spangraph.diagnostics import (
     inclusion_probabilities,
     memory_proxy,
 )
-from spangraph.gnn import init_model, train_step
+from spangraph.gnn import init_model, input_aggregate, train_step
 from spangraph.graphstore import (
     GCN_SYMMETRIC,
     MEAN_ROW,
@@ -105,6 +105,24 @@ class TestGradientNoise:
         report = gradient_noise(model, full_propagation(g), empty,
                                 g.features, g.labels, g.train_mask)
         assert all(x > 0.0 for x in report.noise_norms)
+
+    @pytest.mark.parametrize("layer_type", ["gcn", "sage-mean"])
+    def test_the_full_aggregate_leaves_the_report_bitwise(self, layer_type):
+        """Handed the run's P X, the full-graph pass reads it in place of that
+        product, and every norm keeps its bits."""
+        spec = GeneratorSpec(kind="sbm", nodes=25, classes=2, feature_dim=4,
+                             seed=2, p_in=0.4, p_out=0.1)
+        g = make_graph(spec)
+        model = init_model(layer_type, 4, 6, 2, 2, seed=5)
+        p_full = full_propagation(g, model.propagation_kind)
+        sub = build_propagation(SpanningSubgraph.from_indices(g, np.arange(0, g.num_edges, 2)),
+                                model.propagation_kind)
+        args = (g.features, g.labels, g.train_mask)
+        cached = input_aggregate(model, p_full, g.features)
+        got = gradient_noise(model, p_full, sub, *args, cached)
+        want = gradient_noise(model, p_full, sub, *args)
+        assert repr(got) == repr(want)
+        assert gradient_noise(model, p_full, sub, *args, np.zeros_like(cached)) != want
 
     def test_partial_subgraph_reports_finite_norms(self, path4):
         model = init_model("gcn", 2, 3, 2, 2, seed=1)

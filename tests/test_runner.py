@@ -5,9 +5,11 @@ import weakref
 import numpy as np
 import pytest
 
-from spangraph import graphstore, runner
+from spangraph import cli, graphstore, runner
 from spangraph.diagnostics import embedding_variance
 from spangraph.errors import ConfigError
+from spangraph.gnn import PROPAGATION_KIND, ROW_BLOCK, init_model, input_aggregate
+from spangraph.graphstore import SpanningSubgraph, build_propagation
 from spangraph.runner import (
     METRIC_COLUMNS,
     RunConfig,
@@ -15,10 +17,13 @@ from spangraph.runner import (
     run_training,
     variant_config,
 )
-from spangraph.synthetic import GeneratorSpec
+from spangraph.synthetic import GeneratorSpec, make_graph
 
 SPEC = GeneratorSpec(kind="sbm", nodes=60, classes=3, feature_dim=6,
                      seed=12, p_in=0.3, p_out=0.03)
+# more nodes than one row block
+BIG = GeneratorSpec(kind="sbm", nodes=2 * ROW_BLOCK + 100, classes=3, feature_dim=6,
+                    seed=12, p_in=0.02, p_out=0.002)
 
 
 def small_cfg(**over):
@@ -133,6 +138,57 @@ class TestInputAggregate:
         assert (cached is not None) == has_cache
         assert cached is None or not cached.flags.writeable
         assert len(seen) == 4 and all(a is cached for a in seen)
+
+    @pytest.mark.parametrize("baseline", ["full", "spangnn", "dropedge"])
+    @pytest.mark.parametrize("model", ["gcn", "sage"])
+    def test_only_full_training_reads_the_aggregate(self, baseline, model, monkeypatch):
+        """Every ``full`` train step receives the run's one aggregate; a step
+        over a changing subgraph receives None."""
+        made, seen = [], []
+        aggregate, step = runner.input_aggregate, runner.train_step
+
+        def counted(*args):
+            made.append(aggregate(*args))
+            return made[-1]
+
+        def watched_step(*args):
+            seen.append(args[6])
+            return step(*args)
+
+        monkeypatch.setattr(runner, "input_aggregate", counted)
+        monkeypatch.setattr(runner, "train_step", watched_step)
+        run_training(small_cfg(epochs=4, baseline=baseline, model=model))
+        [cached] = made
+        want = cached if baseline == "full" else None
+        assert cached is not None and len(seen) == 4 and all(a is want for a in seen)
+
+    @pytest.mark.parametrize("model", ["gcn", "sage"])
+    def test_a_full_subgraph_matrix_forms_the_aggregate_bitwise(self, model):
+        """The premise of handing ``full`` the cache: its per-epoch matrix
+        times X is bitwise the setup's aggregate."""
+        g = make_graph(BIG)
+        layer_type = small_cfg(model=model).layer_type
+        kind = PROPAGATION_KIND[layer_type]
+        cached = input_aggregate(init_model(layer_type, g.feature_dim, 8, 3, seed=0),
+                                 build_propagation(SpanningSubgraph.full(g), kind), g.features)
+        epoch_p = build_propagation(SpanningSubgraph.full(g), kind)
+        assert cached.tobytes() == (epoch_p.matrix @ g.features).tobytes()
+
+    @pytest.mark.parametrize("model", ["gcn", "sage"])
+    def test_full_outputs_match_a_run_that_forms_it(self, model, tmp_path, monkeypatch):
+        """``train --no-timings`` of ``full`` writes the same bytes whether its
+        steps read the aggregate or form P X anew (over several row blocks)."""
+        argv = ["train", "--gen", "sbm", "--nodes", str(BIG.nodes), "--classes", "3",
+                "--feature-dim", "6", "--p-in", str(BIG.p_in), "--p-out", str(BIG.p_out),
+                "--model", model, "--baseline", "full", "--epochs", "5", "--hidden", "8",
+                "--seed", "4", "--no-timings"]
+        assert cli.main([*argv, "--out", str(tmp_path / "cached")]) == 0
+        step = runner.train_step
+        monkeypatch.setattr(runner, "train_step", lambda *args: step(*args[:6]))
+        assert cli.main([*argv, "--out", str(tmp_path / "formed")]) == 0
+        for name in ("metrics.csv", "checkpoint.spgw"):
+            assert ((tmp_path / "cached" / name).read_bytes()
+                    == (tmp_path / "formed" / name).read_bytes()), name
 
 
 class TestMatrixRelease:
