@@ -59,7 +59,8 @@ that product.  So does a train step over the full graph (``train_step``
 passes ``aggregate`` on); backward never writes that entry.  A train step
 over a subgraph forms its own, as its P changes every epoch.
 The loss is mean softmax cross-entropy over the training nodes, computed
-in place in one gathered copy of their logits.
+in place in one gathered copy of their logits.  Backward drops the logits
+before it spreads that copy into the n-row delta, so the two never coexist.
 Updates are plain gradient descent, W -= lr * grad, no momentum and no
 weight decay.  Everything runs in float64.
 """
@@ -275,6 +276,14 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray,
 
     Gradient rows outside the mask are exactly zero.
     """
+    loss, rows, dz = _masked_loss(logits, labels, mask)
+    return loss, _spread(rows, dz, logits.shape[0])
+
+
+def _masked_loss(logits: np.ndarray, labels: np.ndarray,
+                 mask: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Mean CE over masked rows, those rows, and the loss gradient on them,
+    formed in place in one gathered copy of their logits."""
     rows = np.flatnonzero(mask)
     if rows.size == 0:
         raise ValueError("training mask is empty")
@@ -293,10 +302,14 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray,
     z /= denom
     z[pick] -= 1.0
     z /= rows.size
-    del pick, picked, denom
-    grad = np.zeros_like(logits)
-    grad[rows] = z
-    return loss, grad
+    return loss, rows, z
+
+
+def _spread(rows: np.ndarray, dz: np.ndarray, n: int) -> np.ndarray:
+    """The n-row gradient that is ``dz`` on ``rows`` and zero elsewhere."""
+    grad = np.zeros((n, dz.shape[1]))
+    grad[rows] = dz
+    return grad
 
 
 def _narrow_grad(model: GnnModel, h: np.ndarray, dz: np.ndarray | None,
@@ -337,15 +350,20 @@ def _delta_rows(model: GnnModel, layer: int, entry: tuple[np.ndarray, ...], rows
 def loss_and_backward(tape: BackwardTape, labels: np.ndarray,
                       train_mask: np.ndarray) -> tuple[float, list[np.ndarray]]:
     """Loss plus per-layer weight gradients via the chain rule over the tape's
-    P; consumes ``tape``: drops its logits once the loss has read them and
-    writes each layer's G over the entry rows it has read."""
+    P; consumes ``tape``: drops its logits once the loss has read them, before
+    delta takes their size, and writes each layer's G over the entry rows it
+    has read."""
     if tape.logits is None:
         raise ValueError("the backward tape was consumed by an earlier backward")
     model, p = tape.model, tape.p
     sage = model.layer_type == SAGE_MEAN
-    loss, delta = softmax_cross_entropy(tape.logits, labels, train_mask)
+    n = tape.logits.shape[0]
+    loss, rows, dz = _masked_loss(tape.logits, labels, train_mask)
     tape.logits = None
-    n = delta.shape[0]
+    if transforms_first(model, model.num_layers - 1):
+        tape.saved[-1] = None       # that layer's Z is the logits
+    delta = _spread(rows, dz, n)
+    del rows, dz
     grads: list = [None] * model.num_layers
     # from the layer above: U = P^T G and, for sage, delta (transform first)
     # or delta W_self^T (aggregate first)
@@ -355,7 +373,7 @@ def loss_and_backward(tape: BackwardTape, labels: np.ndarray,
         w, d = model.weights[layer], model.input_dim(layer)
         narrow = transforms_first(model, layer)
         if u is None and narrow:
-            entry = (delta,)        # G is delta itself; the logits die here
+            entry = (delta,)        # G is delta itself
         else:
             for rows in row_blocks(n):
                 dz = delta[rows] if u is None else _delta_rows(model, layer, entry, rows,

@@ -103,38 +103,43 @@ class Graph:
         return int(self.features.shape[1])
 
 
+def index_dtype(count: int):
+    """int32 for ids below ``count`` < 2**31, else int64."""
+    return np.int32 if count < 2**31 else np.int64
+
+
 @dataclass
 class SpanningSubgraph:
     """Edge subset of a parent graph; the node set is always the full one.
 
-    ``mask`` flags active canonical edges.  No mask is written after
-    construction: the scheduler's drop and merge build a new mask for
-    each new instance, so instances can be shared as snapshots.
+    ``active`` holds the sorted, distinct ids of the active canonical edges
+    (``index_dtype(|E|)``), or None for the full edge set, so a subgraph
+    takes memory in its active edges, not in |E|.  ``from_indices`` sorts,
+    deduplicates and checks arbitrary ids.  No array is written after
+    construction, so instances can be shared as snapshots.
     """
 
     parent: Graph
-    mask: np.ndarray
+    active: np.ndarray | None
 
     @classmethod
     def empty(cls, parent: Graph) -> "SpanningSubgraph":
-        return cls(parent, np.zeros(parent.num_edges, dtype=bool))
+        return cls(parent, np.zeros(0, dtype=index_dtype(parent.num_edges)))
 
     @classmethod
     def full(cls, parent: Graph) -> "SpanningSubgraph":
-        return cls(parent, np.ones(parent.num_edges, dtype=bool))
+        return cls(parent, None)
 
     @classmethod
     def from_indices(cls, parent: Graph, indices) -> "SpanningSubgraph":
-        indices = np.asarray(indices, dtype=np.int64)
+        indices = np.asarray(indices, dtype=np.int64).reshape(-1)
         if indices.size and (indices.min() < 0 or indices.max() >= parent.num_edges):
             raise ValueError("edge index out of range for parent graph")
-        mask = np.zeros(parent.num_edges, dtype=bool)
-        mask[indices] = True
-        return cls(parent, mask)
+        return cls(parent, sorted_unique(indices).astype(index_dtype(parent.num_edges)))
 
     @property
     def active_count(self) -> int:
-        return int(np.count_nonzero(self.mask))
+        return self.parent.num_edges if self.active is None else int(self.active.size)
 
     @property
     def edge_ratio(self) -> float:
@@ -143,7 +148,10 @@ class SpanningSubgraph:
 
     @property
     def active_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.mask)
+        """``active``, or every edge id for the full subgraph."""
+        if self.active is None:
+            return np.arange(self.parent.num_edges, dtype=index_dtype(self.parent.num_edges))
+        return self.active
 
 
 @dataclass(frozen=True)
@@ -481,8 +489,9 @@ def build_propagation(sub: SpanningSubgraph, kind: str) -> PropagationMatrix:
     COO-to-CSR counting sort receives the int32 coordinates (int64 only
     when n >= 2**31) with one-byte boolean data, listed as the (v, u) half,
     the self-loops, then the (u, v) half.  The canonical edges are sorted
-    by (u, v), so row r reads its columns u < r in ascending order, then r,
-    then v > r: already canonical, and the conversion needs no sort pass.
+    by (u, v), and so are those that the sorted active ids gather, so row r
+    reads its columns u < r in ascending order, then r, then v > r: already
+    canonical, and the conversion needs no sort pass.
     Once the coordinates are freed, dhat(r) is row r's length, and the
     values are filled in place from (row, column): dhat(r) * dhat(c)
     through a square root and a reciprocal for ``gcn-symmetric``,
@@ -492,8 +501,9 @@ def build_propagation(sub: SpanningSubgraph, kind: str) -> PropagationMatrix:
         raise ValueError(f"unknown propagation kind {kind!r}")
     g = sub.parent
     n = g.num_nodes
-    index = np.int32 if n < 2**31 else np.int64
-    active = np.compress(sub.mask, g.edges, axis=0).astype(index)
+    index = index_dtype(n)
+    # np.take gathers rows several times faster than fancy indexing does
+    active = (g.edges if sub.active is None else np.take(g.edges, sub.active, axis=0)).astype(index)
     u, v = active[:, 0], active[:, 1]
     loops = np.arange(n, dtype=index)
     rows = np.concatenate([v, loops, u])

@@ -42,7 +42,8 @@ from .gnn import (
     save_weights,
     train_step,
 )
-from .graphstore import Graph, SpanningSubgraph, build_propagation, load_dataset, load_graph
+from .graphstore import (Graph, SpanningSubgraph, build_propagation, index_dtype,
+                         load_dataset, load_graph)
 from .sampler import SAMPLER_KINDS, make_weights, uniform_weights
 from .scheduler import ScheduleConfig, eps_floor, init_schedule, step_epoch
 from .seeding import derive_seed, spawn_rng
@@ -222,8 +223,10 @@ def _dropedge_subgraph(g: Graph, beta: float, seed, epoch: int) -> SpanningSubgr
     rng = spawn_rng(seed, epoch, "dropedge")
     m = g.num_edges
     drop = eps_floor(beta * m)
-    keep = rng.permutation(m)[: m - drop]
-    return SpanningSubgraph.from_indices(g, keep)
+    # the kept ids in order: the complement of the dropped tail, not a sort
+    keep = np.ones(m, dtype=bool)
+    keep[rng.permutation(m)[m - drop:]] = False
+    return SpanningSubgraph(g, np.flatnonzero(keep).astype(index_dtype(m)))
 
 
 def run_training(cfg: RunConfig, graph: Graph | None = None) -> RunResult:
@@ -342,9 +345,14 @@ def _evaluate(model: GnnModel, p_full, g: Graph,
 def _diagnostics_row(cfg: RunConfig, g: Graph, model: GnnModel, p_full, px_full,
                      p_train, active: int, probs, epoch: int, peak: int) -> list:
     """One diagnostics.csv row (``diag_columns``) from the epoch's matrices and
-    the run's ``input_aggregate``."""
-    report = gradient_noise(model, p_full, p_train, g.features, g.labels,
-                            g.train_mask, px_full)
+    the run's ``input_aggregate``.  ``full``'s ``p_train`` is ``p_full`` bit
+    for bit, so its noise and Z-difference norms are 0.0 without the passes."""
+    if cfg.baseline == "full":
+        noise, z_diff = [0.0] * cfg.num_layers, 0.0
+    else:
+        report = gradient_noise(model, p_full, p_train, g.features, g.labels,
+                                g.train_mask, px_full)
+        noise, z_diff = report.noise_norms, report.total_z_diff_norm
     if probs is None:
         probs = uniform_weights(g)
     var = embedding_variance(
@@ -353,8 +361,8 @@ def _diagnostics_row(cfg: RunConfig, g: Graph, model: GnnModel, p_full, px_full,
         seed=derive_seed(cfg.seed, epoch, "diag"),
     )
     sampler = cfg.sampler_kind if cfg.baseline == "spangnn" else cfg.baseline
-    return [epoch, sampler, *map(repr, report.noise_norms),
-            repr(report.total_z_diff_norm), repr(var.estimator_variance), peak]
+    return [epoch, sampler, *map(repr, noise), repr(z_diff),
+            repr(var.estimator_variance), peak]
 
 
 def diag_columns(num_layers: int) -> list[str]:

@@ -7,6 +7,12 @@ reach the cap (``>=`` test on |active| + |selected|), a fixed proportion
 truncates the selected batch uniformly so the active count lands exactly
 on the cap.  The cap is floor(alpha_up * |E|), so the edge ratio never
 exceeds alpha_up at any epoch.
+
+Each step works on the subgraph's sorted active edge ids
+(``SpanningSubgraph.active``): the drop deletes random positions of that
+array, and the merge finds the batch's already-active ids by binary
+search, then sorts the survivors in with the active ones.  So a step's
+memory and work follow the active edges and the batch, never |E|.
 """
 
 from __future__ import annotations
@@ -89,15 +95,12 @@ def random_drop(sub: SpanningSubgraph, beta: float, seed) -> SpanningSubgraph:
     """Uniformly remove floor(beta * |active|) active edges."""
     if not (0.0 <= beta < 1.0):
         raise ValueError(f"beta must be in [0, 1), got {beta}")
-    active = sub.active_indices
-    k = eps_floor(beta * active.size)
+    k = eps_floor(beta * sub.active_count)
     if k == 0:
         return sub
+    active = sub.active_indices
     rng = as_rng(seed)
-    victims = active[rng.permutation(active.size)[:k]]
-    mask = sub.mask.copy()
-    mask[victims] = False
-    return SpanningSubgraph(sub.parent, mask)
+    return SpanningSubgraph(sub.parent, np.delete(active, rng.permutation(active.size)[:k]))
 
 
 def graph_update(sub: SpanningSubgraph, delta: np.ndarray, cap: int,
@@ -108,19 +111,23 @@ def graph_update(sub: SpanningSubgraph, delta: np.ndarray, cap: int,
     exceed ``cap``, a uniformly random subset of the fresh edges is
     discarded so the result has exactly ``cap`` active edges.
     """
-    delta = np.asarray(delta, dtype=np.int64)
-    if delta.size and (delta.min() < 0 or delta.max() >= sub.parent.num_edges):
+    fresh = sorted_unique(np.asarray(delta, dtype=np.int64).reshape(-1))
+    if fresh.size and (fresh[0] < 0 or fresh[-1] >= sub.parent.num_edges):
         raise ValueError("delta contains edge indices outside the parent graph")
-    mask = sub.mask.copy()
-    fresh = delta[~mask[delta]]
-    fresh = sorted_unique(fresh)
-    current = sub.active_count
-    if current + fresh.size > cap:
-        keep = cap - current
+    active = sub.active_indices
+    fresh = fresh.astype(active.dtype)
+    if active.size:
+        at = np.minimum(active.searchsorted(fresh), active.size - 1)
+        fresh = fresh[active[at] != fresh]
+    if active.size + fresh.size > cap:
+        keep = cap - active.size
         rng = as_rng(seed)
         fresh = fresh[rng.permutation(fresh.size)[:keep]]
-    mask[fresh] = True
-    return SpanningSubgraph(sub.parent, mask)
+    if fresh.size == 0:
+        return sub
+    merged = np.concatenate([active, fresh])
+    merged.sort(kind="stable")      # timsort merges the sorted active run
+    return SpanningSubgraph(sub.parent, merged)
 
 
 def step_epoch(state: EpochState, g: Graph, probs: EdgeProbabilities,

@@ -411,6 +411,27 @@ class TestBackwardTape:
                    g.train_mask, 0.1)
         assert alive and not any(alive), alive
 
+    @pytest.mark.parametrize("layer_type", ["gcn", "sage-mean"])
+    @pytest.mark.parametrize("widths", [(6, 3, 2), (4, 2, 3)], ids=widths_id)
+    def test_the_logits_die_before_delta_takes_their_size(self, layer_type, widths,
+                                                          monkeypatch):
+        """(6, 3, 2) ends transform first, so its tape holds the logits as the
+        last layer's Z too; (4, 2, 3) ends aggregate first."""
+        g, p, _ = sbm40(layer_type, widths)
+        model = model_with_widths(layer_type, widths, seed=2)
+        alive, spread, taped_forward = [], gnn._spread, gnn.forward
+
+        def forward_then_watch(*args):
+            tape = taped_forward(*args)
+            ref = weakref.ref(tape.logits)
+            monkeypatch.setattr(gnn, "_spread", lambda *a: (alive.append(ref() is not None),
+                                                            spread(*a))[1])
+            return tape
+
+        monkeypatch.setattr(gnn, "forward", forward_then_watch)
+        train_step(model, p, g.features, g.labels, g.train_mask, 0.1)
+        assert alive == [False]
+
     # slack for the tape's Python objects and first-call caches
     TAPE_SLACK = 4096
 

@@ -265,6 +265,27 @@ class TestCsrInvariants:
             triangle.edges[0, 0] = 5
 
 
+class TestSpanningSubgraph:
+    def test_from_indices_sorts_and_dedups_into_int32_ids(self, path4):
+        sub = SpanningSubgraph.from_indices(path4, [2, 0, 2])
+        assert sub.active.dtype == np.int32
+        np.testing.assert_array_equal(sub.active, [0, 2])
+        assert sub.active_count == 2
+        assert sub.edge_ratio == 2 / 3
+
+    def test_full_and_empty_hold_no_edge_sized_array(self, path4):
+        full = SpanningSubgraph.full(path4)
+        assert full.active is None
+        assert (full.active_count, full.edge_ratio) == (3, 1.0)
+        np.testing.assert_array_equal(full.active_indices, [0, 1, 2])
+        assert SpanningSubgraph.empty(path4).active.size == 0
+
+    @pytest.mark.parametrize("bad", [[-1], [3], [0, 7]])
+    def test_from_indices_rejects_ids_outside_the_parent(self, path4, bad):
+        with pytest.raises(ValueError, match="out of range"):
+            SpanningSubgraph.from_indices(path4, bad)
+
+
 class TestBuildPropagation:
     def test_triangle_gcn_symmetric_all_one_third(self, triangle):
         """On a 3-cycle every dhat is 3, so every entry is 1/3."""
@@ -288,7 +309,7 @@ class TestBuildPropagation:
             edges = edges[edges[:, 0] != edges[:, 1]]
             g = graph_from_edges(n, edges)
             mask = rng.random(g.num_edges) < 0.5
-            sub = SpanningSubgraph(g, mask)
+            sub = SpanningSubgraph.from_indices(g, np.flatnonzero(mask))
             p = build_propagation(sub, MEAN_ROW)
             np.testing.assert_allclose(
                 np.asarray(p.matrix.sum(axis=1)).ravel(), 1.0, atol=1e-12
@@ -302,14 +323,23 @@ class TestBuildPropagation:
             edges = edges[edges[:, 0] != edges[:, 1]]
             g = graph_from_edges(n, edges)
             mask = rng.random(g.num_edges) < 0.5
-            p = build_propagation(SpanningSubgraph(g, mask), GCN_SYMMETRIC)
+            p = build_propagation(SpanningSubgraph.from_indices(g, np.flatnonzero(mask)),
+                                  GCN_SYMMETRIC)
             dense = p.matrix.toarray()
             assert (dense == dense.T).all()
 
     def test_spanning_property_node_set_fixed(self, path4):
         for mask in (np.zeros(3, bool), np.array([1, 0, 1], bool)):
-            p = build_propagation(SpanningSubgraph(path4, mask), MEAN_ROW)
+            p = build_propagation(SpanningSubgraph.from_indices(path4, np.flatnonzero(mask)),
+                                  MEAN_ROW)
             assert p.matrix.shape == (4, 4)
+
+
+def edge_mask(sub):
+    """The subgraph's active edges as a boolean mask over the parent's."""
+    mask = np.zeros(sub.parent.num_edges, dtype=bool)
+    mask[sub.active_indices] = True
+    return mask
 
 
 def coo_build(sub, kind):
@@ -317,7 +347,7 @@ def coo_build(sub, kind):
     per entry, converted (and sorted) by scipy."""
     g = sub.parent
     n = g.num_nodes
-    active = g.edges[sub.mask]
+    active = g.edges[edge_mask(sub)]
     u, v = active[:, 0], active[:, 1]
     rows = np.concatenate([u, v, np.arange(n, dtype=np.int64)])
     cols = np.concatenate([v, u, np.arange(n, dtype=np.int64)])
@@ -369,7 +399,7 @@ def triplet_build(sub, kind):
     edge's value computed once for both directions."""
     g = sub.parent
     n = g.num_nodes
-    active = g.edges[sub.mask].astype(np.int32)
+    active = g.edges[edge_mask(sub)].astype(np.int32)
     u, v = active[:, 0], active[:, 1]
     loops = np.arange(n, dtype=np.int32)
     dhat = (np.bincount(u, minlength=n) + np.bincount(v, minlength=n)).astype(np.float64) + 1.0
@@ -401,7 +431,7 @@ class TestBuildMatchesTripletBuild:
             yield SpanningSubgraph.empty(g)
             yield SpanningSubgraph.from_indices(g, [int(rng.integers(m))])
             for fraction in (0.05, 0.25):
-                yield SpanningSubgraph(g, rng.random(m) < fraction)
+                yield SpanningSubgraph.from_indices(g, np.flatnonzero(rng.random(m) < fraction))
             yield SpanningSubgraph.full(g)
         yield SpanningSubgraph.full(graph_from_edges(30, [[0, 1], [1, 2], [5, 9]]))
         for n in (0, 1):

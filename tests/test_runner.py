@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spangraph import cli, graphstore, runner
-from spangraph.diagnostics import embedding_variance
+from spangraph.diagnostics import embedding_variance, gradient_noise
 from spangraph.errors import ConfigError
 from spangraph.gnn import PROPAGATION_KIND, ROW_BLOCK, init_model, input_aggregate
 from spangraph.graphstore import SpanningSubgraph, build_propagation
@@ -53,7 +53,21 @@ class TestRunTraining:
         g = make_graph(SPEC)
         a = _dropedge_subgraph(g, 0.7, seed=5, epoch=0)
         b = _dropedge_subgraph(g, 0.7, seed=5, epoch=1)
-        assert not np.array_equal(a.mask, b.mask)
+        assert not np.array_equal(a.active, b.active)
+
+    def test_dropedge_keeps_the_head_of_the_epoch_permutation(self):
+        """The kept ids are the sorted first m - floor(beta m) entries of the
+        epoch's permutation of the edges."""
+        from spangraph.runner import _dropedge_subgraph
+        from spangraph.seeding import spawn_rng
+        from spangraph.synthetic import make_graph
+        g = make_graph(SPEC)
+        m = g.num_edges
+        for epoch in range(5):
+            want = spawn_rng(5, epoch, "dropedge").permutation(m)[:m - int(0.7 * m + 1e-9)]
+            got = _dropedge_subgraph(g, 0.7, seed=5, epoch=epoch).active
+            assert got.dtype == np.int32
+            np.testing.assert_array_equal(got, np.sort(want))
 
     def test_spangnn_respects_cap_in_metrics(self):
         result = run_training(small_cfg(alpha_up=0.3))
@@ -233,6 +247,29 @@ class TestDiagnosticsEmission:
         monkeypatch.setattr(graphstore, "PropagationMatrix", counting)
         run_training(small_cfg(epochs=5, diag_every=1, diag_samples=2))
         assert len(built) == 5 + 1
+
+    @pytest.mark.parametrize("model", ["gcn", "sage"])
+    def test_full_rows_skip_the_gradient_noise_passes(self, model, monkeypatch):
+        """``full`` trains on the full graph's matrix, so its noise and
+        Z-difference cells are 0.0 without the two passes; the passes
+        themselves report exactly that on the trained model."""
+        def refused(*args, **kwargs):
+            raise AssertionError("gradient_noise ran for the full baseline")
+
+        monkeypatch.setattr(runner, "gradient_noise", refused)
+        cfg = small_cfg(model=model, baseline="full", epochs=5, diag_every=2,
+                        diag_samples=3)
+        result = run_training(cfg)
+        assert [row[0] for row in result.diagnostics] == [0, 2, 4]
+        for row in result.diagnostics:
+            assert row[1] == "full" and row[2:5] == ["0.0", "0.0", "0.0"]
+        g = make_graph(SPEC)
+        kind = PROPAGATION_KIND[cfg.layer_type]
+        p_full = build_propagation(SpanningSubgraph.full(g), kind)
+        report = gradient_noise(result.model, p_full,
+                                build_propagation(SpanningSubgraph.full(g), kind),
+                                g.features, g.labels, g.train_mask)
+        assert report.noise_norms == [0.0, 0.0] and report.total_z_diff_norm == 0.0
 
     def test_sage_var_xi_uses_the_aggregation_weights(self, monkeypatch):
         """The estimator targets P X W, and for sage the W that multiplies

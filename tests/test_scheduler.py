@@ -1,18 +1,29 @@
 """Subgraph growth schedule: drop, merge, cap invariants."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from spangraph.errors import ConfigError
-from spangraph.graphstore import SpanningSubgraph
-from spangraph.sampler import uniform_weights, vm_weights
+from spangraph.graphstore import (
+    GCN_SYMMETRIC,
+    MEAN_ROW,
+    SpanningSubgraph,
+    build_propagation,
+)
+from spangraph.sampler import SampleRequest, two_step_sample, uniform_weights, vm_weights
 from spangraph.scheduler import (
     ScheduleConfig,
+    eps_floor,
     graph_update,
     init_schedule,
     random_drop,
     step_epoch,
 )
+from spangraph.seeding import as_rng, derive_seed, spawn_rng
+from spangraph.synthetic import random_edge_graph
 
 from conftest import graph_from_edges
 
@@ -57,7 +68,7 @@ class TestRandomDrop:
     def test_beta_zero_is_identity(self, path4):
         sub = SpanningSubgraph.full(path4)
         out = random_drop(sub, 0.0, 1)
-        np.testing.assert_array_equal(out.mask, sub.mask)
+        np.testing.assert_array_equal(out.active_indices, sub.active_indices)
 
     def test_floor_arithmetic(self):
         g = chain_graph(10)
@@ -73,7 +84,7 @@ class TestRandomDrop:
         trials = 100_000
         survived = np.zeros(10)
         for _ in range(trials):
-            survived += random_drop(sub, 0.3, rng).mask
+            survived[random_drop(sub, 0.3, rng).active] += 1
         np.testing.assert_allclose(survived / trials, 0.7, atol=0.01)
 
     def test_drops_only_active_edges(self):
@@ -95,7 +106,7 @@ class TestGraphUpdate:
         g = chain_graph(10)
         sub = SpanningSubgraph.from_indices(g, [0, 1, 2])
         out = graph_update(sub, np.array([1, 2]), cap=10)
-        np.testing.assert_array_equal(out.mask, sub.mask)
+        np.testing.assert_array_equal(out.active, sub.active)
 
     def test_truncation_lands_exactly_on_cap(self):
         """active=4 + 5 fresh with cap=6 -> exactly 6; discards are from delta."""
@@ -195,11 +206,11 @@ class TestScheduleProperties:
 
         def run():
             state = init_schedule(g, cfg)
-            masks = []
+            ids = []
             for _ in range(cfg.epochs):
                 state = step_epoch(state, g, probs, cfg)
-                masks.append(state.subgraph.mask.copy())
-            return masks
+                ids.append(state.subgraph.active.copy())
+            return ids
 
         for a, b in zip(run(), run()):
             np.testing.assert_array_equal(a, b)
@@ -227,4 +238,167 @@ class TestScheduleProperties:
         for _ in range(cfg.epochs):
             state = step_epoch(state, g, probs, cfg)
             assert state.subgraph.parent is g
-            assert state.subgraph.mask.shape == (g.num_edges,)
+            p = build_propagation(state.subgraph, MEAN_ROW)
+            assert p.matrix.shape == (g.num_nodes, g.num_nodes)
+
+
+# The schedule as it ran on a boolean mask over all |E| edges, kept as the
+# reference the id-based scheduler must reproduce draw for draw.
+
+def mask_random_drop(mask, beta, seed):
+    active = np.flatnonzero(mask)
+    k = eps_floor(beta * active.size)
+    if k == 0:
+        return mask
+    victims = active[as_rng(seed).permutation(active.size)[:k]]
+    mask = mask.copy()
+    mask[victims] = False
+    return mask
+
+
+def mask_graph_update(mask, delta, cap, seed=0):
+    delta = np.asarray(delta, dtype=np.int64)
+    mask = mask.copy()
+    fresh = np.unique(delta[~mask[delta]])
+    current = int(np.count_nonzero(mask))
+    if current + fresh.size > cap:
+        fresh = fresh[as_rng(seed).permutation(fresh.size)[:cap - current]]
+    mask[fresh] = True
+    return mask
+
+
+def mask_step_epoch(mask, i, g, probs, cfg):
+    """One reference step; returns the new mask, dropped and added counts."""
+    req = SampleRequest(cfg.s1, cfg.s2, derive_seed(cfg.seed, i, "sample"))
+    delta = two_step_sample(g, probs, req)
+    cap = cfg.cap(g.num_edges)
+    before = int(np.count_nonzero(mask))
+    if before + delta.size >= cap:
+        pruned = mask_random_drop(mask, cfg.beta, spawn_rng(cfg.seed, i, "drop"))
+    else:
+        pruned = mask
+    merged = mask_graph_update(pruned, delta, cap, spawn_rng(cfg.seed, i, "truncate"))
+    kept = int(np.count_nonzero(pruned))
+    return merged, before - kept, int(np.count_nonzero(merged)) - kept
+
+
+def mask_of(sub):
+    mask = np.zeros(sub.parent.num_edges, dtype=bool)
+    mask[sub.active_indices] = True
+    return mask
+
+
+def assert_same_set(sub, mask):
+    """``sub`` holds exactly ``mask``'s edges as sorted, distinct ids."""
+    assert sub.active_count == np.count_nonzero(mask)
+    if sub.active is None:
+        assert mask.all()
+        return
+    assert sub.active.dtype == np.int32
+    np.testing.assert_array_equal(sub.active, np.flatnonzero(mask))
+
+
+def mask_build(g, mask, kind):
+    """The propagation matrix over ``mask``'s edges, built from a graph whose
+    whole edge list they are, so no id gather takes part."""
+    return build_propagation(SpanningSubgraph.full(dataclasses.replace(g, edges=g.edges[mask])),
+                             kind).matrix
+
+
+def random_graph(rng, n=40, pairs=240):
+    edges = rng.integers(0, n, size=(pairs, 2))
+    return graph_from_edges(n, edges[edges[:, 0] != edges[:, 1]])
+
+
+class TestMatchesMaskReference:
+    """The id-based drop, merge and step give the mask-based schedule's
+    active sets and counts exactly, and the same propagation matrices."""
+
+    def test_drop_and_update_over_seeds(self):
+        rng = np.random.default_rng(23)
+        for seed in range(300):
+            g = random_graph(rng)
+            m = g.num_edges
+            size = int(rng.choice([0, m, rng.integers(m + 1)]))
+            start = rng.permutation(m)[:size]
+            sub = SpanningSubgraph.from_indices(g, start)
+            mask = mask_of(sub)
+            beta = float(rng.choice([0.0, 0.1, rng.random() * 0.99]))
+            dropped = random_drop(sub, beta, seed)
+            want = mask_random_drop(mask, beta, seed)
+            assert_same_set(dropped, want)
+            # with duplicates, overlapping the active set, and caps up to |E|
+            delta = rng.integers(0, m, size=int(rng.integers(0, 2 * m)))
+            cap = int(rng.choice([m, rng.integers(size, m + 1)]))
+            assert_same_set(graph_update(dropped, delta, cap, seed + 1),
+                            mask_graph_update(want, delta, cap, seed + 1))
+
+    def test_empty_and_full_subgraphs(self):
+        rng = np.random.default_rng(5)
+        g = random_graph(rng)
+        m = g.num_edges
+        for seed in range(50):
+            delta = rng.integers(0, m, size=30)
+            cap = int(rng.integers(1, m + 1))
+            empty = SpanningSubgraph.empty(g)
+            assert_same_set(graph_update(empty, delta, cap, seed),
+                            mask_graph_update(np.zeros(m, bool), delta, cap, seed))
+            assert_same_set(random_drop(empty, 0.5, seed), np.zeros(m, bool))
+            full = SpanningSubgraph.full(g)
+            assert_same_set(random_drop(full, 0.3, seed),
+                            mask_random_drop(np.ones(m, bool), 0.3, seed))
+            assert graph_update(full, delta, m, seed) is full
+            assert random_drop(full, 0.0, seed) is full
+
+    @pytest.mark.parametrize("alpha_up,beta", [(0.3, 0.25), (1.0, 0.1), (0.5, 0.0)])
+    def test_step_epoch_over_seeds(self, alpha_up, beta):
+        rng = np.random.default_rng(41)
+        for seed in range(8):
+            g = random_graph(rng)
+            m = g.num_edges
+            probs = vm_weights(g)
+            cfg = ScheduleConfig(alpha_up=alpha_up, beta=beta, s1=max(2, m // 5),
+                                 s2=max(1, m // 20), epochs=40, seed=seed)
+            state = init_schedule(g, cfg)
+            mask = np.zeros(m, dtype=bool)
+            for i in range(cfg.epochs):
+                state = step_epoch(state, g, probs, cfg)
+                mask, dropped, added = mask_step_epoch(mask, i, g, probs, cfg)
+                assert_same_set(state.subgraph, mask)
+                assert (state.dropped_this_epoch, state.added_this_epoch) == (dropped, added)
+                if i % 10 == 9:
+                    for kind in (GCN_SYMMETRIC, MEAN_ROW):
+                        got = build_propagation(state.subgraph, kind).matrix
+                        want = mask_build(g, mask, kind)
+                        assert got.indptr.tobytes() == want.indptr.tobytes()
+                        assert got.indices.tobytes() == want.indices.tobytes()
+                        assert got.data.tobytes() == want.data.tobytes()
+
+
+class TestStepMemory:
+    """A schedule step holds its active ids, the sample and their merge,
+    never an |E|-sized array."""
+
+    # traced peak per edge of |E| over 60 steps, capped from epoch ~20:
+    # measured 0.375 (at epoch 0, the sampler's pool and keys); a bool mask
+    # over |E| is 1.0, and the mask-based steps read 2.05
+    MAX_BYTES_PER_EDGE = 1.0
+
+    def test_peak_stays_below_one_byte_per_edge(self):
+        g = random_edge_graph(nodes=40_000, edges=200_000, seed=0)
+        m = g.num_edges
+        probs = vm_weights(g)
+        cfg = ScheduleConfig(alpha_up=0.02, beta=0.1, s1=m // 100, s2=m // 1000,
+                             epochs=60, seed=4)
+        state = init_schedule(g, cfg)
+        peak = 0
+        for _ in range(cfg.epochs):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                state = step_epoch(state, g, probs, cfg)
+                peak = max(peak, tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        assert state.subgraph.active_count > 0.9 * cfg.cap(m)   # the cap was reached
+        assert peak < self.MAX_BYTES_PER_EDGE * m, peak / m
