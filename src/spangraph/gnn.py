@@ -57,10 +57,22 @@ precomputes its propagation: Wu et al., *Simplifying Graph Convolutional
 Networks*, ICML 2019) and each eval forward reads it, read-only, in place of
 that product.  So does a train step over the full graph (``train_step``
 passes ``aggregate`` on); backward never writes that entry.  A train step
-over a subgraph forms its own, as its P changes every epoch.
+over a subgraph forms its own, as its P changes every epoch, but holds it
+only on a graph of one panel (PANEL_BLOCKS row blocks).  Past that, layer
+0's tape entry is None: it holds no n x d_in array, and the forward pass,
+backward and ``z_diff_norms`` each form S one panel at a time from the
+tape's P and features, read the panel's blocks while it is still in cache,
+and drop it (recomputation again, paid once more in backward).  A panel is
+a CSR matrix over views of P's data and indices (``row_panel``): scipy's
+constructor copies slices of a larger array, which would hold a second
+copy of P's entries.  scipy forms each row of a CSR product from that
+row's entries in storage order, so each panel row is bitwise that row of
+P X.
 The loss is mean softmax cross-entropy over the training nodes, computed
-in place in one gathered copy of their logits.  Backward drops the logits
-before it spreads that copy into the n-row delta, so the two never coexist.
+in place in one gathered copy of their logits; its row-sized vectors (the
+label entries' flat indices, the picked logits, the softmax denominators)
+each die once read.  Backward drops the logits before it spreads that copy
+into the n-row delta, so the two never coexist.
 Updates are plain gradient descent, W -= lr * grad, no momentum and no
 weight decay.  Everything runs in float64.
 """
@@ -71,6 +83,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import NumericalError
 from .graphstore import GCN_SYMMETRIC, MEAN_ROW, PropagationMatrix
@@ -87,6 +100,8 @@ WEIGHT_MAGIC = b"SPGW"
 
 # rows per block of the dense chains between sparse products
 ROW_BLOCK = 512
+# row blocks per panel of a layer-0 aggregate formed panel by panel
+PANEL_BLOCKS = 8
 
 
 @dataclass
@@ -122,7 +137,9 @@ class BackwardTape:
     model: GnnModel
     p: PropagationMatrix        # the matrix the pass propagated with
     features: np.ndarray        # the first layer's input
-    saved: list[tuple[np.ndarray, ...]]  # per layer: the narrow arrays Z is rebuilt from
+    # per layer: the narrow arrays Z is rebuilt from; None for a layer 0 whose
+    # S = P X is formed again from P and the features a panel at a time
+    saved: list[tuple[np.ndarray, ...] | None]
     logits: np.ndarray | None   # the pass's output; backward drops it first
 
 
@@ -133,12 +150,44 @@ def row_blocks(n: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _by_rows(n: int, fill) -> list[np.ndarray]:
-    """n-row arrays filled from ``fill(rows)``, one part each per row block;
-    each block's parts die before the next block is computed."""
+def row_panel(matrix: sp.csr_matrix, rows: slice) -> sp.csr_matrix:
+    """Rows ``rows`` of ``matrix`` as a CSR matrix over views of its data and
+    indices; scipy's constructor would copy slices of a larger array."""
+    lo, hi = matrix.indptr[rows.start], matrix.indptr[rows.stop]
+    panel = sp.csr_matrix((rows.stop - rows.start, matrix.shape[1]), dtype=matrix.dtype)
+    panel.data, panel.indices = matrix.data[lo:hi], matrix.indices[lo:hi]
+    panel.indptr = matrix.indptr[rows.start:rows.stop + 1] - lo
+    return panel
+
+
+def _blocks(model: GnnModel, p: PropagationMatrix, features: np.ndarray,
+            entry: tuple[np.ndarray, ...] | None):
+    """Per row block: its rows, then a tape entry and the block's rows in it.
+    An entry of None is a layer 0 whose S = P X the tape does not hold: each
+    panel of S, PANEL_BLOCKS row blocks, is formed from P's rows, stands in
+    for the entry of its blocks, and dies once they have been read."""
+    blocks = row_blocks(len(features))
+    if entry is not None:
+        for rows in blocks:
+            yield rows, entry, rows
+        return
+    for first in range(0, len(blocks), PANEL_BLOCKS):
+        run = blocks[first:first + PANEL_BLOCKS]
+        panel = slice(run[0].start, run[-1].stop)
+        s = row_panel(p.matrix, panel) @ features
+        entry = (features[panel], s) if model.layer_type == SAGE_MEAN else (s,)
+        for rows in run:
+            yield rows, entry, slice(rows.start - panel.start, rows.stop - panel.start)
+        del s, entry
+
+
+def _by_rows(n: int, blocks, fill) -> list[np.ndarray]:
+    """n-row arrays filled from ``fill(entry, rows)`` for each row block of
+    ``_blocks``, one part each; each block's parts die before the next block
+    is computed."""
     whole = None
-    for rows in row_blocks(n):
-        parts = fill(rows)
+    for rows, entry, local in blocks:
+        parts = fill(entry, local)
         if whole is None:
             whole = [np.empty((n, part.shape[1])) for part in parts]
         for out, part in zip(whole, parts):
@@ -179,18 +228,22 @@ def _operands(model: GnnModel, layer: int, h: np.ndarray) -> tuple[np.ndarray, .
     return (h @ w,)
 
 
+def _z_rows(tape: BackwardTape, layer: int):
+    """Z of ``layer`` a row block at a time, rebuilt from ``tape``."""
+    for _, entry, rows in _blocks(tape.model, tape.p, tape.features, tape.saved[layer]):
+        yield _pre_activation_rows(tape.model, layer, entry, rows)
+
+
 def z_diff_norms(tape_a: BackwardTape, tape_b: BackwardTape) -> list[float]:
     """Per layer, the Frobenius norm of the tapes' Z difference, formed a row
     block at a time and summed as np.linalg.norm sums, sqrt(d . d); read
     before a backward writes over either tape."""
-    def sq_rows(layer: int, rows: slice) -> float:
-        z = _pre_activation_rows(tape_a.model, layer, tape_a.saved[layer], rows)
-        diff = np.subtract(z, _pre_activation_rows(tape_b.model, layer, tape_b.saved[layer], rows),
-                           out=z if z.flags.owndata else None)  # z may view the tape
+    def sq_rows(z: np.ndarray, z_b: np.ndarray) -> float:
+        diff = np.subtract(z, z_b, out=z if z.flags.owndata else None)  # z may view the tape
         return diff.ravel() @ diff.ravel()
 
-    blocks = row_blocks(len(tape_a.features))
-    return [float(np.sqrt(sum((sq_rows(layer, rows) for rows in blocks), 0.0)))
+    return [float(np.sqrt(sum(map(sq_rows, _z_rows(tape_a, layer), _z_rows(tape_b, layer)),
+                              0.0)))
             for layer in range(tape_a.model.num_layers)]
 
 
@@ -248,25 +301,33 @@ def forward(model: GnnModel, p: PropagationMatrix, features: np.ndarray,
     n, last = x.shape[0], model.num_layers - 1
     saved = []
     parts = _operands(model, 0, x)
+    # past one panel, a layer 0 that aggregates first holds no S = P X of its
+    # own: every reader forms it again a panel at a time
+    stream = (aggregate is None and not transforms_first(model, 0)
+              and len(row_blocks(n)) > PANEL_BLOCKS)
     for layer in range(model.num_layers):
-        s = p.matrix @ parts[0] if layer or aggregate is None else aggregate
-        if transforms_first(model, layer):
-            if len(parts) > 1:
-                s += parts[1]       # sage's self term
-            entry = (s,)            # s is Z
+        if layer == 0 and stream:
+            entry = None
         else:
-            entry = (parts[0], s) if model.layer_type == SAGE_MEAN else (s,)
+            s = p.matrix @ parts[0] if layer or aggregate is None else aggregate
+            if transforms_first(model, layer):
+                if len(parts) > 1:
+                    s += parts[1]   # sage's self term
+                entry = (s,)        # s is Z
+            else:
+                entry = (parts[0], s) if model.layer_type == SAGE_MEAN else (s,)
         saved.append(entry)
         parts = None
         if layer == last:
             break
         # the row-local chain up to the next sparse product, a block at a time
-        parts = _by_rows(n, lambda rows: _operands(
+        parts = _by_rows(n, _blocks(model, p, x, entry), lambda entry, rows: _operands(
             model, layer + 1, _hidden_rows(model, layer, entry, rows)))
     if transforms_first(model, last):
         logits = entry[0]
     else:
-        [logits] = _by_rows(n, lambda rows: (_pre_activation_rows(model, last, entry, rows),))
+        [logits] = _by_rows(n, _blocks(model, p, x, entry),
+                            lambda entry, rows: (_pre_activation_rows(model, last, entry, rows),))
     return BackwardTape(model=model, p=p, features=x, saved=saved, logits=logits)
 
 
@@ -283,24 +344,30 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray,
 def _masked_loss(logits: np.ndarray, labels: np.ndarray,
                  mask: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean CE over masked rows, those rows, and the loss gradient on them,
-    formed in place in one gathered copy of their logits."""
+    formed in place in one gathered copy of their logits; each row-sized
+    vector dies once it has been read."""
     rows = np.flatnonzero(mask)
     if rows.size == 0:
         raise ValueError("training mask is empty")
-    z = logits[rows]
+    z = np.take(logits, rows, axis=0)
     # the row max over columns: exact, and faster than a reduce over short rows
     top = z[:, :1].copy()
     for col in range(1, z.shape[1]):
         np.maximum(top, z[:, col:col + 1], out=top)
     z -= top
     del top         # so it does not sit beside the exp and the gradient
-    pick = (np.arange(rows.size), labels[rows])
-    picked = z[pick]
+    # each row's label entry, by its index into the flattened rows
+    flat = np.take(labels, rows)
+    flat += np.arange(0, z.size, z.shape[1])
+    picked = np.take(z, flat)
     np.exp(z, out=z)
     denom = z.sum(axis=1, keepdims=True)
-    loss = float(-(picked - np.log(denom[:, 0])).mean())
     z /= denom
-    z[pick] -= 1.0
+    picked -= np.log(denom[:, 0], out=denom[:, 0])
+    del denom
+    loss = float(-picked.mean())
+    del picked
+    z.ravel()[flat] -= 1.0
     z /= rows.size
     return loss, rows, z
 
@@ -325,14 +392,14 @@ def _add_to(grads: list, layer: int, g: np.ndarray) -> None:
     grads[layer] = g if grads[layer] is None else grads[layer] + g
 
 
-def _delta_rows(model: GnnModel, layer: int, entry: tuple[np.ndarray, ...], rows: slice,
+def _delta_rows(model: GnnModel, layer: int, h: np.ndarray, rows: slice,
                 u: np.ndarray, carried: np.ndarray | None, grads: list) -> np.ndarray:
-    """delta = dL/dZ of hidden ``layer`` on ``rows``, from the layer above's
-    U and sage term; adds the layer above's gradient if it transforms first."""
+    """delta = dL/dZ of hidden ``layer`` on ``rows``, from its H = relu(Z)
+    there and the layer above's U and sage term; adds the layer above's
+    gradient if it transforms first."""
     sage = model.layer_type == SAGE_MEAN
     above = layer + 1
     w, d = model.weights[above], model.input_dim(above)
-    h = _hidden_rows(model, layer, entry, rows)
     mask = h > 0.0          # h = relu(Z) > 0 exactly where Z > 0
     if transforms_first(model, above):
         c = carried[rows] if sage else None
@@ -361,7 +428,7 @@ def loss_and_backward(tape: BackwardTape, labels: np.ndarray,
     loss, rows, dz = _masked_loss(tape.logits, labels, train_mask)
     tape.logits = None
     if transforms_first(model, model.num_layers - 1):
-        tape.saved[-1] = None       # that layer's Z is the logits
+        tape.saved[-1] = ()         # that layer's Z is the logits
     delta = _spread(rows, dz, n)
     del rows, dz
     grads: list = [None] * model.num_layers
@@ -375,13 +442,14 @@ def loss_and_backward(tape: BackwardTape, labels: np.ndarray,
         if u is None and narrow:
             entry = (delta,)        # G is delta itself
         else:
-            for rows in row_blocks(n):
-                dz = delta[rows] if u is None else _delta_rows(model, layer, entry, rows,
-                                                               u, carried, grads)
+            for rows, src, local in _blocks(model, p, tape.features, entry):
+                dz = delta[rows] if u is None else _delta_rows(
+                    model, layer, _hidden_rows(model, layer, src, local), rows, u, carried,
+                    grads)
                 if narrow:
                     entry[0][rows] = dz                 # G = delta, over Z
                 else:
-                    _add_to(grads, layer, _a_rows(entry, rows).T @ dz)
+                    _add_to(grads, layer, _a_rows(src, local).T @ dz)
                     if layer > 0:   # G = delta W_agg^T over S, delta W_self^T over H
                         entry[-1][rows] = dz @ (w[d:] if sage else w).T
                         if sage:

@@ -14,7 +14,9 @@ layer's full-graph aggregate is formed once in setup, and every forward
 over the full graph reads it: each eval, the gradient-noise diagnostic's
 full-graph pass and, for ``full``, the training forward, whose per-epoch
 matrix equals the setup's bit for bit.  ``spangnn`` and ``dropedge``
-forwards form their own, as their matrix changes every epoch.  One metrics
+forwards form their own, as their matrix changes every epoch; past one
+panel of rows (``gnn.PANEL_BLOCKS``) their tape holds none of it, and
+forward and backward each form it a panel at a time.  One metrics
 row is emitted per epoch; timing columns hold integer milliseconds from a
 monotonic clock and can be suppressed (written as 0) for byte-identical
 reproducibility comparisons.

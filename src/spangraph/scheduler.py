@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -143,11 +144,12 @@ def step_epoch(state: EpochState, g: Graph, probs: EdgeProbabilities,
 
     cap = cfg.cap(g.num_edges)
     before = state.subgraph.active_count
+    # each generator is built only if its step draws from it
     if before + delta.size >= cap:
-        pruned = random_drop(state.subgraph, cfg.beta, spawn_rng(cfg.seed, i, "drop"))
+        pruned = random_drop(state.subgraph, cfg.beta, partial(spawn_rng, cfg.seed, i, "drop"))
     else:
         pruned = state.subgraph
-    merged = graph_update(pruned, delta, cap, spawn_rng(cfg.seed, i, "truncate"))
+    merged = graph_update(pruned, delta, cap, partial(spawn_rng, cfg.seed, i, "truncate"))
 
     return EpochState(
         epoch_index=i + 1,

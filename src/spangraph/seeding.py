@@ -36,7 +36,10 @@ def derive_seed(seed: int, *tags: int | str) -> int:
 
 
 def as_rng(seed) -> np.random.Generator:
-    """Pass a Generator through; seed a new one from anything else."""
+    """Pass a Generator through, call a factory such as ``partial(spawn_rng,
+    seed, *tags)``, or seed a new one from anything else."""
     if isinstance(seed, np.random.Generator):
         return seed
+    if callable(seed):
+        return seed()
     return np.random.default_rng(seed)

@@ -437,29 +437,38 @@ class TestBackwardTape:
 
     @pytest.mark.parametrize("layer_type", ["gcn", "sage-mean"])
     @pytest.mark.parametrize("hidden", [32, 8])
-    def test_a_taped_forward_holds_only_narrow_products(self, layer_type, hidden, pa3k):
+    def test_a_taped_forward_holds_only_narrow_products(self, layer_type, hidden, pa3k,
+                                                        monkeypatch):
         """Every array on the tape is n x min(d_in, d_out) of its layer, and
         the tape holds nothing else: at hidden 32 (16-32-32-4) the hidden
         layers aggregate first, at hidden 8 (16-8-8-4) layer 0 transforms
-        first."""
+        first.  Over three panels an aggregate-first layer 0's entry is None
+        and holds nothing; in one panel it holds S = P X."""
         g = pa3k
         kind = GCN_SYMMETRIC if layer_type == "gcn" else MEAN_ROW
         p = build_propagation(SpanningSubgraph.full(g), kind)
         model = init_model(layer_type, g.feature_dim, hidden, 4, 3, seed=0)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tape = forward(model, p, g.features)
-            held = tracemalloc.get_traced_memory()[0] - base
-        finally:
-            tracemalloc.stop()
-        assert tape.features is g.features
-        for layer, entry in enumerate(tape.saved):
-            narrow = min(model.input_dim(layer), model.weights[layer].shape[1])
-            assert entry and all(a.shape == (g.num_nodes, narrow) for a in entry), layer
-        kept = {id(a): a.nbytes for a in [tape.logits, *(a for e in tape.saved for a in e)]
-                if a is not g.features}
-        assert sum(kept.values()) <= held <= sum(kept.values()) + self.TAPE_SLACK, held
+        for panel_blocks in (gnn.PANEL_BLOCKS, 2):
+            monkeypatch.setattr(gnn, "PANEL_BLOCKS", panel_blocks)
+            streamed = (len(row_blocks(g.num_nodes)) > panel_blocks
+                        and not transforms_first(model, 0))
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tape = forward(model, p, g.features)
+                held = tracemalloc.get_traced_memory()[0] - base
+            finally:
+                tracemalloc.stop()
+            assert tape.features is g.features
+            assert (tape.saved[0] is None) == streamed
+            for layer, entry in enumerate(tape.saved[streamed:], start=streamed):
+                narrow = min(model.input_dim(layer), model.weights[layer].shape[1])
+                assert entry and all(a.shape == (g.num_nodes, narrow) for a in entry), layer
+            kept = {id(a): a.nbytes
+                    for a in [tape.logits, *(a for e in tape.saved[streamed:] for a in e)]
+                    if a is not g.features}
+            assert sum(kept.values()) <= held <= sum(kept.values()) + self.TAPE_SLACK, held
+            del tape
 
 
 class TestEvalForward:
@@ -642,17 +651,144 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("layer_type, arrays", [("sage-mean", 4.0), ("gcn", 2.5)])
     def test_a_deep_train_step_holds_nothing_beside_tape_delta_and_u(self, layer_type, arrays,
-                                                                     pa3k):
+                                                                     pa3k, monkeypatch):
         """3 layers at hidden 64 (16-64-64-4): backward writes each layer's G
         over the tape rows it has read, so U is its one new n x 64 array.
-        Measured 3.30 (sage) and 2.27 (gcn) n x 64 float64 arrays; fresh G and
-        delta W_self^T arrays read 4.98 and 2.68."""
+        ``arrays`` bounds a step whose tape holds layer 0's S = P X; formed a
+        512-row panel at a time, S (n x 16, a quarter of an n x 64 array)
+        comes off the bound.  Measured 3.09 (sage) and 2.07 (gcn) n x 64
+        float64 arrays; a tape that holds S reads 3.30 and 2.27, and fresh G
+        and delta W_self^T arrays 4.98 and 2.68 on top of that tape."""
+        monkeypatch.setattr(gnn, "PANEL_BLOCKS", 1)
         g = pa3k
         kind = GCN_SYMMETRIC if layer_type == "gcn" else MEAN_ROW
         p = build_propagation(SpanningSubgraph.full(g), kind)
         model = init_model(layer_type, g.feature_dim, 64, 4, 3, seed=0)
         peak = traced_peak(train_step, model, p, g.features, g.labels, g.train_mask, 0.1)
-        assert peak < arrays * g.num_nodes * 64 * 8, peak / (g.num_nodes * 64 * 8)
+        unit = g.num_nodes * 64 * 8
+        assert peak < (arrays - g.features.nbytes / unit) * unit, peak / unit
+
+
+class FeatureSpy:
+    """Stands in for P: multiplies like it and logs, at every product,
+    whether the dense operand is the features themselves."""
+
+    def __init__(self, matrix, log, features):
+        self.matrix, self.log, self.features = matrix, log, features
+
+    def __matmul__(self, dense):
+        self.log.append(dense is self.features)
+        return self.matrix @ dense
+
+    @property
+    def T(self):
+        return FeatureSpy(self.matrix.T, self.log, self.features)
+
+
+class TestRowPanels:
+    """Past one panel of PANEL_BLOCKS row blocks, an aggregate-first layer 0
+    handed no cached aggregate forms S = P X a panel at a time; with 7-row
+    blocks a 40-node graph is one panel, or three of two blocks each."""
+
+    @pytest.mark.parametrize("kind", [GCN_SYMMETRIC, MEAN_ROW])
+    def test_panel_rows_are_the_whole_products_rows_and_share_p(self, kind, pa3k):
+        """A scipy that copied a panel's data or indices would hold a second
+        copy of P's entries, so sharing is checked after the product."""
+        g = pa3k
+        matrix = build_propagation(SpanningSubgraph.full(g), kind).matrix
+        whole = matrix @ g.features
+        for rows in (slice(0, 512), slice(1000, 2048), slice(2900, 3000), slice(0, 3000)):
+            panel = gnn.row_panel(matrix, rows)
+            assert panel.shape == (rows.stop - rows.start, g.num_nodes)
+            assert (panel @ g.features).tobytes() == whole[rows].tobytes()
+            assert np.shares_memory(panel.data, matrix.data)
+            assert np.shares_memory(panel.indices, matrix.indices)
+
+    @pytest.mark.parametrize("layer_type", ["gcn", "sage-mean"])
+    @pytest.mark.parametrize("widths", [(3, 4), (3, 5, 2), (4, 8, 8, 3), (3, 5, 4, 5)],
+                             ids=widths_id)
+    def test_a_multi_panel_step_matches_a_tape_that_holds_s_bitwise(self, layer_type, widths,
+                                                                    monkeypatch):
+        """1 to 3 layers; forward forms each panel once and backward once more."""
+        monkeypatch.setattr(gnn, "ROW_BLOCK", 7)
+        g, _, p = sbm40(layer_type, widths)
+        model = model_with_widths(layer_type, widths, seed=6)
+        args = (g.labels, g.train_mask)
+        tape = forward(model, p, g.features)
+        assert tape.saved[0] is not None
+        want_logits = tape.logits.tobytes()
+        want_loss, want_grads = loss_and_backward(tape, *args)
+
+        monkeypatch.setattr(gnn, "PANEL_BLOCKS", 2)
+        formed, row_panel = [], gnn.row_panel
+        monkeypatch.setattr(gnn, "row_panel",
+                            lambda matrix, rows: formed.append(rows) or row_panel(matrix, rows))
+        tape = forward(model, p, g.features)
+        assert tape.saved[0] is None
+        assert tape.logits.tobytes() == want_logits
+        loss, grads = loss_and_backward(tape, *args)
+        assert formed == [slice(0, 14), slice(14, 28), slice(28, 40)] * 2
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        for got, want in zip(grads, want_grads, strict=True):
+            assert got.tobytes() == want.tobytes()
+
+    # slack for Python objects and first-call caches in a traced peak
+    PEAK_SLACK = 4096
+
+    @pytest.mark.parametrize("layer_type", ["gcn", "sage-mean"])
+    @pytest.mark.parametrize("hidden, depth", [(32, 2), (64, 2), (32, 3)])
+    def test_a_multi_panel_step_peaks_s_less_one_panel_below(self, layer_type, hidden, depth,
+                                                             pa3k, monkeypatch):
+        """pa3k is one panel of 4,096 rows, or six of 512 rows at PANEL_BLOCKS
+        1.  Six panels hold one panel of S at a time where one panel holds all
+        of S (n x 16), so the peak falls by S less a panel (measured within 500
+        bytes of it), and the step is the same."""
+        g = pa3k
+        kind = GCN_SYMMETRIC if layer_type == "gcn" else MEAN_ROW
+        p = build_propagation(SpanningSubgraph.full(g), kind)
+        held, streamed = (init_model(layer_type, g.feature_dim, hidden, 4, depth, seed=0)
+                          for _ in range(2))
+        args = (p, g.features, g.labels, g.train_mask, 0.1)
+        held_peak = traced_peak(train_step, held, *args)
+        monkeypatch.setattr(gnn, "PANEL_BLOCKS", 1)
+        assert len(row_blocks(g.num_nodes)) == 6
+        streamed_peak = traced_peak(train_step, streamed, *args)
+        panel = gnn.ROW_BLOCK * g.feature_dim * 8
+        assert held_peak - streamed_peak >= g.features.nbytes - panel - self.PEAK_SLACK, (
+            held_peak, streamed_peak)
+        for a, b in zip(streamed.weights, held.weights, strict=True):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("layer_type", ["gcn", "sage-mean"])
+    @pytest.mark.parametrize("widths", [(3, 4), (3, 5, 2), (4, 8, 8, 3)], ids=widths_id)
+    def test_a_one_panel_step_forms_p_x_once(self, layer_type, widths):
+        """On a graph of one panel the step multiplies P itself (a stand-in
+        with no CSR arrays could not be cut into panels) and keeps S."""
+        g, p, _ = sbm40(layer_type, widths)
+        assert len(row_blocks(g.num_nodes)) <= gnn.PANEL_BLOCKS
+        log = []
+        model = model_with_widths(layer_type, widths, seed=6)
+        train_step(model, PropagationMatrix(FeatureSpy(p.matrix, log, g.features)),
+                   g.features, g.labels, g.train_mask, 0.1)
+        assert log.count(True) == 1, log
+
+    @pytest.mark.parametrize("layer_type", ["gcn", "sage-mean"])
+    @pytest.mark.parametrize("widths", [(3, 5, 2), (4, 8, 8, 3)], ids=widths_id)
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_gradient_noise_reports_the_same_norms_bitwise(self, layer_type, widths, cached,
+                                                           monkeypatch):
+        """With the full pass's aggregate cached only the subgraph tape
+        streams its S; without it both do, side by side in z_diff_norms."""
+        monkeypatch.setattr(gnn, "ROW_BLOCK", 7)
+        g, p_full, p_sub = sbm40(layer_type, widths)
+        model = model_with_widths(layer_type, widths, seed=6)
+        aggregate = input_aggregate(model, p_full, g.features) if cached else None
+        args = (model, p_full, p_sub, g.features, g.labels, g.train_mask, aggregate)
+        want = gradient_noise(*args)
+        monkeypatch.setattr(gnn, "PANEL_BLOCKS", 2)
+        got = gradient_noise(*args)
+        assert np.array(got.z_diff_norms).tobytes() == np.array(want.z_diff_norms).tobytes()
+        assert np.array(got.noise_norms).tobytes() == np.array(want.noise_norms).tobytes()
 
 
 class TestSgdStep:

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from spangraph import scheduler
 from spangraph.errors import ConfigError
 from spangraph.graphstore import (
     GCN_SYMMETRIC,
@@ -373,6 +374,32 @@ class TestMatchesMaskReference:
                         assert got.indptr.tobytes() == want.indptr.tobytes()
                         assert got.indices.tobytes() == want.indices.tobytes()
                         assert got.data.tobytes() == want.data.tobytes()
+
+
+class TestLazyGenerators:
+    def test_a_step_builds_only_the_generators_it_draws_from(self, monkeypatch):
+        """The drop stream is built only when a capped step drops an edge, the
+        truncate stream only when the merge lands on the cap; the draws stay
+        those of ``TestMatchesMaskReference``'s eagerly built streams."""
+        g = random_edge_graph(nodes=300, edges=2000, seed=1)
+        probs = vm_weights(g)
+        cfg = ScheduleConfig(alpha_up=0.2, beta=0.1, s1=200, s2=50, epochs=30, seed=9)
+        built, spawn = [], scheduler.spawn_rng
+        monkeypatch.setattr(scheduler, "spawn_rng",
+                            lambda *tags: built.append(tags[1:]) or spawn(*tags))
+        state = init_schedule(g, cfg)
+        kinds = set()
+        for i in range(cfg.epochs):
+            built.clear()
+            state = step_epoch(state, g, probs, cfg)
+            assert ((i, "drop") in built) == (state.dropped_this_epoch > 0)
+            if (i, "truncate") in built:
+                assert state.subgraph.active_count == cfg.cap(g.num_edges)
+            assert set(built) <= {(i, "drop"), (i, "truncate")}
+            kinds.add(frozenset(tag for _, tag in built))
+        # uncapped steps build neither; a capped step builds the drop stream,
+        # and the truncate stream too when its merge passes the cap
+        assert kinds == {frozenset(), frozenset({"drop"}), frozenset({"drop", "truncate"})}
 
 
 class TestStepMemory:
