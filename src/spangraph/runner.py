@@ -225,9 +225,9 @@ def _dropedge_subgraph(g: Graph, beta: float, seed, epoch: int) -> SpanningSubgr
     rng = spawn_rng(seed, epoch, "dropedge")
     m = g.num_edges
     drop = eps_floor(beta * m)
-    # the kept ids in order: the complement of the dropped tail, not a sort
+    # the kept ids in order: the complement of a uniform drop-subset, not a sort
     keep = np.ones(m, dtype=bool)
-    keep[rng.permutation(m)[m - drop:]] = False
+    keep[rng.choice(m, drop, replace=False, shuffle=False)] = False
     return SpanningSubgraph(g, np.flatnonzero(keep).astype(index_dtype(m)))
 
 

@@ -76,8 +76,9 @@ class EdgeProbabilities:
     total: float
 
     @classmethod
-    def from_weights(cls, kind: str, weights: np.ndarray) -> "EdgeProbabilities":
-        weights = np.asarray(weights, dtype=np.float64)
+    def from_weights(cls, kind: str, weights, *, copy: bool = True) -> "EdgeProbabilities":
+        """``copy=False`` adopts a fresh float64 array that no caller holds."""
+        weights = np.array(weights, dtype=np.float64, copy=copy or None)
         if weights.ndim != 1:
             raise ValueError("weights must be a 1-d array")
         if weights.size == 0:
@@ -87,7 +88,6 @@ class EdgeProbabilities:
         total = float(np.cumsum(weights)[-1])
         if total <= 0.0:
             raise ValueError("edge weights must have positive total mass")
-        weights = weights.copy()
         weights.flags.writeable = False
         return cls(kind=kind, weights=weights, total=total)
 
@@ -117,7 +117,7 @@ class SampleRequest:
 
 def uniform_weights(g: Graph) -> EdgeProbabilities:
     """Uniform distribution over the edge set."""
-    return EdgeProbabilities.from_weights(UNIFORM, np.ones(g.num_edges))
+    return EdgeProbabilities.from_weights(UNIFORM, np.ones(g.num_edges), copy=False)
 
 
 def vm_weights(g: Graph) -> EdgeProbabilities:
@@ -125,7 +125,7 @@ def vm_weights(g: Graph) -> EdgeProbabilities:
     deg = g.degree.astype(np.float64)
     u, v = g.edges[:, 0], g.edges[:, 1]
     w = 1.0 / deg[u] + 1.0 / deg[v]
-    return EdgeProbabilities.from_weights(VM, w)
+    return EdgeProbabilities.from_weights(VM, w, copy=False)
 
 
 def gnr_weights(g: Graph, p: PropagationMatrix) -> EdgeProbabilities:
@@ -143,7 +143,7 @@ def gnr_weights(g: Graph, p: PropagationMatrix) -> EdgeProbabilities:
     norms = column_norms(p)
     u, v = g.edges[:, 0], g.edges[:, 1]
     w = norms[u] + norms[v]
-    return EdgeProbabilities.from_weights(GNR, w)
+    return EdgeProbabilities.from_weights(GNR, w, copy=False)
 
 
 def make_weights(kind: str, g: Graph, p: PropagationMatrix | None = None) -> EdgeProbabilities:

@@ -11,8 +11,9 @@ exceeds alpha_up at any epoch.
 Each step works on the subgraph's sorted active edge ids
 (``SpanningSubgraph.active``): the drop deletes random positions of that
 array, and the merge finds the batch's already-active ids by binary
-search, then sorts the survivors in with the active ones.  So a step's
-memory and work follow the active edges and the batch, never |E|.
+search, then sorts the survivors in with the active ones.  Both draw their
+k positions by a partial shuffle (``Generator.choice(replace=False)``), so
+a step's memory and work follow the active edges and the batch, never |E|.
 """
 
 from __future__ import annotations
@@ -93,15 +94,15 @@ def init_schedule(g: Graph, cfg: ScheduleConfig) -> EpochState:
 
 
 def random_drop(sub: SpanningSubgraph, beta: float, seed) -> SpanningSubgraph:
-    """Uniformly remove floor(beta * |active|) active edges."""
+    """Uniformly remove k = floor(beta * |active|) active edges in O(k) swaps."""
     if not (0.0 <= beta < 1.0):
         raise ValueError(f"beta must be in [0, 1), got {beta}")
     k = eps_floor(beta * sub.active_count)
     if k == 0:
         return sub
     active = sub.active_indices
-    rng = as_rng(seed)
-    return SpanningSubgraph(sub.parent, np.delete(active, rng.permutation(active.size)[:k]))
+    victims = as_rng(seed).choice(active.size, k, replace=False, shuffle=False)
+    return SpanningSubgraph(sub.parent, np.delete(active, victims))
 
 
 def graph_update(sub: SpanningSubgraph, delta: np.ndarray, cap: int,
@@ -109,8 +110,8 @@ def graph_update(sub: SpanningSubgraph, delta: np.ndarray, cap: int,
     """Merge selected edges, truncating uniformly to land exactly on cap.
 
     Already-active members of ``delta`` are no-ops; if the union would
-    exceed ``cap``, a uniformly random subset of the fresh edges is
-    discarded so the result has exactly ``cap`` active edges.
+    exceed ``cap``, a uniform subset of the fresh edges, drawn in O(kept)
+    swaps, is kept so the result has exactly ``cap`` active edges.
     """
     fresh = sorted_unique(np.asarray(delta, dtype=np.int64).reshape(-1))
     if fresh.size and (fresh[0] < 0 or fresh[-1] >= sub.parent.num_edges):
@@ -121,9 +122,8 @@ def graph_update(sub: SpanningSubgraph, delta: np.ndarray, cap: int,
         at = np.minimum(active.searchsorted(fresh), active.size - 1)
         fresh = fresh[active[at] != fresh]
     if active.size + fresh.size > cap:
-        keep = cap - active.size
-        rng = as_rng(seed)
-        fresh = fresh[rng.permutation(fresh.size)[:keep]]
+        keep = as_rng(seed).choice(fresh.size, cap - active.size, replace=False, shuffle=False)
+        fresh = fresh[np.sort(keep)]    # still sorted, so the stable sort merges two runs
     if fresh.size == 0:
         return sub
     merged = np.concatenate([active, fresh])

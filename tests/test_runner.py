@@ -19,6 +19,8 @@ from spangraph.runner import (
 )
 from spangraph.synthetic import GeneratorSpec, make_graph
 
+from conftest import graph_from_edges
+
 SPEC = GeneratorSpec(kind="sbm", nodes=60, classes=3, feature_dim=6,
                      seed=12, p_in=0.3, p_out=0.03)
 # more nodes than one row block
@@ -55,19 +57,35 @@ class TestRunTraining:
         b = _dropedge_subgraph(g, 0.7, seed=5, epoch=1)
         assert not np.array_equal(a.active, b.active)
 
-    def test_dropedge_keeps_the_head_of_the_epoch_permutation(self):
-        """The kept ids are the sorted first m - floor(beta m) entries of the
-        epoch's permutation of the edges."""
+    def test_dropedge_keeps_the_complement_of_the_epoch_choice(self):
+        """The kept ids are the sorted complement of the floor(beta m) ids the
+        epoch's generator chooses without replacement."""
         from spangraph.runner import _dropedge_subgraph
         from spangraph.seeding import spawn_rng
         from spangraph.synthetic import make_graph
         g = make_graph(SPEC)
         m = g.num_edges
         for epoch in range(5):
-            want = spawn_rng(5, epoch, "dropedge").permutation(m)[:m - int(0.7 * m + 1e-9)]
+            dropped = spawn_rng(5, epoch, "dropedge").choice(m, int(0.7 * m + 1e-9),
+                                                            replace=False, shuffle=False)
+            want = np.setdiff1d(np.arange(m), dropped)
             got = _dropedge_subgraph(g, 0.7, seed=5, epoch=epoch).active
             assert got.dtype == np.int32
             np.testing.assert_array_equal(got, np.sort(want))
+
+    def test_dropedge_survival_is_uniform(self):
+        """Each edge survives beta=0.3 with frequency 0.7 +- 0.01, and every
+        epoch keeps exactly m - floor(0.3 m) edges."""
+        from spangraph.runner import _dropedge_subgraph
+        m = 10
+        g = graph_from_edges(m + 1, [[i, i + 1] for i in range(m)])
+        trials = 50_000
+        survived = np.zeros(m)
+        for epoch in range(trials):
+            sub = _dropedge_subgraph(g, 0.3, seed=11, epoch=epoch)
+            assert sub.active_count == m - int(0.3 * m + 1e-9)
+            survived[sub.active] += 1
+        np.testing.assert_allclose(survived / trials, 0.7, atol=0.01)
 
     def test_spangnn_respects_cap_in_metrics(self):
         result = run_training(small_cfg(alpha_up=0.3))

@@ -87,6 +87,19 @@ class TestNormalization:
         probs = vm_weights(path4)
         assert abs(probs.weights.sum() - probs.total) <= 1e-9 * probs.total
 
+    def test_a_callers_array_is_copied(self):
+        w = np.array([0.1, 0.2, 0.3])
+        probs = EdgeProbabilities.from_weights("uniform", w)
+        assert w.flags.writeable and not np.shares_memory(w, probs.weights)
+        w[0] = 5.0
+        np.testing.assert_array_equal(probs.weights, [0.1, 0.2, 0.3])
+
+    def test_scheme_weights_are_owned_read_only_with_the_prefix_total(self, star4):
+        p = build_propagation(SpanningSubgraph.full(star4), MEAN_ROW)
+        for probs in (vm_weights(star4), gnr_weights(star4, p), uniform_weights(star4)):
+            assert probs.weights.flags.owndata and not probs.weights.flags.writeable
+            assert probs.total == float(np.cumsum(probs.weights)[-1])
+
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             EdgeProbabilities.from_weights("uniform", np.array([1.0, -0.5]))

@@ -88,6 +88,23 @@ class TestRandomDrop:
             survived[random_drop(sub, 0.3, rng).active] += 1
         np.testing.assert_allclose(survived / trials, 0.7, atol=0.01)
 
+    def test_peak_follows_the_drop_not_the_active_set(self):
+        """At beta=0.01 on 200k ids the victims come from Floyd's O(k) draw:
+        the traced peak is the result, np.delete's 1-byte mask per id and
+        64 KB.  A permutation of the active positions adds 8 bytes per id."""
+        n = 200_000
+        g = random_edge_graph(nodes=1_000, edges=n, seed=0)
+        sub = SpanningSubgraph(g, np.arange(n, dtype=np.int32))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = random_drop(sub, 0.01, 3)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out.active_count == n - n // 100
+        assert peak <= out.active.nbytes + n + 64 * 1024, peak
+
     def test_drops_only_active_edges(self):
         g = chain_graph(10)
         sub = SpanningSubgraph.from_indices(g, [0, 2, 4, 6])
@@ -121,6 +138,26 @@ class TestGraphUpdate:
             added = set(out.active_indices) - set(old)
             assert added <= set(delta.tolist())
             assert set(old) <= set(out.active_indices)
+
+    def test_truncation_survival_is_uniform(self):
+        """Each fresh id survives a capped merge with frequency keep/|fresh|
+        +- 0.01, and the merge lands exactly on the cap."""
+        g = chain_graph(30)
+        old = np.array([0, 3, 7, 11])
+        sub = SpanningSubgraph.from_indices(g, old)
+        fresh = np.arange(12, 24)
+        delta = np.concatenate([fresh, fresh[::3], old[:2]])  # repeats, active ids
+        cap, trials = 9, 40_000
+        rng = np.random.default_rng(8)
+        survived = np.zeros(g.num_edges)
+        for _ in range(trials):
+            out = graph_update(sub, delta, cap, rng)
+            assert out.active_count == cap
+            survived[out.active] += 1
+        np.testing.assert_array_equal(survived[old], trials)
+        assert survived.sum() == cap * trials
+        np.testing.assert_allclose(survived[fresh] / trials,
+                                   (cap - old.size) / fresh.size, atol=0.01)
 
     def test_truncation_choice_is_random(self):
         g = chain_graph(12)
@@ -251,7 +288,7 @@ def mask_random_drop(mask, beta, seed):
     k = eps_floor(beta * active.size)
     if k == 0:
         return mask
-    victims = active[as_rng(seed).permutation(active.size)[:k]]
+    victims = active[as_rng(seed).choice(active.size, k, replace=False, shuffle=False)]
     mask = mask.copy()
     mask[victims] = False
     return mask
@@ -263,7 +300,8 @@ def mask_graph_update(mask, delta, cap, seed=0):
     fresh = np.unique(delta[~mask[delta]])
     current = int(np.count_nonzero(mask))
     if current + fresh.size > cap:
-        fresh = fresh[as_rng(seed).permutation(fresh.size)[:cap - current]]
+        fresh = fresh[as_rng(seed).choice(fresh.size, cap - current, replace=False,
+                                          shuffle=False)]
     mask[fresh] = True
     return mask
 
