@@ -3,7 +3,7 @@
 Subcommands: train, compare, sample-inspect, bench-sampling, gen-data.
 Options can come from a key=value config file (--config PATH); flags given
 on the command line win over file values.  Exit codes: 0 success,
-1 config error, 2 data error, 3 numerical error.
+1 config error or out of memory, 2 data error, 3 numerical error.
 
 Numpy is imported only after the SPANGRAPH_THREADS cap (if set) has been
 propagated to the BLAS thread-count environment variables, so keep module
@@ -47,82 +47,85 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> list[argparse.Action]:
-    """Add the flags every subcommand shares; returns their actions."""
+# readers of a flag in _flags: the subcommands that read it
+RUN = ("train", "compare")
+DATA = (*RUN, "sample-inspect", "bench-sampling")      # those that load a dataset
+ALL = (*DATA, "gen-data")
+GENERATED = "generated"     # a generator field: gen-data and, given --gen, DATA read it
+
+
+def _flags() -> tuple:
+    """(flag, readers, argparse keywords) per common flag, in help order.
+
+    Each flag's readers are written here once.  Every subcommand accepts every common flag, so ``main`` can name each
+    one it does not read; ``--help`` lists only those it may read.  A
+    flag's destination is its config-file key, save ``--config``'s.
+    """
     from .runner import BASELINES
     from .sampler import SAMPLER_KINDS
     from .synthetic import GENERATOR_KINDS
-    add = p.add_argument
-    return [
-        add("--config", type=str, help="key=value config file"),
-        add("--data", type=str, help="dataset directory with the standard filenames"),
-        add("--edges", type=str),
-        add("--features", type=str),
-        add("--labels", type=str),
-        add("--splits", type=str),
-        add("--gen", type=str, choices=GENERATOR_KINDS,
-            help="generate the dataset in memory instead of loading"),
-        add("--nodes", type=int),
-        add("--classes", type=int),
-        add("--feature-dim", type=int),
-        add("--p-in", type=float),
-        add("--p-out", type=float),
-        add("--attach", type=int),
-        add("--feature-noise", type=float),
-        add("--alpha-up", type=float),
-        add("--beta", type=float),
-        add("--s1", type=int),
-        add("--s2", type=int),
-        add("--sampler", type=str, choices=SAMPLER_KINDS),
-        add("--baseline", type=str, choices=BASELINES),
-        add("--model", type=str, choices=["gcn", "sage"]),
-        add("--layers", type=int),
-        add("--hidden", type=int),
-        add("--lr", type=float),
-        add("--epochs", type=int),
-        add("--seed", type=int),
-        add("--out", type=str),
-        add("--no-timings", action="store_true",
-            help="write timing columns as 0 for byte-stable output"),
-        add("--diag-every", type=int,
-            help="emit a diagnostics row every N epochs (0 = off)"),
-        add("--diag-samples", type=int),
-    ]
+    return (
+        ("--config", ALL, dict(type=str, help="key=value config file")),
+        ("--data", DATA, dict(type=str, help="dataset directory with the standard filenames")),
+        ("--edges", DATA, dict(type=str)),
+        ("--features", DATA, dict(type=str)),
+        ("--labels", DATA, dict(type=str)),
+        ("--splits", DATA, dict(type=str)),
+        ("--gen", ALL, dict(type=str, choices=GENERATOR_KINDS,
+                            help="generate the dataset in memory instead of loading")),
+        ("--nodes", (GENERATED,), dict(type=int)),
+        ("--classes", (GENERATED,), dict(type=int)),
+        ("--feature-dim", (GENERATED,), dict(type=int)),
+        ("--p-in", (GENERATED,), dict(type=float)),
+        ("--p-out", (GENERATED,), dict(type=float)),
+        ("--attach", (GENERATED,), dict(type=int)),
+        ("--feature-noise", (GENERATED,), dict(type=float)),
+        ("--alpha-up", RUN, dict(type=float)),
+        ("--beta", RUN, dict(type=float)),
+        ("--s1", (*RUN, "bench-sampling"), dict(type=int)),
+        ("--s2", (*RUN, "bench-sampling"), dict(type=int)),
+        ("--sampler", DATA, dict(type=str, choices=SAMPLER_KINDS)),
+        ("--baseline", RUN, dict(type=str, choices=BASELINES)),
+        ("--model", (*RUN, "sample-inspect"), dict(type=str, choices=["gcn", "sage"])),
+        ("--layers", RUN, dict(type=int)),
+        ("--hidden", RUN, dict(type=int)),
+        ("--lr", RUN, dict(type=float)),
+        ("--epochs", RUN, dict(type=int)),
+        ("--seed", (*RUN, "bench-sampling", GENERATED), dict(type=int)),
+        ("--out", (*RUN, "sample-inspect", "gen-data"), dict(type=str)),
+        ("--no-timings", RUN, dict(action="store_false", dest="timings", default=None,
+                                   help="write timing columns as 0 for byte-stable output")),
+        ("--diag-every", RUN, dict(type=int,
+                                   help="emit a diagnostics row every N epochs (0 = off)")),
+        ("--diag-samples", RUN, dict(type=int)),
+        ("--variants", ("compare",), dict(type=str, help=f"comma-separated variant names "
+                                                         f"(default: {DEFAULT_VARIANTS})")),
+    )
 
 
-def _add_variants_flag(p: argparse.ArgumentParser) -> argparse.Action:
-    return p.add_argument("--variants", type=str,
-                          help=f"comma-separated variant names "
-                               f"(default: {DEFAULT_VARIANTS})")
+def _dest(flag: str, kw: dict) -> str:
+    return kw.get("dest", flag[2:].replace("-", "_"))
 
 
 def build_parser() -> _Parser:
     from .synthetic import GENERATOR_KINDS
     parser = _Parser(prog="spangraph", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_train = sub.add_parser("train", help="run one training configuration")
-    _add_common_flags(p_train)
-
-    p_cmp = sub.add_parser("compare", help="run several variants on shared data")
-    _add_common_flags(p_cmp)
-    _add_variants_flag(p_cmp)
-
-    p_ins = sub.add_parser("sample-inspect",
-                           help="dump edge weights and normalized probabilities")
-    _add_common_flags(p_ins)
-
-    p_bench = sub.add_parser("bench-sampling",
-                             help="time two-step vs direct edge sampling")
-    _add_common_flags(p_bench)
-    p_bench.add_argument("--bench-nodes", type=int, default=200_000)
-    p_bench.add_argument("--bench-edges", type=int, default=1_000_000)
-    p_bench.add_argument("--runs", type=int, default=9)
-
-    p_gen = sub.add_parser("gen-data", help="write a synthetic dataset to disk")
-    _add_common_flags(p_gen)
-    p_gen.add_argument("--kind", type=str, default="sbm", choices=GENERATOR_KINDS)
-    p_gen.add_argument("--binary-features", action="store_true")
+    subparsers = {}
+    for command, (_, text) in _COMMANDS.items():
+        p = subparsers[command] = sub.add_parser(command, help=text)
+        reads = _reads(command)     # as if given --gen
+        for flag, _, kw in _flags():
+            hidden = _dest(flag, kw) not in reads
+            p.add_argument(flag, **{**kw, "help": argparse.SUPPRESS} if hidden else kw)
+    # the command-specific flags, which no config key sets
+    add = subparsers["bench-sampling"].add_argument
+    add("--bench-nodes", type=int, default=200_000)
+    add("--bench-edges", type=int, default=1_000_000)
+    add("--runs", type=int, default=9)
+    add = subparsers["gen-data"].add_argument
+    add("--kind", type=str, default="sbm", choices=GENERATOR_KINDS)
+    add("--binary-features", action="store_true")
     return parser
 
 
@@ -132,28 +135,24 @@ def _on_off(value: str) -> bool:
     return value == "on"
 
 
-def _flag_value(action: argparse.Action):
-    """Value parser of a flag: its type, then its choices, as argparse applies them."""
+def _value_parser(kw: dict):
+    """Config value parser of a flag: its type, then its choices, as argparse
+    applies them; ``--no-timings``' key reads on|off."""
+    if "type" not in kw:
+        return _on_off
+
     def parse(text: str):
-        value = action.type(text)
-        if action.choices is not None and value not in action.choices:
+        value = kw["type"](text)
+        if "choices" in kw and value not in kw["choices"]:
             raise ValueError(text)
         return value
     return parse
 
 
 def _config_key_types() -> dict:
-    """Config-file key -> value parser, one key per common flag and --variants.
-
-    Keys are the flags' destinations; ``--no-timings`` becomes
-    ``timings=on|off`` and ``--config`` has no key.
-    """
-    probe = argparse.ArgumentParser(add_help=False)
-    actions = _add_common_flags(probe) + [_add_variants_flag(probe)]
-    types = {a.dest: _flag_value(a) for a in actions
-             if a.dest not in ("config", "no_timings")}
-    types["timings"] = _on_off
-    return types
+    """Config-file key -> value parser, one key per common flag but --config."""
+    return {_dest(flag, kw): _value_parser(kw) for flag, _, kw in _flags()
+            if flag != "--config"}
 
 
 def parse_config_file(path) -> dict:
@@ -188,8 +187,6 @@ def _options(args) -> dict:
     """Config-file values, overridden by every flag given on the command line."""
     opts = parse_config_file(args.config) if args.config else {}
     opts.update((k, v) for k, v in vars(args).items() if v is not None)
-    if opts.pop("no_timings"):
-        opts["timings"] = False
     return opts
 
 
@@ -319,30 +316,20 @@ def _cmd_gen_data(opts: dict) -> int:
 
 
 def _reads(command: str, generated: bool = True) -> set:
-    """Options ``command`` reads; ``main`` refuses any other that is set.
-    Only gen-data and a ``generated`` dataset read the generator's fields;
-    runs and benches read ``seed`` in any case."""
-    from .synthetic import GeneratorSpec
-    spec_fields = {f.name for f in fields(GeneratorSpec)} - {"kind"}
-    generator = spec_fields if generated else set()
-    source = {"data", "edges", "features", "labels", "splits", "gen"} | generator
-    run = (set(_config_key_types()) - {"variants"} - spec_fields) | generator | {"seed"}
-    return {"command", "config"} | {
-        "train": run,
-        "compare": run | {"variants"},
-        "sample-inspect": source | {"model", "sampler", "out"},
-        "bench-sampling": source | {"seed", "sampler", "s1", "s2", "bench_nodes",
-                                    "bench_edges", "runs"},
-        "gen-data": spec_fields | {"out", "kind", "gen", "binary_features"},
-    }[command]
+    """Options ``command`` reads; ``main`` refuses any other config key set.
+    gen-data reads the generator's fields, and so does a ``generated`` dataset."""
+    generated = generated or command == "gen-data"
+    return {_dest(flag, kw) for flag, readers, kw in _flags()
+            if command in readers or generated and GENERATED in readers}
 
 
-_DISPATCH = {
-    "train": _cmd_train,
-    "compare": _cmd_compare,
-    "sample-inspect": _cmd_sample_inspect,
-    "bench-sampling": _cmd_bench_sampling,
-    "gen-data": _cmd_gen_data,
+# subcommand -> (handler, help)
+_COMMANDS = {
+    "train": (_cmd_train, "run one training configuration"),
+    "compare": (_cmd_compare, "run several variants on shared data"),
+    "sample-inspect": (_cmd_sample_inspect, "dump edge weights and normalized probabilities"),
+    "bench-sampling": (_cmd_bench_sampling, "time two-step vs direct edge sampling"),
+    "gen-data": (_cmd_gen_data, "write a synthetic dataset to disk"),
 }
 
 
@@ -352,10 +339,11 @@ def main(argv=None) -> int:
         parser = build_parser()
         args = parser.parse_args(argv)
         opts = _options(args)
-        unread = sorted(set(opts) - _reads(args.command, "gen" in opts))
+        keys = set(opts).intersection(_config_key_types())
+        unread = sorted(keys - _reads(args.command, "gen" in opts))
         if unread:
             raise ConfigError(f"{args.command} does not read {', '.join(unread)}")
-        return _DISPATCH[args.command](opts)
+        return _COMMANDS[args.command][0](opts)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -365,6 +353,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"config error: out of memory: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -4,9 +4,9 @@ A run trains one model for ``epochs`` full-batch steps.  Three modes:
 
 * ``spangnn``: the scheduler grows the spanning subgraph each epoch and
   the model trains on the grown subgraph's propagation matrix.
-* ``dropedge``: each epoch trains on an independent uniform subset of the
-  ORIGINAL edge set that keeps a (1 - beta) fraction; nothing carries
-  over between epochs.
+* ``dropedge``: each epoch trains on ``random_drop`` of the ORIGINAL edge
+  set, an independent uniform subset that keeps a (1 - beta) fraction;
+  nothing carries over between epochs.
 * ``full``: every epoch trains on the full graph.
 
 Evaluation always uses the full-graph propagation matrix.  The first
@@ -25,7 +25,8 @@ reproducibility comparisons.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -44,19 +45,13 @@ from .gnn import (
     save_weights,
     train_step,
 )
-from .graphstore import (Graph, SpanningSubgraph, build_propagation, index_dtype,
-                         load_dataset, load_graph)
+from .graphstore import Graph, SpanningSubgraph, build_propagation, load_dataset, load_graph
 from .sampler import SAMPLER_KINDS, make_weights, uniform_weights
-from .scheduler import ScheduleConfig, eps_floor, init_schedule, step_epoch
+from .scheduler import ScheduleConfig, init_schedule, random_drop, step_epoch
 from .seeding import derive_seed, spawn_rng
 from .synthetic import GeneratorSpec, make_graph
 
 BASELINES = ("spangnn", "dropedge", "full")
-
-METRIC_COLUMNS = (
-    "epoch", "loss", "train_acc", "val_acc", "val_macro_f1", "edge_ratio",
-    "active_edges", "sampling_time_ms", "train_time_ms", "peak_edges_so_far",
-)
 
 # compare variant name -> the RunConfig fields it sets
 VARIANTS = {
@@ -176,6 +171,9 @@ class EpochMetrics:
         ]
 
 
+METRIC_COLUMNS = tuple(f.name for f in fields(EpochMetrics))
+
+
 @dataclass
 class RunResult:
     config: RunConfig
@@ -219,16 +217,6 @@ def make_out_dir(path) -> Path:
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: {exc}") from None
     return out
-
-
-def _dropedge_subgraph(g: Graph, beta: float, seed, epoch: int) -> SpanningSubgraph:
-    rng = spawn_rng(seed, epoch, "dropedge")
-    m = g.num_edges
-    drop = eps_floor(beta * m)
-    # the kept ids in order: the complement of a uniform drop-subset, not a sort
-    keep = np.ones(m, dtype=bool)
-    keep[rng.choice(m, drop, replace=False, shuffle=False)] = False
-    return SpanningSubgraph(g, np.flatnonzero(keep).astype(index_dtype(m)))
 
 
 def run_training(cfg: RunConfig, graph: Graph | None = None) -> RunResult:
@@ -275,7 +263,8 @@ def run_training(cfg: RunConfig, graph: Graph | None = None) -> RunResult:
             sched_state = step_epoch(sched_state, g, probs, sched_cfg)
             sub = sched_state.subgraph
         elif cfg.baseline == "dropedge":
-            sub = _dropedge_subgraph(g, cfg.beta, cfg.seed, epoch)
+            sub = random_drop(SpanningSubgraph.full(g), cfg.beta,
+                              partial(spawn_rng, cfg.seed, epoch, "dropedge"))
         else:
             sub = SpanningSubgraph.full(g)
         t1 = _now_ms()

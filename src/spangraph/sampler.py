@@ -122,9 +122,9 @@ def uniform_weights(g: Graph) -> EdgeProbabilities:
 
 def vm_weights(g: Graph) -> EdgeProbabilities:
     """Variance-minimized weights: 1/deg(u) + 1/deg(v) per canonical edge."""
-    deg = g.degree.astype(np.float64)
-    u, v = g.edges[:, 0], g.edges[:, 1]
-    w = 1.0 / deg[u] + 1.0 / deg[v]
+    inv = 1.0 / np.maximum(g.degree, 1)     # an isolated node's entry is never read
+    w = inv[g.edges[:, 0]]
+    w += inv[g.edges[:, 1]]     # in place: w and one gather are the only |E| arrays
     return EdgeProbabilities.from_weights(VM, w, copy=False)
 
 

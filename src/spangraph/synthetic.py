@@ -103,8 +103,9 @@ def _preferential_attachment_edges(spec: GeneratorSpec,
     endpoints = np.empty(2 * k * n + size, dtype=np.int64)
     endpoints[0:size:2], endpoints[1:size:2] = iu, ju
     for node in range(core, n):
-        targets = np.unique(endpoints[rng.integers(0, size, size=k)])
-        end = size + 2 * targets.size
+        # a set of k Python ints dedupes faster than np.unique on k entries
+        targets = sorted(set(endpoints[rng.integers(0, size, size=k)].tolist()))
+        end = size + 2 * len(targets)
         endpoints[size:end:2], endpoints[size + 1:end:2] = targets, node
         size = end
     return endpoints[:size].reshape(-1, 2)

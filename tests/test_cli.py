@@ -2,9 +2,13 @@
 
 import itertools
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spangraph
 from spangraph import graphstore, runner
 from spangraph.cli import _config_key_types, _reads, main, parse_config_file
 from spangraph.errors import ConfigError
@@ -490,3 +494,41 @@ class TestThreadCap:
         assert main(["gen-data", "--kind", "sbm", "--nodes", "10",
                      "--classes", "2", "--out", str(tmp_path / "d")]) == 0
         assert os.environ["OMP_NUM_THREADS"] == "2"
+
+    def test_importing_the_cli_loads_no_numpy(self):
+        """The cap must be set before numpy loads, so the CLI module, its flag
+        table included, imports no numeric library at module level."""
+        code = "import sys, spangraph.cli; print('numpy' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(spangraph.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True, env=env)
+        assert done.stdout == "False\n", done.stderr
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command,listed,omitted", [
+        ("gen-data", ["--nodes", "--seed", "--out", "--kind"], ["--epochs", "--lr", "--data"]),
+        ("train", ["--epochs", "--lr", "--data", "--nodes"], ["--variants", "--kind"]),
+        ("compare", ["--variants", "--epochs"], ["--runs"]),
+        ("sample-inspect", ["--sampler", "--model", "--gen"], ["--epochs", "--s1"]),
+        ("bench-sampling", ["--s1", "--runs", "--seed"], ["--epochs", "--out"]),
+    ])
+    def test_lists_only_the_flags_a_command_reads(self, command, listed, omitted, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            run_cli(command, "--help")
+        assert exit_.value.code == 0
+        words = capsys.readouterr().out.split()
+        assert all(flag in words for flag in listed), words
+        assert not any(flag in words for flag in omitted), words
+
+
+class TestOutOfMemory:
+    def test_exits_one_with_numpys_message(self, monkeypatch, tmp_path, capsys):
+        def exhausted(cfg):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+        monkeypatch.setattr(runner, "run_training", exhausted)
+        assert run_cli("train", "--gen", "sbm", "--nodes", "40", "--epochs", "2",
+                       "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: out of memory: Unable to allocate 745. GiB for an array\n"
+        assert "Traceback" not in err

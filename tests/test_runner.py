@@ -1,6 +1,7 @@
 """Training orchestration: baselines, metrics emission, comparisons."""
 
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from spangraph.runner import (
     run_training,
     variant_config,
 )
+from spangraph.scheduler import random_drop
+from spangraph.seeding import spawn_rng
 from spangraph.synthetic import GeneratorSpec, make_graph
 
 from conftest import graph_from_edges
@@ -26,6 +29,12 @@ SPEC = GeneratorSpec(kind="sbm", nodes=60, classes=3, feature_dim=6,
 # more nodes than one row block
 BIG = GeneratorSpec(kind="sbm", nodes=2 * ROW_BLOCK + 100, classes=3, feature_dim=6,
                     seed=12, p_in=0.02, p_out=0.002)
+
+
+def dropedge_subgraph(g, beta, seed, epoch):
+    """The subgraph a dropedge run with this seed trains on in ``epoch``."""
+    return random_drop(SpanningSubgraph.full(g), beta,
+                       partial(spawn_rng, seed, epoch, "dropedge"))
 
 
 def small_cfg(**over):
@@ -48,41 +57,49 @@ class TestRunTraining:
         expected = m - int(np.floor(0.7 * m + 1e-9))
         assert all(r.active_edges == expected for r in result.metrics)
 
+    def test_dropedge_trains_on_the_epoch_drop(self, monkeypatch):
+        """Each epoch's matrix is built over ``dropedge_subgraph`` of that epoch."""
+        built = []
+
+        def watched_build(sub, kind):
+            built.append(sub.active_indices)
+            return build_propagation(sub, kind)
+        monkeypatch.setattr(runner, "build_propagation", watched_build)
+        run_training(small_cfg(baseline="dropedge", beta=0.3, epochs=4))
+        g = make_graph(SPEC)
+        assert len(built) == 5      # the full graph's in setup, then one per epoch
+        for epoch, got in enumerate(built[1:]):
+            np.testing.assert_array_equal(got, dropedge_subgraph(g, 0.3, 5, epoch).active)
+
     def test_dropedge_resamples_each_epoch(self):
         """Consecutive epochs use independent subsets of the original edges."""
-        from spangraph.runner import _dropedge_subgraph
-        from spangraph.synthetic import make_graph
         g = make_graph(SPEC)
-        a = _dropedge_subgraph(g, 0.7, seed=5, epoch=0)
-        b = _dropedge_subgraph(g, 0.7, seed=5, epoch=1)
+        a = dropedge_subgraph(g, 0.7, seed=5, epoch=0)
+        b = dropedge_subgraph(g, 0.7, seed=5, epoch=1)
         assert not np.array_equal(a.active, b.active)
 
     def test_dropedge_keeps_the_complement_of_the_epoch_choice(self):
         """The kept ids are the sorted complement of the floor(beta m) ids the
         epoch's generator chooses without replacement."""
-        from spangraph.runner import _dropedge_subgraph
-        from spangraph.seeding import spawn_rng
-        from spangraph.synthetic import make_graph
         g = make_graph(SPEC)
         m = g.num_edges
         for epoch in range(5):
             dropped = spawn_rng(5, epoch, "dropedge").choice(m, int(0.7 * m + 1e-9),
                                                             replace=False, shuffle=False)
             want = np.setdiff1d(np.arange(m), dropped)
-            got = _dropedge_subgraph(g, 0.7, seed=5, epoch=epoch).active
+            got = dropedge_subgraph(g, 0.7, seed=5, epoch=epoch).active
             assert got.dtype == np.int32
             np.testing.assert_array_equal(got, np.sort(want))
 
     def test_dropedge_survival_is_uniform(self):
         """Each edge survives beta=0.3 with frequency 0.7 +- 0.01, and every
         epoch keeps exactly m - floor(0.3 m) edges."""
-        from spangraph.runner import _dropedge_subgraph
         m = 10
         g = graph_from_edges(m + 1, [[i, i + 1] for i in range(m)])
         trials = 50_000
         survived = np.zeros(m)
         for epoch in range(trials):
-            sub = _dropedge_subgraph(g, 0.3, seed=11, epoch=epoch)
+            sub = dropedge_subgraph(g, 0.3, seed=11, epoch=epoch)
             assert sub.active_count == m - int(0.3 * m + 1e-9)
             survived[sub.active] += 1
         np.testing.assert_allclose(survived / trials, 0.7, atol=0.01)

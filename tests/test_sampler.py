@@ -1,6 +1,7 @@
 """Edge weighting schemes and the two sampling paths."""
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from spangraph.sampler import (
     uniform_weights,
     vm_weights,
 )
+
+from spangraph.synthetic import GeneratorSpec, make_graph, random_edge_graph
 
 from conftest import graph_from_edges
 
@@ -46,6 +49,31 @@ class TestVmWeights:
         g = graph_from_edges(3, np.zeros((0, 2)))
         with pytest.raises(ValueError, match="edgeless"):
             vm_weights(g)
+
+    def test_weights_are_bitwise_the_degree_formula(self):
+        """Also on a sparse SBM whose isolated nodes no edge reads."""
+        sparse = make_graph(GeneratorSpec(kind="sbm", nodes=400, p_in=0.004,
+                                          p_out=0.0005, seed=1))
+        assert (sparse.degree == 0).any()
+        for g in (sparse, random_edge_graph(nodes=300, edges=5_000, seed=2)):
+            u, v = g.edges[:, 0], g.edges[:, 1]
+            want = 1.0 / g.degree[u] + 1.0 / g.degree[v]
+            probs = vm_weights(g)
+            assert probs.weights.tobytes() == want.tobytes()
+            assert probs.total == float(np.cumsum(want)[-1])
+
+    def test_peak_holds_two_edge_arrays(self):
+        """The weights and one gather or ``from_weights``' prefix sum: under
+        2.5x the weights' bytes, where a gather per reciprocal holds three."""
+        g = random_edge_graph(nodes=1_000, edges=200_000, seed=0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            probs = vm_weights(g)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * probs.weights.nbytes, peak
 
 
 class TestGnrWeights:

@@ -159,7 +159,26 @@ class TestDistinctPairs:
         assert np.array_equal(j * (j - 1) // 2 + i, ranks)
 
 
+def attachment_reference(spec, rng):
+    """The attachment loop written plainly, each node's targets deduped by np.unique."""
+    core = min(spec.attach + 1, spec.nodes)
+    edges = [(i, j) for i in range(core) for j in range(i + 1, core)]
+    for node in range(core, spec.nodes):
+        endpoints = np.array(edges).ravel()
+        targets = np.unique(endpoints[rng.integers(0, endpoints.size, size=spec.attach)])
+        edges += [(t, node) for t in targets]
+    return np.array(edges)
+
+
 class TestPreferentialAttachment:
+    @pytest.mark.parametrize("nodes,attach", [(400, 5), (60, 1), (4, 8)])
+    def test_edges_match_the_np_unique_reference(self, nodes, attach):
+        spec = GeneratorSpec(kind="preferential-attachment", nodes=nodes, attach=attach)
+        got = synthetic._preferential_attachment_edges(spec, np.random.default_rng(7))
+        want = attachment_reference(spec, np.random.default_rng(7))
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+
     def test_edge_count_and_hubs(self):
         spec = GeneratorSpec(kind="preferential-attachment", nodes=300,
                              classes=3, attach=4, seed=2)
