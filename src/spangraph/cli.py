@@ -308,6 +308,7 @@ def _cmd_gen_data(opts: dict) -> int:
     if opts.get("gen", opts["kind"]) != opts["kind"]:
         raise ConfigError(f"--gen {opts['gen']!r} names another kind than --kind {opts['kind']!r}")
     spec = _generator_spec(opts, opts["kind"])
+    spec.validate()     # before the directory, so a refused spec leaves none
     make_out_dir(out)
     g = generate_synthetic(spec, out, binary_features=opts["binary_features"])
     print(f"wrote {spec.kind} dataset to {out}: {g.num_nodes} nodes, "

@@ -85,7 +85,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import NumericalError
+from .errors import NumericalError, refuse_unshapeable
 from .graphstore import GCN_SYMMETRIC, MEAN_ROW, PropagationMatrix
 from .seeding import spawn_rng
 
@@ -260,6 +260,7 @@ def init_model(layer_type: str, in_dim: int, hidden_dim: int, out_dim: int,
         d_in = in_dim if layer == 0 else hidden_dim
         d_out = out_dim if layer == num_layers - 1 else hidden_dim
         rows = 2 * d_in if layer_type == SAGE_MEAN else d_in
+        refuse_unshapeable(f"hidden_dim {hidden_dim}", rows, d_out)
         bound = np.sqrt(6.0 / (rows + d_out))
         weights.append(rng.uniform(-bound, bound, size=(rows, d_out)))
     return GnnModel(layer_type=layer_type, weights=weights)

@@ -236,7 +236,7 @@ def build_graph(num_nodes: int, edges: np.ndarray, features: np.ndarray,
         raise DataError(f"split count {splits.shape} does not match {num_nodes} nodes")
     unknown = ~np.isin(splits, SPLIT_NAMES)
     if unknown.any():
-        raise DataError(f"unknown split name {splits[unknown][0]!r}")
+        raise DataError(f"unknown split name {str(splits[unknown][0])!r}")
     train_mask = splits == "train"
     val_mask = splits == "val"
     test_mask = splits == "test"

@@ -232,12 +232,12 @@ def run_training(cfg: RunConfig, graph: Graph | None = None) -> RunResult:
                           "at least one edge")
     if not g.train_mask.any():
         raise DataError("the dataset has no nodes in the train split")
+    model = init_model(cfg.layer_type, g.feature_dim, cfg.hidden_dim,
+                       max(g.num_classes, 2), cfg.num_layers, seed=cfg.seed)
     out = make_out_dir(cfg.out_dir) if cfg.out_dir is not None else None
 
     kind = PROPAGATION_KIND[cfg.layer_type]
     p_full = build_propagation(SpanningSubgraph.full(g), kind)
-    model = init_model(cfg.layer_type, g.feature_dim, cfg.hidden_dim,
-                       max(g.num_classes, 2), cfg.num_layers, seed=cfg.seed)
 
     probs = None
     if cfg.baseline == "spangnn":

@@ -13,7 +13,8 @@ Two weighting schemes steer edge selection toward high-benefit edges:
   introduced by training on a spanning subgraph.
 
 Both distributions are computed once per run from the original graph and
-never change while the subgraph evolves.
+never change while the subgraph evolves.  A distribution holds only its
+weights: setup forms no prefix sum over them.
 
 Selection is either direct (build the cumulative weight array over the
 whole edge set, then draw) or two-step: a uniform pre-sample of S1 distinct
@@ -65,15 +66,14 @@ _REJECTION_CAP_FACTOR = 100
 class EdgeProbabilities:
     """Sampling distribution over the canonical edge set.
 
-    ``weights`` are unnormalized and non-negative; ``total`` is the last
-    entry of their prefix sum (sequential order, as ``direct_sample``
-    accumulates them).  ``normalized()`` gives the probability vector
-    (sums to 1).
+    ``weights`` are unnormalized, non-negative and not all zero.  Reading
+    ``total`` forms their prefix sum (sequential order, as ``direct_sample``
+    accumulates them) and returns its last entry.  ``normalized()`` gives
+    the probability vector (sums to 1).
     """
 
     kind: str
     weights: np.ndarray
-    total: float
 
     @classmethod
     def from_weights(cls, kind: str, weights, *, copy: bool = True) -> "EdgeProbabilities":
@@ -85,15 +85,18 @@ class EdgeProbabilities:
             raise ValueError("cannot build an edge distribution on an edgeless graph")
         if (weights < 0).any():
             raise ValueError("edge weights must be non-negative")
-        total = float(np.cumsum(weights)[-1])
-        if total <= 0.0:
+        if not weights.any():
             raise ValueError("edge weights must have positive total mass")
         weights.flags.writeable = False
-        return cls(kind=kind, weights=weights, total=total)
+        return cls(kind=kind, weights=weights)
 
     @property
     def num_edges(self) -> int:
         return int(self.weights.shape[0])
+
+    @property
+    def total(self) -> float:
+        return float(np.cumsum(self.weights)[-1])
 
     def normalized(self) -> np.ndarray:
         return self.weights / self.total
@@ -161,8 +164,6 @@ def make_weights(kind: str, g: Graph, p: PropagationMatrix | None = None) -> Edg
 
 def _first_distinct(values: np.ndarray) -> np.ndarray:
     """The distinct entries of ``values`` in order of first occurrence."""
-    if values.size <= 64:     # a dict beats numpy's per-call overhead here
-        return np.fromiter(dict.fromkeys(values.tolist()), np.int64)
     order = np.argsort(values)
     ranked = values[order]
     starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
@@ -254,8 +255,6 @@ def two_step_sample(g: Graph, probs: EdgeProbabilities, req: SampleRequest) -> n
     req.validate(m)
     rng = as_rng(req.rng_seed)
     pool = rng.choice(m, req.s1, replace=False, shuffle=False)
-    if req.s2 == req.s1:
-        return np.sort(pool)
     pool_weights = probs.weights[pool]
     keys = rng.standard_exponential(req.s1)
     positive = pool_weights > 0.0

@@ -13,8 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
-from .graphstore import Graph, build_graph, save_dataset
+from .errors import ConfigError, refuse_unshapeable
+from .graphstore import MAX_KEYED_NODES, Graph, build_graph, save_dataset
 from .seeding import spawn_rng
 
 SBM = "sbm"
@@ -45,14 +45,24 @@ class GeneratorSpec:
             raise ConfigError(
                 f"nodes ({self.nodes}) must be >= classes ({self.classes})"
             )
+        _refuse_unkeyed(self.nodes)
         if self.feature_dim < 1:
             raise ConfigError("feature_dim must be >= 1")
+        refuse_unshapeable(f"feature_dim {self.feature_dim}", self.nodes, self.feature_dim)
         if self.kind == SBM and not (0.0 <= self.p_out <= 1.0 and 0.0 <= self.p_in <= 1.0):
             raise ConfigError("sbm probabilities must be in [0, 1]")
-        if self.kind == PREFERENTIAL_ATTACHMENT and self.attach < 1:
-            raise ConfigError("attach must be >= 1")
+        if self.kind == PREFERENTIAL_ATTACHMENT:
+            if self.attach < 1:
+                raise ConfigError("attach must be >= 1")
+            refuse_unshapeable(f"attach {self.attach}", 2 * self.attach * self.nodes)
         if not 0 <= self.feature_noise < np.inf:
             raise ConfigError(f"feature_noise must be finite and >= 0, got {self.feature_noise}")
+
+
+def _refuse_unkeyed(nodes: int) -> None:
+    if nodes > MAX_KEYED_NODES:
+        raise ConfigError(f"nodes ({nodes}) exceed the {MAX_KEYED_NODES} that "
+                          f"int64 edge keys can order")
 
 
 def _distinct_pairs(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
@@ -162,6 +172,9 @@ def random_edge_graph(nodes: int, edges: int, seed: int = 0) -> Graph:
     """
     if nodes < 2:
         raise ConfigError("need at least 2 nodes")
+    _refuse_unkeyed(nodes)
+    if edges < 0:
+        raise ConfigError(f"edge count must be >= 0, got {edges}")
     if edges > nodes * (nodes - 1) // 2:
         raise ConfigError(f"{edges} edges do not fit in a {nodes}-node simple graph")
     pairs = _distinct_pairs(spawn_rng(seed, "random-edge-graph"), nodes, edges)

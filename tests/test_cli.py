@@ -466,6 +466,54 @@ class TestInputErrors:
         assert "Traceback" not in err and "does not read" not in err, err
 
 
+class TestOversizedInputs:
+    """A node count past the edge-key bound, a negative edge count, or a
+    width numpy cannot shape is refused as a config error before any array
+    of that size is asked for."""
+
+    @pytest.mark.parametrize("argv,fault", [
+        ("bench-sampling --bench-edges -1", "edge count must be >= 0, got -1"),
+        ("bench-sampling --bench-nodes 5000000000 --bench-edges 10 --s1 5 --s2 2 --runs 1",
+         "nodes (5000000000) exceed the 3037000499"),
+        ("gen-data --kind sbm --nodes 100000000000000000000 --classes 2 --out {out}",
+         "nodes (100000000000000000000) exceed the 3037000499"),
+        ("gen-data --kind preferential-attachment --nodes 100 --classes 2 "
+         "--attach 100000000000000000000 --out {out}",
+         "attach 100000000000000000000 needs a 20000000000000000000000 array"),
+        ("train --gen sbm --nodes 200 --classes 2 --epochs 2 --out {out} "
+         "--feature-dim 10000000000000000000",
+         "feature_dim 10000000000000000000 needs a 200 x 10000000000000000000 array"),
+        ("train --gen sbm --nodes 3000 --classes 2 --epochs 2 --out {out} "
+         "--hidden 1000000000000000000",
+         "hidden_dim 1000000000000000000 needs a 16 x 1000000000000000000 array"),
+    ])
+    def test_exits_one_with_a_config_error(self, argv, fault, tmp_path, capsys):
+        assert run_cli(*argv.format(out=tmp_path / "out").split()) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and fault in err, err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
+class TestConfigFaultMessages:
+    """Config faults that name themselves, with exit code 1."""
+
+    @pytest.mark.parametrize("command,fault", [
+        ("train", "train requires --out DIR for the metrics CSV"),
+        ("compare", "compare requires --out DIR for the combined CSV"),
+    ])
+    def test_run_without_out(self, command, fault, capsys):
+        assert run_cli(command, "--gen", "sbm", "--nodes", "40", "--epochs", "2") == 1
+        assert capsys.readouterr().err == f"config error: {fault}\n"
+
+    def test_config_line_without_equals(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("# run\nepochs 4\n")
+        assert run_cli("train", "--config", str(cfg)) == 1
+        assert capsys.readouterr().err == (
+            f"config error: {cfg}:2: expected key=value, got 'epochs 4'\n")
+
+
 class TestThreadCap:
     def test_invalid_thread_cap_is_config_error(self, monkeypatch):
         monkeypatch.setenv("SPANGRAPH_THREADS", "zero")

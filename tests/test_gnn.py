@@ -1,5 +1,6 @@
 """Forward/backward correctness, optimizer behavior, and evaluation."""
 
+import sys
 import tracemalloc
 import weakref
 
@@ -9,7 +10,7 @@ import scipy.sparse as sp
 
 from spangraph import gnn
 from spangraph.diagnostics import gradient_noise
-from spangraph.errors import NumericalError
+from spangraph.errors import ConfigError, NumericalError, refuse_unshapeable
 from spangraph.gnn import (
     BackwardTape,
     GnnModel,
@@ -70,6 +71,21 @@ class TestForward:
         model = init_model("gcn", 7, 4, 2, 2, seed=0)
         with pytest.raises(ValueError, match="does not match"):
             forward(model, p, triangle.features)
+
+    def test_a_hidden_width_numpy_cannot_shape_is_config_error(self):
+        with pytest.raises(ConfigError, match=r"^hidden_dim 288230376151711744 needs "
+                                              r"a 32 x 288230376151711744 array"):
+            init_model("sage-mean", 16, 2**58, 2, num_layers=2)
+
+    def test_the_refused_shapes_are_those_numpy_cannot_shape(self):
+        edge = sys.maxsize // 16
+        refuse_unshapeable("x", 2, edge)
+        with pytest.raises(MemoryError):    # shaped; no memory holds 2**63 bytes
+            np.empty((2, edge))
+        with pytest.raises(ConfigError, match="larger than numpy can shape"):
+            refuse_unshapeable("x", 2, edge + 1)
+        with pytest.raises(ValueError, match="too big"):
+            np.empty((2, edge + 1))
 
     def test_sage_concatenation_shapes(self, triangle):
         p = build_propagation(SpanningSubgraph.full(triangle), MEAN_ROW)

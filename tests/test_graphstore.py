@@ -100,6 +100,22 @@ class TestLoadGraph:
                 np.array([0, -1]), np.array(["train", "val"]),
             )
 
+    @pytest.mark.parametrize("num_nodes,features,labels,splits,message", [
+        (-1, np.ones((0, 1)), [], [], "num_nodes must be non-negative"),
+        (2, [[1.0], [np.nan]], [0, 1], ["train", "val"],
+         "feature matrix contains non-finite values"),
+        (2, np.ones((2, 1)), [0], ["train", "val"],
+         r"label count \(1,\) does not match 2 nodes"),
+        (2, np.ones((2, 1)), [0, -2], ["train", "none"], "labels must be >= -1"),
+        (2, np.ones((2, 1)), [0, 1], ["train"],
+         r"split count \(1,\) does not match 2 nodes"),
+        (2, np.ones((2, 1)), [0, 1], ["train", "dev"], "unknown split name 'dev'"),
+    ])
+    def test_build_graph_refuses(self, num_nodes, features, labels, splits, message):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            build_graph(num_nodes, np.zeros((0, 2)), np.asarray(features),
+                        np.asarray(labels), np.asarray(splits))
+
     def test_binary_feature_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(5, 3)).astype(np.float32)

@@ -15,6 +15,7 @@ from spangraph.graphstore import (
 from spangraph.sampler import (
     EdgeProbabilities,
     SampleRequest,
+    _first_distinct,
     direct_sample,
     gnr_weights,
     two_step_sample,
@@ -63,8 +64,8 @@ class TestVmWeights:
             assert probs.total == float(np.cumsum(want)[-1])
 
     def test_peak_holds_two_edge_arrays(self):
-        """The weights and one gather or ``from_weights``' prefix sum: under
-        2.5x the weights' bytes, where a gather per reciprocal holds three."""
+        """The weights and one gather: under 2.5x the weights' bytes, where
+        a gather per reciprocal holds three."""
         g = random_edge_graph(nodes=1_000, edges=200_000, seed=0)
         tracemalloc.start()
         try:
@@ -132,6 +133,23 @@ class TestNormalization:
         with pytest.raises(ValueError, match="non-negative"):
             EdgeProbabilities.from_weights("uniform", np.array([1.0, -0.5]))
 
+    def test_all_zero_weights_rejected(self):
+        with pytest.raises(ValueError, match="^edge weights must have positive total mass$"):
+            EdgeProbabilities.from_weights("uniform", np.zeros(3))
+
+    def test_uniform_setup_forms_no_prefix_sum(self):
+        """The ones and the sign check's bool mask: under 1.5x the weights'
+        bytes, where a whole-|E| prefix sum would make it 2x."""
+        g = random_edge_graph(nodes=1_000, edges=200_000, seed=0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            probs = uniform_weights(g)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * probs.weights.nbytes, peak
+
 
 class TestDirectSample:
     def test_exhaustive_returns_all_edges(self, path4):
@@ -180,6 +198,15 @@ class TestTwoStepSample:
         probs = vm_weights(path4)
         req = SampleRequest(s1=3, s2=3, rng_seed=5)
         np.testing.assert_array_equal(two_step_sample(path4, probs, req), [0, 1, 2])
+
+    def test_pool_as_large_as_the_request_is_the_sorted_pool(self):
+        g = random_edge_graph(nodes=200, edges=2_000, seed=4)
+        probs = vm_weights(g)
+        for seed in range(5):
+            pool = np.random.default_rng(seed).choice(2_000, 300, replace=False,
+                                                      shuffle=False)
+            out = two_step_sample(g, probs, SampleRequest(300, 300, seed))
+            assert out.dtype == np.int64 and out.tobytes() == np.sort(pool).tobytes()
 
     def test_invalid_requests(self, path4):
         probs = vm_weights(path4)
@@ -262,6 +289,17 @@ class TestTwoStepSample:
             counts[out[0]] += 1
         tv = 0.5 * np.abs(counts / trials - 0.25).sum()
         assert tv <= 0.02
+
+
+class TestFirstDistinct:
+    @pytest.mark.parametrize("size", range(1, 65))
+    def test_matches_first_occurrence_order(self, size):
+        rng = np.random.default_rng(size)
+        for high in (2, size, 10 * size):
+            values = rng.integers(0, high, size=size)
+            want = list(dict.fromkeys(values.tolist()))
+            got = _first_distinct(values)
+            assert got.dtype == np.int64 and got.tolist() == want
 
 
 class TestUniformDegeneracy:

@@ -62,6 +62,19 @@ class TestGeneratorSpec:
         with pytest.raises(ConfigError, match="classes"):
             GeneratorSpec(kind="sbm", nodes=10, classes=1).validate()
 
+    @pytest.mark.parametrize("kind", ["sbm", "preferential-attachment"])
+    def test_more_nodes_than_edge_keys_order_rejected(self, kind):
+        GeneratorSpec(kind=kind, nodes=MAX_KEYED_NODES).validate()
+        with pytest.raises(ConfigError, match="exceed the 3037000499"):
+            GeneratorSpec(kind=kind, nodes=MAX_KEYED_NODES + 1).validate()
+
+    @pytest.mark.parametrize("field,value", [("feature_dim", 2**60),
+                                             ("attach", 2**60)])
+    def test_a_width_numpy_cannot_shape_rejected(self, field, value):
+        spec = GeneratorSpec(kind="preferential-attachment", nodes=10, **{field: value})
+        with pytest.raises(ConfigError, match=f"{field} {value} needs a"):
+            spec.validate()
+
 
 class TestSbm:
     def test_disjoint_cliques_structure(self):
@@ -261,3 +274,11 @@ class TestRandomEdgeGraph:
     def test_too_dense_rejected(self):
         with pytest.raises(ConfigError, match="do not fit"):
             random_edge_graph(4, 10, seed=0)
+
+    def test_negative_edge_count_rejected(self):
+        with pytest.raises(ConfigError, match="edge count must be >= 0, got -1"):
+            random_edge_graph(10, -1, seed=0)
+
+    def test_more_nodes_than_edge_keys_order_rejected(self):
+        with pytest.raises(ConfigError, match="exceed the 3037000499"):
+            random_edge_graph(MAX_KEYED_NODES + 1, 10, seed=0)
