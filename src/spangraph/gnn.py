@@ -68,6 +68,12 @@ constructor copies slices of a larger array, which would hold a second
 copy of P's entries.  scipy forms each row of a CSR product from that
 row's entries in storage order, so each panel row is bitwise that row of
 P X.
+A train step handed a tape runs no forward of its own and consumes that
+tape.  The tape must be unconsumed and come from ``forward`` for the same
+model object at its current weights, over the same P object and features;
+the runner's ``full`` baseline hands it the previous epoch's eval forward.
+``train_step`` refuses a consumed tape and one of another model or P
+object; the weights and features it takes on trust.
 The loss is mean softmax cross-entropy over the training nodes, computed
 in place in one gathered copy of their logits; its row-sized vectors (the
 label entries' flat indices, the picked logits, the softmax denominators)
@@ -198,7 +204,8 @@ def _by_rows(n: int, blocks, fill) -> list[np.ndarray]:
 
 def _a_rows(entry: tuple[np.ndarray, ...], rows: slice) -> np.ndarray:
     """An aggregate-first layer's A on ``rows``: P H, or [H || P H] for sage."""
-    return entry[0][rows] if len(entry) == 1 else np.hstack([x[rows] for x in entry])
+    return entry[0][rows] if len(entry) == 1 else np.concatenate(
+        [x[rows] for x in entry], axis=1)
 
 
 def _pre_activation_rows(model: GnnModel, layer: int, entry: tuple[np.ndarray, ...],
@@ -483,10 +490,18 @@ def sgd_step(model: GnnModel, gradients: list[np.ndarray],
 
 def train_step(model: GnnModel, p: PropagationMatrix, features: np.ndarray,
                labels: np.ndarray, train_mask: np.ndarray, learning_rate: float,
-               aggregate: np.ndarray | None = None) -> float:
+               aggregate: np.ndarray | None = None,
+               tape: BackwardTape | None = None) -> float:
     """One full-batch forward/backward/update; returns the loss.
-    ``aggregate`` is as for ``forward``."""
-    tape = forward(model, p, features, aggregate)
+    ``aggregate`` is as for ``forward``.  A ``tape`` stands in for the
+    step's own forward and is consumed; it must be an unconsumed forward of
+    ``model`` over ``p`` and ``features`` at the current weights."""
+    if tape is None:
+        tape = forward(model, p, features, aggregate)
+    elif tape.logits is None:
+        raise ValueError("the backward tape was consumed by an earlier backward")
+    elif tape.model is not model or tape.p is not p:
+        raise ValueError("the backward tape was formed for another model or matrix")
     if not np.isfinite(tape.logits).all():
         raise NumericalError("non-finite logits; the learning rate is likely too high")
     loss, grads = loss_and_backward(tape, labels, train_mask)

@@ -7,16 +7,20 @@ A run trains one model for ``epochs`` full-batch steps.  Three modes:
 * ``dropedge``: each epoch trains on ``random_drop`` of the ORIGINAL edge
   set, an independent uniform subset that keeps a (1 - beta) fraction;
   nothing carries over between epochs.
-* ``full``: every epoch trains on the full graph.
+* ``full``: every epoch trains on the full graph.  Its matrix, built in
+  epoch 0, equals the setup's bit for bit and replaces it, so after epoch
+  0 one full-graph matrix is alive and no later epoch builds.  Each eval
+  forward is exactly the next train step's forward (same weights, matrix,
+  features and aggregate), so the step consumes the eval's tape and every
+  epoch after epoch 0 runs one forward.
 
 Evaluation always uses the full-graph propagation matrix.  The first
 layer's full-graph aggregate is formed once in setup, and every forward
 over the full graph reads it: each eval, the gradient-noise diagnostic's
-full-graph pass and, for ``full``, the training forward, whose per-epoch
-matrix equals the setup's bit for bit.  ``spangnn`` and ``dropedge``
-forwards form their own, as their matrix changes every epoch; past one
-panel of rows (``gnn.PANEL_BLOCKS``) their tape holds none of it, and
-forward and backward each form it a panel at a time.  One metrics
+full-graph pass and ``full``'s epoch-0 training forward.  ``spangnn`` and
+``dropedge`` forwards form their own, as their matrix changes every epoch;
+past one panel of rows (``gnn.PANEL_BLOCKS``) their tape holds none of
+it, and forward and backward each form it a panel at a time.  One metrics
 row is emitted per epoch; timing columns hold integer milliseconds from a
 monotonic clock and can be suppressed (written as 0) for byte-identical
 reproducibility comparisons.
@@ -37,6 +41,7 @@ from .gnn import (
     GCN,
     LAYER_TYPES,
     PROPAGATION_KIND,
+    BackwardTape,
     GnnModel,
     forward,
     init_model,
@@ -251,6 +256,8 @@ def run_training(cfg: RunConfig, graph: Graph | None = None) -> RunResult:
     # after make_weights, so it does not sit beside gnr's transients
     px_full = input_aggregate(model, p_full, g.features)
 
+    full = cfg.baseline == "full"
+    tape = None     # full, after epoch 0: the last eval's forward
     metrics: list[EpochMetrics] = []
     diagnostics: list[list] = []
     active_history: list[int] = []
@@ -269,13 +276,22 @@ def run_training(cfg: RunConfig, graph: Graph | None = None) -> RunResult:
             sub = SpanningSubgraph.full(g)
         t1 = _now_ms()
 
-        # full's P equals p_full bit for bit, so its forward reads the cache
-        p_train = build_propagation(sub, kind)
+        if not full:
+            p_train = build_propagation(sub, kind)
+        elif epoch == 0:
+            # equals the setup's P bit for bit and replaces it; built, not
+            # reused, only because perfbench's EpochClock starts epoch 0 at
+            # the second build_propagation call
+            p_full = p_train = build_propagation(sub, kind)
+        # full's forward reads the cache; after epoch 0 its step trains from
+        # the last eval's tape, the forward it would repeat
         loss = train_step(model, p_train, g.features, g.labels, g.train_mask,
-                          cfg.learning_rate, px_full if cfg.baseline == "full" else None)
+                          cfg.learning_rate, px_full if full else None, tape)
         t2 = _now_ms()
 
-        train_acc, val_acc, val_f1 = _evaluate(model, p_full, g, px_full)
+        train_acc, val_acc, val_f1, tape = _evaluate(model, p_full, g, px_full)
+        if not full:
+            tape = None     # only full's next step reads it
         best_acc = max(best_acc, val_acc)
         best_f1 = max(best_f1, val_f1)
 
@@ -300,7 +316,8 @@ def run_training(cfg: RunConfig, graph: Graph | None = None) -> RunResult:
             diagnostics.append(_diagnostics_row(
                 cfg, g, model, p_full, px_full, p_train, active, probs, epoch,
                 peak.peak_directed_edges))
-        del p_train     # so the next epoch's build does not sit beside it
+        if not full:
+            del p_train     # so the next epoch's build does not sit beside it
 
     proxy = memory_proxy(active_history, g.num_nodes, per_edge_bytes=8 * cfg.hidden_dim)
     result = RunResult(
@@ -322,22 +339,24 @@ def run_training(cfg: RunConfig, graph: Graph | None = None) -> RunResult:
 
 
 def _evaluate(model: GnnModel, p_full, g: Graph,
-              aggregate) -> tuple[float, float, float]:
+              aggregate) -> tuple[float, float, float, BackwardTape]:
     """Train accuracy, val accuracy and val macro-F1 of a full-graph forward
-    that reads the run's ``input_aggregate``; the logits and predictions die
-    on return, before the next train step."""
-    pred = np.argmax(forward(model, p_full, g.features, aggregate).logits, axis=1)
+    that reads the run's ``input_aggregate``, then that forward's tape.  The
+    predictions die on return; the tape, logits included, lives as long as
+    the caller keeps it."""
+    tape = forward(model, p_full, g.features, aggregate)
+    pred = np.argmax(tape.logits, axis=1)
     train_acc = float(np.mean(pred[g.train_mask] == g.labels[g.train_mask]))
     if not g.val_mask.any():
-        return train_acc, 0.0, 0.0
-    return (train_acc, *masked_scores(pred, g.labels, g.val_mask))
+        return train_acc, 0.0, 0.0, tape
+    return (train_acc, *masked_scores(pred, g.labels, g.val_mask), tape)
 
 
 def _diagnostics_row(cfg: RunConfig, g: Graph, model: GnnModel, p_full, px_full,
                      p_train, active: int, probs, epoch: int, peak: int) -> list:
     """One diagnostics.csv row (``diag_columns``) from the epoch's matrices and
-    the run's ``input_aggregate``.  ``full``'s ``p_train`` is ``p_full`` bit
-    for bit, so its noise and Z-difference norms are 0.0 without the passes."""
+    the run's ``input_aggregate``.  ``full``'s ``p_train`` is ``p_full``, so
+    its noise and Z-difference norms are 0.0 without the passes."""
     if cfg.baseline == "full":
         noise, z_diff = [0.0] * cfg.num_layers, 0.0
     else:

@@ -883,6 +883,44 @@ class TestEvaluate:
         assert 0.0 <= acc <= 1.0
 
 
+class TestTrainStepTape:
+    """A train step handed a forward's tape consumes it in place of its own
+    forward, and refuses one that is not that forward."""
+
+    @pytest.mark.parametrize("layer_type", ["gcn", "sage-mean"])
+    @pytest.mark.parametrize("widths", [(3, 5, 2), (6, 3, 2), (4, 8, 8, 3)], ids=widths_id)
+    def test_takes_the_step_of_its_own_forward_bitwise(self, layer_type, widths,
+                                                        monkeypatch):
+        g, p, _ = sbm40(layer_type, widths)
+        formed, given = (model_with_widths(layer_type, widths, seed=3) for _ in range(2))
+        args = (g.features, g.labels, g.train_mask, 0.1)
+        loss_formed = train_step(formed, p, *args)
+        tape = forward(given, p, g.features)
+        monkeypatch.setattr(gnn, "forward", None)     # a handed tape runs no forward
+        loss_given = train_step(given, p, *args, None, tape)
+        assert loss_given == loss_formed and tape.logits is None
+        for a, b in zip(given.weights, formed.weights, strict=True):
+            assert a.tobytes() == b.tobytes()
+
+    def test_refuses_a_tape_that_is_not_this_steps_forward(self):
+        g, p, _ = sbm40("gcn", (3, 5, 2))
+        model = model_with_widths("gcn", (3, 5, 2), seed=3)
+        twin = model_with_widths("gcn", (3, 5, 2), seed=3)
+        same_values = build_propagation(SpanningSubgraph.full(g), GCN_SYMMETRIC)
+        before = [w.copy() for w in model.weights]
+        args = (g.features, g.labels, g.train_mask, 0.1, None)
+        consumed = forward(model, p, g.features)
+        loss_and_backward(consumed, g.labels, g.train_mask)
+        with pytest.raises(ValueError, match="consumed"):
+            train_step(model, p, *args, consumed)
+        with pytest.raises(ValueError, match="another model or matrix"):
+            train_step(model, p, *args, forward(twin, p, g.features))
+        with pytest.raises(ValueError, match="another model or matrix"):
+            train_step(model, p, *args, forward(model, same_values, g.features))
+        for a, b in zip(model.weights, before, strict=True):
+            assert a.tobytes() == b.tobytes()
+
+
 class TestEquivariance:
     def test_permuting_nodes_permutes_logits(self):
         rng = np.random.default_rng(23)

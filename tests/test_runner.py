@@ -1,15 +1,24 @@
 """Training orchestration: baselines, metrics emission, comparisons."""
 
+import tracemalloc
 import weakref
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
 
-from spangraph import cli, graphstore, runner
+from spangraph import cli, gnn, graphstore, runner
 from spangraph.diagnostics import embedding_variance, gradient_noise
 from spangraph.errors import ConfigError
-from spangraph.gnn import PROPAGATION_KIND, ROW_BLOCK, init_model, input_aggregate
+from spangraph.gnn import (
+    PANEL_BLOCKS,
+    PROPAGATION_KIND,
+    ROW_BLOCK,
+    init_model,
+    input_aggregate,
+    train_step,
+)
 from spangraph.graphstore import SpanningSubgraph, build_propagation
 from spangraph.runner import (
     METRIC_COLUMNS,
@@ -244,9 +253,11 @@ class TestMatrixRelease:
     @pytest.mark.parametrize("baseline", ["spangnn", "dropedge", "full"])
     def test_no_earlier_epoch_matrix_is_alive_at_the_next_build(self, baseline, monkeypatch):
         """Each epoch's propagation matrix dies before the next epoch builds
-        its own; only the setup's full-graph matrix lives through the run."""
-        refs, alive = [], []
-        build = runner.build_propagation
+        its own; only the setup's full-graph matrix lives through the run.
+        ``full`` builds only in setup and epoch 0, and epoch 0's matrix
+        replaces the setup's, which is dead once epoch 0 has trained."""
+        refs, alive, setup_alive = [], [], []
+        build, step = runner.build_propagation, runner.train_step
 
         def watched_build(*args):
             alive.extend(ref() is not None for ref in refs[1:])
@@ -254,9 +265,113 @@ class TestMatrixRelease:
             refs.append(weakref.ref(p.matrix))
             return p
 
+        def watched_step(*args):
+            loss = step(*args)
+            setup_alive.append(refs[0]() is not None)
+            return loss
+
         monkeypatch.setattr(runner, "build_propagation", watched_build)
+        monkeypatch.setattr(runner, "train_step", watched_step)
         run_training(small_cfg(epochs=4, baseline=baseline, diag_every=2, diag_samples=2))
-        assert len(refs) == 1 + 4 and len(alive) == 6 and not any(alive), alive
+        if baseline == "full":
+            assert len(refs) == 2 and setup_alive == [False] * 4, (len(refs), setup_alive)
+        else:
+            assert len(refs) == 1 + 4 and len(alive) == 6 and not any(alive), alive
+
+
+# more nodes than one panel of a streamed layer-0 aggregate
+PANEL_SPEC = GeneratorSpec(kind="sbm", nodes=ROW_BLOCK * PANEL_BLOCKS + 300, classes=3,
+                           feature_dim=6, seed=12, p_in=0.002, p_out=0.0002)
+
+
+def tape_blind_step(*args):
+    """``train_step`` that ignores the tape it is handed and forms its own
+    forward: the reference a step that consumes the eval's tape must match."""
+    return train_step(*args[:7])
+
+
+class TestFullTrainsFromTheEvalTape:
+    def test_one_training_forward_and_one_eval_forward_per_epoch(self, monkeypatch):
+        """Only epoch 0's train step runs a forward; every epoch runs one eval
+        forward, whose tape the next step consumes."""
+        train_forwards, evals, tapes = [], [], []
+        gnn_forward, eval_forward, step = gnn.forward, runner.forward, runner.train_step
+
+        def watched_train_forward(*args):
+            train_forwards.append(args)
+            return gnn_forward(*args)
+
+        def watched_eval(*args):
+            evals.append(eval_forward(*args))
+            return evals[-1]
+
+        def watched_step(*args):
+            tapes.append(args[7])
+            return step(*args)
+
+        monkeypatch.setattr(gnn, "forward", watched_train_forward)
+        monkeypatch.setattr(runner, "forward", watched_eval)
+        monkeypatch.setattr(runner, "train_step", watched_step)
+        run_training(small_cfg(epochs=5, baseline="full"))
+        assert len(train_forwards) == 1 and len(evals) == 5
+        assert tapes[0] is None and all(t is e for t, e in zip(tapes[1:], evals))
+        assert all(e.logits is None for e in evals[:-1])     # each was consumed
+
+    @pytest.mark.parametrize("baseline", ["spangnn", "dropedge"])
+    def test_subgraph_steps_are_handed_no_tape(self, baseline, monkeypatch):
+        tapes = []
+        step = runner.train_step
+
+        def watched_step(*args):
+            tapes.append(args[7])
+            return step(*args)
+
+        monkeypatch.setattr(runner, "train_step", watched_step)
+        run_training(small_cfg(epochs=3, baseline=baseline))
+        assert tapes == [None] * 3
+
+    @pytest.mark.parametrize("spec", [SPEC, PANEL_SPEC], ids=["small", "panels"])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("model", ["gcn", "sage"])
+    def test_outputs_match_a_run_that_forms_every_forward(self, model, layers, spec,
+                                                          tmp_path, monkeypatch):
+        """metrics.csv, checkpoint.spgw and diagnostics.csv are byte-identical
+        to those of a run whose steps each form their own forward."""
+        cfg = small_cfg(generator=spec, model=model, num_layers=layers, baseline="full",
+                        epochs=4, timings=False, diag_every=2, diag_samples=2)
+        run_training(replace(cfg, out_dir=str(tmp_path / "reused")))
+        monkeypatch.setattr(runner, "train_step", tape_blind_step)
+        run_training(replace(cfg, out_dir=str(tmp_path / "formed")))
+        for name in ("metrics.csv", "checkpoint.spgw", "diagnostics.csv"):
+            assert ((tmp_path / "reused" / name).read_bytes()
+                    == (tmp_path / "formed" / name).read_bytes()), name
+
+    @pytest.mark.parametrize("model,layers", [("gcn", 3), ("sage", 2)])
+    def test_loop_peak_stays_at_a_run_whose_eval_tape_dies(self, model, layers, monkeypatch):
+        """Keeping the eval tape until the next step raises the epoch loop's
+        traced peak by at most 64 KB over a run that drops it after eval."""
+        cfg = small_cfg(generator=PANEL_SPEC, model=model, num_layers=layers,
+                        baseline="full", epochs=4, hidden_dim=16)
+        g = make_graph(PANEL_SPEC)
+        aggregate, evaluate = runner.input_aggregate, runner._evaluate
+
+        def trace_from_here(*args):     # the last step of setup
+            cached = aggregate(*args)
+            tracemalloc.start()
+            return cached
+
+        def loop_peak():
+            try:
+                run_training(cfg, graph=g)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(runner, "input_aggregate", trace_from_here)
+        kept = loop_peak()
+        monkeypatch.setattr(runner, "_evaluate", lambda *args: (*evaluate(*args)[:3], None))
+        dropped = loop_peak()
+        assert kept <= dropped + 64 * 1024, (kept, dropped)
 
 
 class TestDiagnosticsEmission:
