@@ -52,10 +52,6 @@ class NoiseReport:
     z_diff_norms: list[float]
 
     @property
-    def total_noise_norm(self) -> float:
-        return float(np.sqrt(sum(x * x for x in self.noise_norms)))
-
-    @property
     def total_z_diff_norm(self) -> float:
         return float(np.sqrt(sum(x * x for x in self.z_diff_norms)))
 
@@ -165,8 +161,8 @@ def embedding_variance(g: Graph, p_full: PropagationMatrix,
     xt = np.asarray(features, dtype=np.float64) @ np.asarray(weights, dtype=np.float64)
 
     u, v = g.edges[:, 0], g.edges[:, 1]
-    p_vu = np.asarray(p_full.matrix[v, u]).ravel()
-    p_uv = np.asarray(p_full.matrix[u, v]).ravel()
+    p_vu = p_full.entries(v, u)
+    p_uv = p_full.entries(u, v)
     pi = inclusion_probabilities(probs, edge_budget)
 
     selections = [direct_sample(g, probs, edge_budget, spawn_rng(seed, rep, "var-subgraph"))

@@ -32,55 +32,30 @@ min(d_in, d_out).  With delta = dL/dZ:
 
     delta'  = dL/dH * relu'(Z_prev)
 
-Sparse products run on whole matrices.  The work between two of them
-(the weight product after propagation, relu, the next layer's
-transform-first product and sage's self term) is row-local, so it runs in
-blocks of ROW_BLOCK rows (operator reorganization, Zhang et al., MLSys
-2022).  The one forward pass that training and eval share returns the tape:
-P, the features, the logits, and per layer only n x min(d_in, d_out)
-arrays, S = P H of an aggregate-first layer (and H for sage) or Z of a
-transform-first one.  Backward rebuilds each block of Z, of H = relu(Z)
-and of the relu mask (H > 0 iff Z > 0) from them, then writes over the
-rows it has read the layer's G, which P^T multiplies next: delta over Z,
-or delta W_agg^T over S and sage's delta W_self^T over H (recomputation
-and memory sharing, Chen et al., *Training Deep Nets with Sublinear Memory
-Cost*, 2016).  So it holds nothing beside the tape, delta and U = P^T G;
-an aggregate-first layer 0 writes nothing, as its entry may hold the
-features or a cached P X.  It propagates with the tape's P, the matrix the
-forward pass used.  Blocks leave the logits as a whole-matrix pass computes
-them, save where the BLAS picks another kernel for a block than for the
-whole product (last bits only); weight gradients are sums over blocks, so
-past ROW_BLOCK rows their last bits move.
-Eval runs every epoch over the same full-graph P and features, so a run
-forms an aggregate-first layer 0's P X once (``input_aggregate``, as SGC
-precomputes its propagation: Wu et al., *Simplifying Graph Convolutional
-Networks*, ICML 2019) and each eval forward reads it, read-only, in place of
-that product.  So does a train step over the full graph (``train_step``
-passes ``aggregate`` on); backward never writes that entry.  A train step
-over a subgraph forms its own, as its P changes every epoch, but holds it
-only on a graph of one panel (PANEL_BLOCKS row blocks).  Past that, layer
-0's tape entry is None: it holds no n x d_in array, and the forward pass,
-backward and ``z_diff_norms`` each form S one panel at a time from the
-tape's P and features, read the panel's blocks while it is still in cache,
-and drop it (recomputation again, paid once more in backward).  A panel is
-a CSR matrix over views of P's data and indices (``row_panel``): scipy's
-constructor copies slices of a larger array, which would hold a second
-copy of P's entries.  scipy forms each row of a CSR product from that
-row's entries in storage order, so each panel row is bitwise that row of
-P X.
-A train step handed a tape runs no forward of its own and consumes that
-tape.  The tape must be unconsumed and come from ``forward`` for the same
-model object at its current weights, over the same P object and features;
-the runner's ``full`` baseline hands it the previous epoch's eval forward.
+P is an operator that this module only multiplies: ``P @ Y``, ``P.T @ G``
+and ``P.rows(panel) @ Y`` (``graphstore.PropagationMatrix``).  The dense
+work between two sparse products is row-local, so it runs in blocks of
+ROW_BLOCK rows.
+
+The one forward pass that training and eval share returns the tape: P, the
+features, the logits, and per layer only n x min(d_in, d_out) arrays, S =
+P H of an aggregate-first layer (and H for sage) or Z of a transform-first
+one.  Layer 0's S is None when a forward handed no ``input_aggregate`` runs
+over more than one panel (PANEL_BLOCKS row blocks): each reader forms it
+again a panel at a time.  Backward propagates with the tape's P, rebuilds
+Z, H and the relu mask from the tape a block at a time, and writes the
+next G over the rows it has read, except in an aggregate-first layer 0,
+whose entry may be the features or the read-only aggregate.  It drops the
+logits before delta takes their size, and it consumes the tape.  A train
+step handed a tape runs no forward of its own and consumes that tape.  The
+tape must be unconsumed and come from ``forward`` for the same model
+object at its current weights, over the same P object and features;
 ``train_step`` refuses a consumed tape and one of another model or P
 object; the weights and features it takes on trust.
-The loss is mean softmax cross-entropy over the training nodes, computed
-in place in one gathered copy of their logits; its row-sized vectors (the
-label entries' flat indices, the picked logits, the softmax denominators)
-each die once read.  Backward drops the logits before it spreads that copy
-into the n-row delta, so the two never coexist.
-Updates are plain gradient descent, W -= lr * grad, no momentum and no
-weight decay.  Everything runs in float64.
+
+Updates are plain gradient descent, W -= lr * grad, in float64.  README
+"Models" and "Peak memory" give the reasons and measurements behind the
+row blocks, the input aggregate, the panels and the in-place loss.
 """
 
 from __future__ import annotations
@@ -89,7 +64,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import NumericalError, refuse_unshapeable
 from .graphstore import GCN_SYMMETRIC, MEAN_ROW, PropagationMatrix
@@ -120,10 +94,6 @@ class GnnModel:
     @property
     def num_layers(self) -> int:
         return len(self.weights)
-
-    @property
-    def propagation_kind(self) -> str:
-        return PROPAGATION_KIND[self.layer_type]
 
     def input_dim(self, layer: int = 0) -> int:
         rows = self.weights[layer].shape[0]
@@ -156,16 +126,6 @@ def row_blocks(n: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def row_panel(matrix: sp.csr_matrix, rows: slice) -> sp.csr_matrix:
-    """Rows ``rows`` of ``matrix`` as a CSR matrix over views of its data and
-    indices; scipy's constructor would copy slices of a larger array."""
-    lo, hi = matrix.indptr[rows.start], matrix.indptr[rows.stop]
-    panel = sp.csr_matrix((rows.stop - rows.start, matrix.shape[1]), dtype=matrix.dtype)
-    panel.data, panel.indices = matrix.data[lo:hi], matrix.indices[lo:hi]
-    panel.indptr = matrix.indptr[rows.start:rows.stop + 1] - lo
-    return panel
-
-
 def _blocks(model: GnnModel, p: PropagationMatrix, features: np.ndarray,
             entry: tuple[np.ndarray, ...] | None):
     """Per row block: its rows, then a tape entry and the block's rows in it.
@@ -180,7 +140,7 @@ def _blocks(model: GnnModel, p: PropagationMatrix, features: np.ndarray,
     for first in range(0, len(blocks), PANEL_BLOCKS):
         run = blocks[first:first + PANEL_BLOCKS]
         panel = slice(run[0].start, run[-1].stop)
-        s = row_panel(p.matrix, panel) @ features
+        s = p.rows(panel) @ features
         entry = (features[panel], s) if model.layer_type == SAGE_MEAN else (s,)
         for rows in run:
             yield rows, entry, slice(rows.start - panel.start, rows.stop - panel.start)
@@ -280,7 +240,7 @@ def input_aggregate(model: GnnModel, p: PropagationMatrix,
     sparse product then reads the weights."""
     if transforms_first(model, 0):
         return None
-    s = p.matrix @ np.asarray(features, dtype=np.float64)
+    s = p @ np.asarray(features, dtype=np.float64)
     s.flags.writeable = False
     return s
 
@@ -317,7 +277,7 @@ def forward(model: GnnModel, p: PropagationMatrix, features: np.ndarray,
         if layer == 0 and stream:
             entry = None
         else:
-            s = p.matrix @ parts[0] if layer or aggregate is None else aggregate
+            s = p @ parts[0] if layer or aggregate is None else aggregate
             if transforms_first(model, layer):
                 if len(parts) > 1:
                     s += parts[1]   # sage's self term
@@ -466,7 +426,7 @@ def loss_and_backward(tape: BackwardTape, labels: np.ndarray,
         delta = u = carried = None
         if layer == 0 and not narrow:
             break
-        u = p.matrix.T @ entry[-1]
+        u = p.T @ entry[-1]
         carried = entry[0] if sage else None
         if layer == 0:
             grads[0] = _narrow_grad(model, tape.features, carried, u)

@@ -20,6 +20,10 @@ In memory the graph is immutable: a canonical undirected edge list
 (u < v, deduplicated, sorted) plus each node's degree.
 Self-loops are never stored; every propagation matrix injects one
 self-loop per node at build time, so even the empty edge set propagates.
+
+This module is the only reader of a propagation matrix's layout (a scipy
+CSR): every other module multiplies and queries it through
+``PropagationMatrix``.
 """
 
 from __future__ import annotations
@@ -161,9 +165,42 @@ class PropagationMatrix:
     ``gcn-symmetric`` entries are 1/sqrt(dhat(v)*dhat(u)) where dhat is the
     degree-plus-one over the chosen edge set; ``mean-row`` rows average the
     neighborhood including the node itself, so every row sums to 1.
+    Outside this module it is only multiplied (``P @ Y``, ``P.T @ G``,
+    ``P.rows(panel) @ Y``) and queried (``covers``, ``entries``).
     """
 
     matrix: sp.csr_matrix
+
+    def __matmul__(self, dense: np.ndarray) -> np.ndarray:
+        return self.matrix @ dense
+
+    @property
+    def T(self):
+        return self.matrix.T
+
+    def rows(self, panel: slice) -> sp.csr_matrix:
+        """Rows ``panel`` as a CSR matrix over views of P's data and indices
+        with a rebased ``indptr``.  scipy's ``(data, indices, indptr)``
+        constructor would copy slices of the larger arrays, holding a second
+        copy of P's entries.  scipy forms each row of a CSR product from that
+        row's entries in storage order, so each row of ``P.rows(panel) @ Y``
+        is bitwise that row of ``P @ Y``."""
+        m = self.matrix
+        lo, hi = m.indptr[panel.start], m.indptr[panel.stop]
+        out = sp.csr_matrix((panel.stop - panel.start, m.shape[1]), dtype=m.dtype)
+        out.data, out.indices = m.data[lo:hi], m.indices[lo:hi]
+        out.indptr = m.indptr[panel.start:panel.stop + 1] - lo
+        return out
+
+    def covers(self, g: Graph) -> bool:
+        """Whether this is a matrix over ``g``'s nodes with every edge of
+        ``g`` in both directions plus the self-loops."""
+        m = self.matrix
+        return m.shape == (g.num_nodes, g.num_nodes) and m.nnz == 2 * g.num_edges + g.num_nodes
+
+    def entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The entries P[rows[i], cols[i]] as a 1-d float64 array."""
+        return np.asarray(self.matrix[rows, cols]).ravel()
 
 
 def sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -526,6 +563,11 @@ def build_propagation(sub: SpanningSubgraph, kind: str) -> PropagationMatrix:
 
 def column_norms(p: PropagationMatrix) -> np.ndarray:
     """Per-node L2 norm of the propagation matrix columns, summed in the
-    storage order of ``ones @ P.multiply(P)``, so bitwise the same."""
+    storage order of ``ones @ P.multiply(P)``, so bitwise the same.  The
+    squares are added a chunk at a time, so no nnz-sized temporary forms."""
     m = p.matrix
-    return np.sqrt(np.bincount(m.indices, weights=m.data * m.data, minlength=m.shape[1]))
+    sums = np.zeros(m.shape[1])
+    for start in range(0, m.nnz, 1 << 16):
+        stop = start + (1 << 16)
+        np.add.at(sums, m.indices[start:stop], np.square(m.data[start:stop]))
+    return np.sqrt(sums, out=sums)

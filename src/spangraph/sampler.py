@@ -138,14 +138,13 @@ def gnr_weights(g: Graph, p: PropagationMatrix) -> EdgeProbabilities:
     edge weight sums the column norms of both endpoints (one per
     direction of the edge).
     """
-    expected_nnz = 2 * g.num_edges + g.num_nodes
-    if p.matrix.shape != (g.num_nodes, g.num_nodes) or p.matrix.nnz != expected_nnz:
+    if not p.covers(g):
         raise ValueError(
             "propagation matrix does not cover the full edge set of the graph"
         )
     norms = column_norms(p)
-    u, v = g.edges[:, 0], g.edges[:, 1]
-    w = norms[u] + norms[v]
+    w = norms[g.edges[:, 0]]
+    w += norms[g.edges[:, 1]]   # in place: w and one gather are the only |E| arrays
     return EdgeProbabilities.from_weights(GNR, w, copy=False)
 
 
