@@ -22,8 +22,9 @@ Self-loops are never stored; every propagation matrix injects one
 self-loop per node at build time, so even the empty edge set propagates.
 
 This module is the only reader of a propagation matrix's layout (a scipy
-CSR): every other module multiplies and queries it through
-``PropagationMatrix``.
+CSR) and the only importer of scipy: every other module multiplies and
+queries it through ``PropagationMatrix``, whose products call scipy's
+compiled sparsetools kernels directly.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import coo_tocsr, csc_matvecs, csr_matvecs
 
 from .errors import DataError
 
@@ -158,6 +160,35 @@ class SpanningSubgraph:
         return self.active
 
 
+def _multiply(kernel, shape: tuple[int, int], indptr: np.ndarray, indices: np.ndarray,
+              data: np.ndarray, dense: np.ndarray) -> np.ndarray:
+    """The ``shape`` operator over CSR arrays times a 2-d ``dense``, by
+    sparsetools' ``kernel`` (``csr_matvecs``, or ``csc_matvecs`` for P^T) into
+    a float64 zero array: the call scipy's ``_matmul_multivector`` makes on a
+    C-ordered float64 operand, so bitwise scipy's product.  The kernel reads
+    row r's entries at the absolute offsets indptr[r]..indptr[r+1]."""
+    dense = np.ascontiguousarray(dense, dtype=np.float64)
+    if dense.ndim != 2 or dense.shape[0] != shape[1]:
+        raise ValueError(f"cannot multiply a {shape[0]} x {shape[1]} operator "
+                         f"by an array of shape {dense.shape}")
+    out = np.zeros((shape[0], dense.shape[1]))
+    kernel(shape[0], shape[1], dense.shape[1], indptr, indices, data, dense, out)
+    return out
+
+
+class _Product:
+    """``P.T`` or ``P.rows(panel)``: a view of P's arrays whose only method
+    is ``@``."""
+
+    __slots__ = ("_args",)
+
+    def __init__(self, *args):
+        self._args = args
+
+    def __matmul__(self, dense: np.ndarray) -> np.ndarray:
+        return _multiply(*self._args, dense)
+
+
 @dataclass(frozen=True)
 class PropagationMatrix:
     """Normalized sparse propagation operator (CSR).
@@ -166,31 +197,34 @@ class PropagationMatrix:
     degree-plus-one over the chosen edge set; ``mean-row`` rows average the
     neighborhood including the node itself, so every row sums to 1.
     Outside this module it is only multiplied (``P @ Y``, ``P.T @ G``,
-    ``P.rows(panel) @ Y``) and queried (``covers``, ``entries``).
+    ``P.rows(panel) @ Y``) and queried (``covers``, ``entries``).  The
+    products call scipy's compiled kernels on ``matrix``'s three arrays
+    (``csr_matvecs``; ``csc_matvecs`` reads them as P^T), with no scipy
+    object, transpose or dispatch in between.
     """
 
     matrix: sp.csr_matrix
 
     def __matmul__(self, dense: np.ndarray) -> np.ndarray:
-        return self.matrix @ dense
+        m = self.matrix
+        return _multiply(csr_matvecs, m.shape, m.indptr, m.indices, m.data, dense)
 
     @property
-    def T(self):
-        return self.matrix.T
-
-    def rows(self, panel: slice) -> sp.csr_matrix:
-        """Rows ``panel`` as a CSR matrix over views of P's data and indices
-        with a rebased ``indptr``.  scipy's ``(data, indices, indptr)``
-        constructor would copy slices of the larger arrays, holding a second
-        copy of P's entries.  scipy forms each row of a CSR product from that
-        row's entries in storage order, so each row of ``P.rows(panel) @ Y``
-        is bitwise that row of ``P @ Y``."""
+    def T(self) -> _Product:
         m = self.matrix
-        lo, hi = m.indptr[panel.start], m.indptr[panel.stop]
-        out = sp.csr_matrix((panel.stop - panel.start, m.shape[1]), dtype=m.dtype)
-        out.data, out.indices = m.data[lo:hi], m.indices[lo:hi]
-        out.indptr = m.indptr[panel.start:panel.stop + 1] - lo
-        return out
+        return _Product(csc_matvecs, m.shape[::-1], m.indptr, m.indices, m.data)
+
+    def rows(self, panel: slice) -> _Product:
+        """Rows ``panel`` of P: the slice ``indptr[start:stop + 1]``, not
+        rebased, beside P's whole ``indices`` and ``data``, so a panel copies
+        nothing.  The kernel forms each row from that row's entries in
+        storage order, so each row of ``P.rows(panel) @ Y`` is bitwise that
+        row of ``P @ Y``."""
+        m = self.matrix
+        if not 0 <= panel.start <= panel.stop <= m.shape[0]:
+            raise ValueError(f"row panel {panel} is outside the {m.shape[0]} rows")
+        return _Product(csr_matvecs, (panel.stop - panel.start, m.shape[1]),
+                        m.indptr[panel.start:panel.stop + 1], m.indices, m.data)
 
     def covers(self, g: Graph) -> bool:
         """Whether this is a matrix over ``g``'s nodes with every edge of
@@ -523,12 +557,13 @@ def build_propagation(sub: SpanningSubgraph, kind: str) -> PropagationMatrix:
     only, so an empty subgraph yields an identity-like self-loop matrix.
 
     The build places the pattern first and the values second.  scipy's
-    COO-to-CSR counting sort receives the int32 coordinates (int64 only
-    when n >= 2**31) with one-byte boolean data, listed as the (v, u) half,
-    the self-loops, then the (u, v) half.  The canonical edges are sorted
-    by (u, v), and so are those that the sorted active ids gather, so row r
-    reads its columns u < r in ascending order, then r, then v > r: already
-    canonical, and the conversion needs no sort pass.
+    COO-to-CSR counting sort, ``coo_tocsr``, receives the int32 coordinates
+    (int64 only when nnz >= 2**31) with a one-byte boolean pattern, listed
+    as the (v, u) half, the self-loops, then the (u, v) half.  The canonical
+    edges are sorted by (u, v), and so are those that the sorted active ids
+    gather, so row r reads its columns u < r in ascending order, then r,
+    then v > r: already canonical, so the matrix is marked canonical with no
+    sort or scan.
     Once the coordinates are freed, dhat(r) is row r's length, and the
     values are filled in place from (row, column): dhat(r) * dhat(c)
     through a square root and a reciprocal for ``gcn-symmetric``,
@@ -538,7 +573,8 @@ def build_propagation(sub: SpanningSubgraph, kind: str) -> PropagationMatrix:
         raise ValueError(f"unknown propagation kind {kind!r}")
     g = sub.parent
     n = g.num_nodes
-    index = index_dtype(n)
+    nnz = 2 * sub.active_count + n
+    index = index_dtype(nnz)
     # np.take gathers rows several times faster than fancy indexing does
     active = (g.edges if sub.active is None else np.take(g.edges, sub.active, axis=0)).astype(index)
     u, v = active[:, 0], active[:, 1]
@@ -546,18 +582,23 @@ def build_propagation(sub: SpanningSubgraph, kind: str) -> PropagationMatrix:
     rows = np.concatenate([v, loops, u])
     cols = np.concatenate([u, loops, v])
     del active, u, v, loops
-    matrix = sp.csr_matrix((np.ones(rows.size, dtype=bool), (rows, cols)), shape=(n, n))
-    del rows, cols
-    rowlen = np.diff(matrix.indptr)
+    indptr = np.empty(n + 1, dtype=index)
+    indices = np.empty(nnz, dtype=index)
+    # the pattern is the kernel's input and output: every entry is True
+    pattern = np.ones(nnz, dtype=bool)
+    coo_tocsr(n, n, nnz, rows, cols, pattern, indptr, indices, pattern)
+    del rows, cols, pattern
+    rowlen = np.diff(indptr)
     dhat = rowlen.astype(np.float64)
-    matrix.data = data = np.repeat(dhat, rowlen)    # drops the boolean pattern
+    data = np.repeat(dhat, rowlen)
     if kind == GCN_SYMMETRIC:
-        indices = matrix.indices
         for start in range(0, data.size, 1 << 16):    # no nnz-sized temporary
             stop = start + (1 << 16)
             data[start:stop] *= dhat[indices[start:stop]]
         np.sqrt(data, out=data)
     np.divide(1.0, data, out=data)
+    matrix = sp.csr_matrix((data, indices, indptr), shape=(n, n), copy=False)
+    matrix.has_canonical_format = True
     return PropagationMatrix(matrix)
 
 

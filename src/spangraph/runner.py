@@ -260,7 +260,7 @@ def run_training(cfg: RunConfig, graph: Graph | None = None) -> RunResult:
     tape = None     # full, after epoch 0: the last eval's forward
     metrics: list[EpochMetrics] = []
     diagnostics: list[list] = []
-    active_history: list[int] = []
+    most_active = 0     # the largest active edge count so far
     best_acc = 0.0
     best_f1 = 0.0
 
@@ -296,9 +296,8 @@ def run_training(cfg: RunConfig, graph: Graph | None = None) -> RunResult:
         best_f1 = max(best_f1, val_f1)
 
         active = sub.active_count
-        active_history.append(active)
-        peak = memory_proxy(active_history, g.num_nodes,
-                            per_edge_bytes=8 * cfg.hidden_dim)
+        most_active = max(most_active, active)
+        peak = memory_proxy((most_active,), g.num_nodes, per_edge_bytes=8 * cfg.hidden_dim)
         metrics.append(EpochMetrics(
             epoch=epoch,
             loss=loss,
@@ -319,7 +318,7 @@ def run_training(cfg: RunConfig, graph: Graph | None = None) -> RunResult:
         if not full:
             del p_train     # so the next epoch's build does not sit beside it
 
-    proxy = memory_proxy(active_history, g.num_nodes, per_edge_bytes=8 * cfg.hidden_dim)
+    proxy = memory_proxy((most_active,), g.num_nodes, per_edge_bytes=8 * cfg.hidden_dim)
     result = RunResult(
         config=cfg,
         metrics=metrics,

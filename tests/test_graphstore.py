@@ -1,14 +1,18 @@
 """Graph loading, validation, and propagation-matrix construction."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import spangraph
 from spangraph.errors import DataError
 from spangraph.graphstore import (
     GCN_SYMMETRIC,
     MAX_KEYED_NODES,
     MEAN_ROW,
+    PropagationMatrix,
     SpanningSubgraph,
     build_graph,
     build_propagation,
@@ -466,6 +470,87 @@ class TestBuildMatchesTripletBuild:
             assert got.data.tobytes() == want.data.tobytes()
             squares = np.asarray(want.multiply(want).sum(axis=0)).ravel()
             assert column_norms(p).tobytes() == np.sqrt(squares).tobytes()
+
+
+def int64_copy(p):
+    """``p`` over int64 copies of its ``indptr`` and ``indices`` (set after
+    construction: scipy's constructor would narrow them back to int32)."""
+    m = p.matrix.copy()
+    m.indptr, m.indices = m.indptr.astype(np.int64), m.indices.astype(np.int64)
+    return PropagationMatrix(m)
+
+
+class TestProductsMatchScipy:
+    """``P @ Y``, ``P.T @ G`` and ``P.rows(panel) @ Y`` call scipy's kernels
+    on P's arrays and give scipy's products bitwise."""
+
+    @staticmethod
+    def subgraphs():
+        rng = np.random.default_rng(41)
+        edges = rng.integers(0, 150, size=(900, 2))     # nodes 150..199 stay isolated
+        g = graph_from_edges(200, edges[edges[:, 0] != edges[:, 1]])
+        yield SpanningSubgraph.empty(g)
+        yield SpanningSubgraph.from_indices(g, np.flatnonzero(rng.random(g.num_edges) < 0.3))
+        yield SpanningSubgraph.full(g)
+
+    @staticmethod
+    def operands(n):
+        rng = np.random.default_rng(43)
+        wide = rng.standard_normal((n, 12))
+        yield wide
+        yield wide[:, :1].copy()
+        yield np.asfortranarray(wide)
+        yield wide[:, 2:9:3]
+        yield wide.astype(np.float32)
+
+    @pytest.mark.parametrize("kind", [GCN_SYMMETRIC, MEAN_ROW])
+    def test_bitwise_scipy_products(self, kind):
+        for sub in self.subgraphs():
+            built = build_propagation(sub, kind)
+            m = built.matrix
+            n = m.shape[0]
+            panels = [slice(0, 0), slice(77, 77), slice(0, 1), slice(150, 151),
+                      slice(31, 120), slice(n - 9, n), slice(0, n)]
+            for p in (built, int64_copy(built)):
+                for y in self.operands(n):
+                    assert (p @ y).tobytes() == (m @ y).tobytes()
+                    assert (p.T @ y).tobytes() == (m.T @ y).tobytes()
+                    for panel in panels:
+                        assert (p.rows(panel) @ y).tobytes() == (m[panel] @ y).tobytes()
+
+    def test_mismatched_operands_and_panels_raise(self, triangle):
+        p = build_propagation(SpanningSubgraph.full(triangle), MEAN_ROW)
+        for y in (np.ones((4, 2)), np.ones(3), np.ones((3, 2, 1))):
+            for operator in (p, p.T, p.rows(slice(0, 2))):
+                with pytest.raises(ValueError, match="cannot multiply"):
+                    operator @ y
+        for panel in (slice(2, 1), slice(0, 4), slice(-1, 2)):
+            with pytest.raises(ValueError, match="outside"):
+                p.rows(panel)
+
+    @pytest.mark.parametrize("kind", [GCN_SYMMETRIC, MEAN_ROW])
+    def test_the_build_is_canonical(self, kind):
+        """scipy's own scan, on a fresh matrix over the build's arrays, finds
+        sorted, distinct columns in every row."""
+        rng = np.random.default_rng(47)
+        g = make_graph(GeneratorSpec(kind="preferential-attachment", nodes=400, classes=3,
+                                     feature_dim=4, attach=5, seed=9))
+        for fraction in (0.0, 0.1, 0.5, 0.9, 1.0):
+            sub = SpanningSubgraph.from_indices(
+                g, np.flatnonzero(rng.random(g.num_edges) < fraction))
+            m = build_propagation(sub, kind).matrix
+            fresh = sp.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
+            assert fresh.has_canonical_format
+
+
+class TestLayering:
+    def test_only_graphstore_names_scipy(self):
+        """Every other module goes through ``PropagationMatrix``, so a scipy
+        change (such as a kernel's signature) is met in one module."""
+        package = Path(spangraph.__file__).parent
+        naming = sorted(path.name for path in package.glob("*.py")
+                        if "scipy" in path.read_text(encoding="utf-8"))
+        assert naming == ["graphstore.py"]
 
 
 class TestColumnNorms:

@@ -127,6 +127,29 @@ class TestRunTraining:
                  for a in (0.3, 0.5, 0.7)]
         assert peaks[0] < peaks[1] < peaks[2]
 
+    @pytest.mark.parametrize("baseline", ["spangnn", "dropedge", "full"])
+    def test_peak_edges_are_the_running_maximum(self, baseline, monkeypatch):
+        """Each epoch reports the peak over its active counts so far, from one
+        proxy call per epoch and one after the loop, each handed one count.
+        At ``alpha_up`` 0.1 and ``beta`` 0.9 the spangnn counts fall at every cap."""
+        calls = []
+        proxy = runner.memory_proxy
+
+        def recording(counts, *args, **kwargs):
+            calls.append(tuple(counts))
+            return proxy(counts, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "memory_proxy", recording)
+        cfg = small_cfg(baseline=baseline, epochs=12, alpha_up=0.1, beta=0.9)
+        result = run_training(cfg)
+        n = cfg.generator.nodes
+        active = np.array([m.active_edges for m in result.metrics])
+        assert (np.diff(active) < 0).any() == (baseline == "spangnn")
+        directed = np.maximum.accumulate(2 * active + n)
+        assert [m.peak_edges_so_far for m in result.metrics] == directed.tolist()
+        assert result.peak_directed_edges == directed[-1]
+        assert len(calls) == cfg.epochs + 1 and all(len(c) == 1 for c in calls)
+
     def test_output_files(self, tmp_path):
         cfg = small_cfg(epochs=5, out_dir=str(tmp_path / "run"))
         run_training(cfg)
