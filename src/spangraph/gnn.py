@@ -42,16 +42,18 @@ features, the logits, and per layer only n x min(d_in, d_out) arrays, S =
 P H of an aggregate-first layer (and H for sage) or Z of a transform-first
 one.  Layer 0's S is None when a forward handed no ``input_aggregate`` runs
 over more than one panel (PANEL_BLOCKS row blocks): each reader forms it
-again a panel at a time.  Backward propagates with the tape's P, rebuilds
-Z, H and the relu mask from the tape a block at a time, and writes the
-next G over the rows it has read, except in an aggregate-first layer 0,
-whose entry may be the features or the read-only aggregate.  It drops the
-logits before delta takes their size, and it consumes the tape.  A train
-step handed a tape runs no forward of its own and consumes that tape.  The
-tape must be unconsumed and come from ``forward`` for the same model
-object at its current weights, over the same P object and features;
-``train_step`` refuses a consumed tape and one of another model or P
-object; the weights and features it takes on trust.
+again a panel at a time.  A sage layer that transforms first forms its Z
+over its self term H W_self, adding P (H W_agg) a panel at a time.
+Backward writes the loss gradient delta over the logits, propagates with
+the tape's P, rebuilds Z, H and the relu mask from the tape a block at a
+time, and writes the next G over the rows it has read, except in an
+aggregate-first layer 0, whose entry may be the features or the read-only
+aggregate.  Neither delta nor a sage Z takes an array of its own, and
+backward consumes the tape.  A train step handed a tape runs no forward of
+its own and consumes that tape.  The tape must be unconsumed and come from
+``forward`` for the same model object at its current weights, over the
+same P object and features; ``train_step`` refuses a consumed tape and one
+of another model or P object; the weights and features it takes on trust.
 
 Updates are plain gradient descent, W -= lr * grad, in float64.  README
 "Models" and "Peak memory" give the reasons and measurements behind the
@@ -116,7 +118,7 @@ class BackwardTape:
     # per layer: the narrow arrays Z is rebuilt from; None for a layer 0 whose
     # S = P X is formed again from P and the features a panel at a time
     saved: list[tuple[np.ndarray, ...] | None]
-    logits: np.ndarray | None   # the pass's output; backward drops it first
+    logits: np.ndarray | None   # the pass's output; backward writes delta over it
 
 
 def row_blocks(n: int) -> list[slice]:
@@ -126,20 +128,26 @@ def row_blocks(n: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
+def _panels(n: int):
+    """Panels of PANEL_BLOCKS row blocks covering ``n`` rows: each panel's
+    rows, then its row blocks."""
+    blocks = row_blocks(n)
+    for first in range(0, len(blocks), PANEL_BLOCKS):
+        run = blocks[first:first + PANEL_BLOCKS]
+        yield slice(run[0].start, run[-1].stop), run
+
+
 def _blocks(model: GnnModel, p: PropagationMatrix, features: np.ndarray,
             entry: tuple[np.ndarray, ...] | None):
     """Per row block: its rows, then a tape entry and the block's rows in it.
     An entry of None is a layer 0 whose S = P X the tape does not hold: each
     panel of S, PANEL_BLOCKS row blocks, is formed from P's rows, stands in
     for the entry of its blocks, and dies once they have been read."""
-    blocks = row_blocks(len(features))
     if entry is not None:
-        for rows in blocks:
+        for rows in row_blocks(len(features)):
             yield rows, entry, rows
         return
-    for first in range(0, len(blocks), PANEL_BLOCKS):
-        run = blocks[first:first + PANEL_BLOCKS]
-        panel = slice(run[0].start, run[-1].stop)
+    for panel, run in _panels(len(features)):
         s = p.rows(panel) @ features
         entry = (features[panel], s) if model.layer_type == SAGE_MEAN else (s,)
         for rows in run:
@@ -276,14 +284,18 @@ def forward(model: GnnModel, p: PropagationMatrix, features: np.ndarray,
     for layer in range(model.num_layers):
         if layer == 0 and stream:
             entry = None
+        elif len(parts) > 1:
+            # sage transforming first: Z = P (H W_agg) + H W_self, formed a
+            # panel at a time over the self term
+            agg, z = parts
+            for panel, _ in _panels(n):
+                z[panel] += p.rows(panel) @ agg
+            entry = (z,)
+            del agg, z
         else:
             s = p @ parts[0] if layer or aggregate is None else aggregate
-            if transforms_first(model, layer):
-                if len(parts) > 1:
-                    s += parts[1]   # sage's self term
-                entry = (s,)        # s is Z
-            else:
-                entry = (parts[0], s) if model.layer_type == SAGE_MEAN else (s,)
+            # a transform-first gcn layer's s is Z
+            entry = (parts[0], s) if model.layer_type == SAGE_MEAN else (s,)
         saved.append(entry)
         parts = None
         if layer == last:
@@ -301,50 +313,73 @@ def forward(model: GnnModel, p: PropagationMatrix, features: np.ndarray,
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray,
                           mask: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean CE over masked rows and its gradient w.r.t. the logits.
+    """Mean CE over masked rows and its gradient w.r.t. the logits, in a
+    copy of the logits.
 
     Gradient rows outside the mask are exactly zero.
     """
-    loss, rows, dz = _masked_loss(logits, labels, mask)
-    return loss, _spread(rows, dz, logits.shape[0])
+    delta = np.array(logits, dtype=np.float64, order="C")
+    return cross_entropy_in_place(delta, labels, mask), delta
 
 
-def _masked_loss(logits: np.ndarray, labels: np.ndarray,
-                 mask: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean CE over masked rows, those rows, and the loss gradient on them,
-    formed in place in one gathered copy of their logits; each row-sized
-    vector dies once it has been read."""
+def cross_entropy_in_place(logits: np.ndarray, labels: np.ndarray,
+                           mask: np.ndarray) -> float:
+    """Mean CE over the masked rows of C-ordered float64 ``logits``, finite
+    outside the mask; writes the loss gradient over ``logits``, zero outside
+    the mask.
+
+    Every row goes through the same row-local steps, in place: shift by the
+    row max, exp, divide by the row sum (by inf outside the mask, which
+    leaves +0), and after 1 is subtracted at each masked row's label, divide
+    by the masked row count.  A masked row gets the bits it would get in a
+    gathered copy of the masked rows.  The loss reads the label entries and
+    the row sums of the masked rows only; each row-sized vector dies once it
+    has been read.
+    """
     rows = np.flatnonzero(mask)
     if rows.size == 0:
         raise ValueError("training mask is empty")
-    z = np.take(logits, rows, axis=0)
-    # the row max over columns: exact, and faster than a reduce over short rows
-    top = z[:, :1].copy()
-    for col in range(1, z.shape[1]):
-        np.maximum(top, z[:, col:col + 1], out=top)
-    z -= top
-    del top         # so it does not sit beside the exp and the gradient
-    # each row's label entry, by its index into the flattened rows
-    flat = np.take(labels, rows)
-    flat += np.arange(0, z.size, z.shape[1])
-    picked = np.take(z, flat)
+    z, c = logits, logits.shape[1]
+
+    def label_entries() -> np.ndarray:
+        """Each masked row's label entry, by its index into the flattened rows."""
+        flat = rows * c
+        flat += np.take(labels, rows)
+        return flat
+
+    cols = [z[:, col] for col in range(c)]
+    # the row max and the shift a column at a time: exact, and faster than
+    # a reduce or a broadcast over short rows
+    top = cols[0].copy()
+    for col in cols[1:]:
+        np.maximum(top, col, out=top)
+    for col in cols:
+        col -= top
+    del top
+    # the index dies here and is formed again below, so it does not sit
+    # beside the row sums
+    picked = np.take(z, label_entries())
     np.exp(z, out=z)
-    denom = z.sum(axis=1, keepdims=True)
-    z /= denom
-    picked -= np.log(denom[:, 0], out=denom[:, 0])
+    # numpy's sum over a row of under 8 entries adds them left to right, as
+    # this column loop does, and faster; longer rows add pairwise
+    if c < 8:
+        denom = cols[0].copy()
+        for col in cols[1:]:
+            denom += col
+    else:
+        denom = z.sum(axis=1)
+    log_denom = np.take(denom, rows)
+    denom.fill(np.inf)      # outside the mask z / inf leaves +0
+    denom[rows] = log_denom
+    z /= denom[:, None]
     del denom
+    picked -= np.log(log_denom, out=log_denom)
+    del log_denom
     loss = float(-picked.mean())
     del picked
-    z.ravel()[flat] -= 1.0
+    z.ravel()[label_entries()] -= 1.0
     z /= rows.size
-    return loss, rows, z
-
-
-def _spread(rows: np.ndarray, dz: np.ndarray, n: int) -> np.ndarray:
-    """The n-row gradient that is ``dz`` on ``rows`` and zero elsewhere."""
-    grad = np.zeros((n, dz.shape[1]))
-    grad[rows] = dz
-    return grad
+    return loss
 
 
 def _narrow_grad(model: GnnModel, h: np.ndarray, dz: np.ndarray | None,
@@ -385,20 +420,16 @@ def _delta_rows(model: GnnModel, layer: int, h: np.ndarray, rows: slice,
 def loss_and_backward(tape: BackwardTape, labels: np.ndarray,
                       train_mask: np.ndarray) -> tuple[float, list[np.ndarray]]:
     """Loss plus per-layer weight gradients via the chain rule over the tape's
-    P; consumes ``tape``: drops its logits once the loss has read them, before
-    delta takes their size, and writes each layer's G over the entry rows it
-    has read."""
+    P; consumes ``tape``: writes delta over its logits, and each layer's G
+    over the entry rows it has read."""
     if tape.logits is None:
         raise ValueError("the backward tape was consumed by an earlier backward")
     model, p = tape.model, tape.p
     sage = model.layer_type == SAGE_MEAN
-    n = tape.logits.shape[0]
-    loss, rows, dz = _masked_loss(tape.logits, labels, train_mask)
-    tape.logits = None
+    loss = cross_entropy_in_place(tape.logits, labels, train_mask)
+    delta, tape.logits = tape.logits, None
     if transforms_first(model, model.num_layers - 1):
-        tape.saved[-1] = ()         # that layer's Z is the logits
-    delta = _spread(rows, dz, n)
-    del rows, dz
+        tape.saved[-1] = ()         # that layer's Z was the logits
     grads: list = [None] * model.num_layers
     # from the layer above: U = P^T G and, for sage, delta (transform first)
     # or delta W_self^T (aggregate first)

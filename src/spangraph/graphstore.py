@@ -200,10 +200,12 @@ class PropagationMatrix:
     ``P.rows(panel) @ Y``) and queried (``covers``, ``entries``).  The
     products call scipy's compiled kernels on ``matrix``'s three arrays
     (``csr_matvecs``; ``csc_matvecs`` reads them as P^T), with no scipy
-    object, transpose or dispatch in between.
+    object, transpose or dispatch in between.  ``kind`` is the rule
+    ``build_propagation`` filled the values by; ``entries`` needs it.
     """
 
     matrix: sp.csr_matrix
+    kind: str | None = None
 
     def __matmul__(self, dense: np.ndarray) -> np.ndarray:
         m = self.matrix
@@ -233,8 +235,29 @@ class PropagationMatrix:
         return m.shape == (g.num_nodes, g.num_nodes) and m.nnz == 2 * g.num_edges + g.num_nodes
 
     def entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """The entries P[rows[i], cols[i]] as a 1-d float64 array."""
-        return np.asarray(self.matrix[rows, cols]).ravel()
+        """The entries P[rows[i], cols[i]] as a 1-d float64 array, by the
+        value rule of ``kind`` over dhat, the row lengths: bitwise the stored
+        values.  Every pair must be an entry of P (an active edge, either
+        way round, or a self-loop); the rule does not look, so any other
+        pair gets a value that P does not hold."""
+        if self.kind is None:
+            raise ValueError("entries needs the kind of a built propagation matrix")
+        dhat = np.diff(self.matrix.indptr).astype(np.float64)
+        return _entry_values(self.kind, np.take(dhat, rows), dhat, cols)
+
+
+def _entry_values(kind: str, values: np.ndarray, dhat: np.ndarray,
+                  cols: np.ndarray) -> np.ndarray:
+    """The values of the entries (r_i, cols[i]) of a ``kind`` matrix, written
+    over ``values``, which holds dhat(r_i) on entry: dhat(r) * dhat(c)
+    through a square root and a reciprocal for ``gcn-symmetric``, 1 / dhat(r)
+    for ``mean-row``.  The pairs must be entries of the matrix."""
+    if kind == GCN_SYMMETRIC:
+        for start in range(0, values.size, 1 << 16):    # no pair-sized temporary
+            stop = start + (1 << 16)
+            values[start:stop] *= dhat[cols[start:stop]]
+        np.sqrt(values, out=values)
+    return np.divide(1.0, values, out=values)
 
 
 def sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -565,9 +588,8 @@ def build_propagation(sub: SpanningSubgraph, kind: str) -> PropagationMatrix:
     then v > r: already canonical, so the matrix is marked canonical with no
     sort or scan.
     Once the coordinates are freed, dhat(r) is row r's length, and the
-    values are filled in place from (row, column): dhat(r) * dhat(c)
-    through a square root and a reciprocal for ``gcn-symmetric``,
-    1 / dhat(r) for ``mean-row``.
+    values are filled in place from (row, column) by ``_entry_values``, the
+    rule ``PropagationMatrix.entries`` reads them by.
     """
     if kind not in PROPAGATION_KINDS:
         raise ValueError(f"unknown propagation kind {kind!r}")
@@ -590,16 +612,10 @@ def build_propagation(sub: SpanningSubgraph, kind: str) -> PropagationMatrix:
     del rows, cols, pattern
     rowlen = np.diff(indptr)
     dhat = rowlen.astype(np.float64)
-    data = np.repeat(dhat, rowlen)
-    if kind == GCN_SYMMETRIC:
-        for start in range(0, data.size, 1 << 16):    # no nnz-sized temporary
-            stop = start + (1 << 16)
-            data[start:stop] *= dhat[indices[start:stop]]
-        np.sqrt(data, out=data)
-    np.divide(1.0, data, out=data)
+    data = _entry_values(kind, np.repeat(dhat, rowlen), dhat, indices)
     matrix = sp.csr_matrix((data, indices, indptr), shape=(n, n), copy=False)
     matrix.has_canonical_format = True
-    return PropagationMatrix(matrix)
+    return PropagationMatrix(matrix, kind)
 
 
 def column_norms(p: PropagationMatrix) -> np.ndarray:

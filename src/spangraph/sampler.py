@@ -246,7 +246,8 @@ def two_step_sample(g: Graph, probs: EdgeProbabilities, req: SampleRequest) -> n
     the rest is filled uniformly from its zero-weight edges.  With
     s1 = |E| the pool is the whole edge set and the call matches direct
     weighted sampling in distribution.  Returns sorted canonical edge
-    indices.
+    indices.  Each s1-sized array dies once it has been read, and the
+    chosen ids are sorted in place.
     """
     m = g.num_edges
     if probs.num_edges != m:
@@ -262,5 +263,10 @@ def two_step_sample(g: Graph, probs: EdgeProbabilities, req: SampleRequest) -> n
             keys /= pool_weights    # zero weight -> +inf, never among the s2 smallest
     else:
         keys[positive] = -1.0       # all positive-weight edges, then Exp(1) order
+    del pool_weights, positive
     local = np.argpartition(keys, req.s2 - 1)[: req.s2]
-    return np.sort(pool[local])
+    del keys
+    chosen = np.take(pool, local)
+    del pool, local
+    chosen.sort()
+    return chosen

@@ -162,11 +162,40 @@ class TestLoss:
             assert grad.tobytes() == want_grad.tobytes()
             assert logits.tobytes() == before.tobytes()
 
+    @pytest.mark.parametrize("case", ["ties", "one row", "all rows", "2 classes",
+                                      "1 class", "9 classes"])
+    def test_delta_is_written_over_the_logits_bitwise(self, case):
+        """``cross_entropy_in_place`` leaves in the logits' own buffer the
+        gradient the gather-and-spread reference forms in fresh arrays, rows
+        outside the mask +0 included.  Past 7 classes numpy sums a row
+        pairwise, not left to right."""
+        rng = np.random.default_rng(5)
+        n = 60
+        k = {"2 classes": 2, "1 class": 1, "9 classes": 9}.get(case, 4)
+        logits = rng.normal(size=(n, k)) * 4.0
+        if case == "ties":
+            logits = rng.integers(-1, 2, size=(n, k)).astype(np.float64)
+            assert (np.sort(logits, axis=1)[:, -1] == np.sort(logits, axis=1)[:, -2]).any()
+        labels = rng.integers(0, k, size=n)
+        mask = rng.random(n) < 0.5
+        if case == "one row":
+            mask = np.arange(n) == 17
+        elif case == "all rows":
+            mask = np.ones(n, dtype=bool)
+        want_loss, want_delta = self.reference_loss(logits, labels, mask)
+        delta = logits.copy()
+        loss = gnn.cross_entropy_in_place(delta, labels, mask)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert delta.tobytes() == want_delta.tobytes()
+        assert not np.signbit(delta[~mask]).any()
+
     def test_peak_is_the_gathered_rows_and_the_gradient(self):
-        """Beside its gathered rows (and their index) and the gradient, the
-        loss holds under 16 KB at its peak: the row max dies before the
-        gradient is allocated (measured 3.6-4.7 KB on 50k x 4; a row max
-        kept alive adds 8 bytes per gathered row, 240 KB here)."""
+        """The loss holds under 16 KB beyond the size of its gathered rows,
+        their index and the gradient at its peak, though it no longer
+        gathers: the gradient is the copy of the logits it works in, beside
+        row-sized vectors that each die once read (measured 10.7 KB under
+        that size on 50k x 4; gathering the rows and spreading them into a
+        fresh gradient read 5.3 KB over it)."""
         rng = np.random.default_rng(3)
         logits = rng.normal(size=(50_000, 4))
         labels = rng.integers(0, 4, size=50_000)
@@ -231,23 +260,29 @@ class WidthRecorder:
     def T(self):
         return WidthRecorder(self._p.T, self.log, "P.T")
 
+    def rows(self, panel):
+        return WidthRecorder(self._p.rows(panel), self.log, self.name)
+
 
 class LogitsWatcher:
     """Stands in for P (or P^T): delegates ``@`` to the real operator and
-    logs, at every product, whether the logits behind ``ref`` are still
-    alive."""
+    logs, at every product, whether the logits' buffer behind ``ref`` is
+    still alive as anything but the product's own operand."""
 
     def __init__(self, p, log, ref=None):
         self._p, self.log, self.ref = p, log, ref
 
     def __matmul__(self, dense):
         if self.ref is not None:
-            self.log.append(self.ref() is not None)
+            self.log.append(self.ref() is not None and self.ref() is not dense)
         return self._p @ dense
 
     @property
     def T(self):
         return LogitsWatcher(self._p.T, self.log, self.ref)
+
+    def rows(self, panel):
+        return LogitsWatcher(self._p.rows(panel), self.log, self.ref)
 
 
 class TestNarrowSide:
@@ -367,7 +402,7 @@ class TestBackwardTape:
         args = (g.features, g.labels, g.train_mask)
 
         tape = forward(model, p_sub, g.features)
-        logits = tape.logits
+        logits = tape.logits.copy()     # backward writes delta over them
         _, grads = loss_and_backward(tape, *args[1:])
         want_logits, want_grads, zs_sub = reference_pass(model, p_sub, *args)
         assert any((z <= 0.0).any() for z in zs_sub[:-1])  # relu masks something
@@ -405,9 +440,10 @@ class TestBackwardTape:
     @pytest.mark.parametrize("widths", [(6, 3, 2), (3, 5, 2)], ids=widths_id)
     def test_train_step_frees_the_logits_before_the_first_backward_product(
             self, layer_type, widths, monkeypatch):
-        """No reference to the logits outlives the loss: not the caller's, not
-        the tape's.  (6, 3, 2) starts backward with P^T delta, (3, 5, 2) with
-        the recomputed A = P H."""
+        """No reference to the logits' buffer outlives the loss but delta,
+        which the loss writes over it: not the caller's, not the tape's.
+        (6, 3, 2) starts backward with P^T delta, delta in that buffer, and
+        (3, 5, 2) with the recomputed A = P H, after which delta is dead."""
         spec = GeneratorSpec(kind="sbm", nodes=30, classes=2, feature_dim=widths[0],
                              seed=8, p_in=0.4, p_out=0.1)
         g = make_graph(spec)
@@ -430,22 +466,31 @@ class TestBackwardTape:
     @pytest.mark.parametrize("widths", [(6, 3, 2), (4, 2, 3)], ids=widths_id)
     def test_the_logits_die_before_delta_takes_their_size(self, layer_type, widths,
                                                           monkeypatch):
-        """(6, 3, 2) ends transform first, so its tape holds the logits as the
-        last layer's Z too; (4, 2, 3) ends aggregate first."""
+        """delta takes no size of its own: the loss writes it over the tape's
+        logits, bitwise the copy ``softmax_cross_entropy`` returns.  (6, 3, 2)
+        ends transform first, so its tape holds the logits as the last
+        layer's Z too; (4, 2, 3) ends aggregate first."""
         g, p, _ = sbm40(layer_type, widths)
         model = model_with_widths(layer_type, widths, seed=2)
-        alive, spread, taped_forward = [], gnn._spread, gnn.forward
+        written, in_place, taped_forward = [], gnn.cross_entropy_in_place, gnn.forward
 
         def forward_then_watch(*args):
             tape = taped_forward(*args)
             ref = weakref.ref(tape.logits)
-            monkeypatch.setattr(gnn, "_spread", lambda *a: (alive.append(ref() is not None),
-                                                            spread(*a))[1])
+            want_loss, want_delta = softmax_cross_entropy(tape.logits, g.labels, g.train_mask)
+
+            def loss_then_watch(logits, labels, mask):
+                loss = in_place(logits, labels, mask)
+                written.append((logits is ref(), loss == want_loss,
+                                logits.tobytes() == want_delta.tobytes()))
+                return loss
+
+            monkeypatch.setattr(gnn, "cross_entropy_in_place", loss_then_watch)
             return tape
 
         monkeypatch.setattr(gnn, "forward", forward_then_watch)
         train_step(model, p, g.features, g.labels, g.train_mask, 0.1)
-        assert alive == [False]
+        assert written == [(True, True, True)]
 
     # slack for the tape's Python objects and first-call caches
     TAPE_SLACK = 4096
@@ -501,7 +546,7 @@ class TestEvalForward:
         model = model_with_widths(layer_type, widths, seed=9)
         eval_logits = forward(model, p, g.features).logits
         tape = forward(model, p, g.features)
-        logits = tape.logits
+        logits = tape.logits.copy()     # backward writes delta over them
         assert len(tape.saved) == len(widths) - 1
         loss_and_backward(tape, g.labels, g.train_mask)
         assert tape.saved == [] and tape.logits is None
@@ -699,6 +744,9 @@ class FeatureSpy:
     def T(self):
         return FeatureSpy(self._p.T, self.log, self.features)
 
+    def rows(self, panel):
+        return FeatureSpy(self._p.rows(panel), self.log, self.features)
+
 
 class OperatorOnly:
     """Stands in for P with only what gnn may use of it, ``@``, ``T`` and
@@ -745,7 +793,9 @@ class TestRowPanels:
                              ids=widths_id)
     def test_a_multi_panel_step_matches_a_tape_that_holds_s_bitwise(self, layer_type, widths,
                                                                     monkeypatch):
-        """1 to 3 layers; forward forms each panel once and backward once more."""
+        """1 to 3 layers; forward forms each panel of S once and backward once
+        more, and a sage layer that transforms first forms its Z over the same
+        panels."""
         monkeypatch.setattr(gnn, "ROW_BLOCK", 7)
         g, _, p = sbm40(layer_type, widths)
         model = model_with_widths(layer_type, widths, seed=6)
@@ -763,7 +813,9 @@ class TestRowPanels:
         assert tape.saved[0] is None
         assert tape.logits.tobytes() == want_logits
         loss, grads = loss_and_backward(tape, *args)
-        assert formed == [slice(0, 14), slice(14, 28), slice(28, 40)] * 2
+        sage_narrow = sum(layer_type == "sage-mean" and transforms_first(model, layer)
+                          for layer in range(model.num_layers))
+        assert formed == [slice(0, 14), slice(14, 28), slice(28, 40)] * (2 + sage_narrow)
         assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
         for got, want in zip(grads, want_grads, strict=True):
             assert got.tobytes() == want.tobytes()
@@ -813,6 +865,34 @@ class TestRowPanels:
             held_peak, streamed_peak)
         for a, b in zip(streamed.weights, held.weights, strict=True):
             assert a.tobytes() == b.tobytes()
+
+    def test_a_sage_z_is_formed_over_its_self_term_a_panel_at_a_time(self, pa3k,
+                                                                      monkeypatch):
+        """A sage layer that transforms first forms Z = P (X W_agg) + X W_self
+        over the self term: bitwise ``P @ agg + self`` over 40 rows in three
+        panels of 14 rows.  On pa3k (16 -> 4) in 14-row panels its forward
+        peaks one n x 4 array, less a panel, below the one-panel forward,
+        which holds the whole product beside both terms (measured 92,880
+        bytes below, for 96,000 bytes of the array less 448 of a panel)."""
+        monkeypatch.setattr(gnn, "ROW_BLOCK", 7)
+        g, p, _ = sbm40("sage-mean", (6, 2))
+        model = model_with_widths("sage-mean", (6, 2), seed=6)
+        assert transforms_first(model, 0)
+        w = model.weights[0]
+        want = p @ (g.features @ w[6:]) + g.features @ w[:6]
+        for panel_blocks in (gnn.PANEL_BLOCKS, 2):
+            monkeypatch.setattr(gnn, "PANEL_BLOCKS", panel_blocks)
+            assert forward(model, p, g.features).logits.tobytes() == want.tobytes()
+
+        g = pa3k
+        p = build_propagation(SpanningSubgraph.full(g), MEAN_ROW)
+        model = init_model("sage-mean", g.feature_dim, 8, 4, 1, seed=0)
+        monkeypatch.setattr(gnn, "PANEL_BLOCKS", 1000)
+        one_panel = traced_peak(forward, model, p, g.features)
+        monkeypatch.setattr(gnn, "PANEL_BLOCKS", 2)
+        panels = traced_peak(forward, model, p, g.features)
+        z_bytes, panel_bytes = g.num_nodes * 4 * 8, 14 * 4 * 8
+        assert one_panel - panels >= z_bytes - panel_bytes - self.PEAK_SLACK, (one_panel, panels)
 
     @pytest.mark.parametrize("layer_type", ["gcn", "sage-mean"])
     @pytest.mark.parametrize("widths", [(3, 4), (3, 5, 2), (4, 8, 8, 3)], ids=widths_id)

@@ -543,6 +543,31 @@ class TestProductsMatchScipy:
             assert fresh.has_canonical_format
 
 
+class TestEntries:
+    """``entries`` computes the values by the rule the build fills them by."""
+
+    @pytest.mark.parametrize("kind", [GCN_SYMMETRIC, MEAN_ROW])
+    def test_entries_are_the_stored_values_bitwise(self, kind):
+        """Every edge both ways round and every self-loop, on the full graph
+        and on a 30% subgraph's active edges, isolated nodes included."""
+        g = graph_from_edges(200, np.random.default_rng(41).integers(0, 150, size=(900, 2)))
+        some = np.random.default_rng(3).permutation(g.num_edges)[: g.num_edges * 3 // 10]
+        for sub in (SpanningSubgraph.full(g), SpanningSubgraph.from_indices(g, some)):
+            p = build_propagation(sub, kind)
+            assert p.kind == kind
+            edges = g.edges[sub.active_indices]
+            nodes = np.arange(g.num_nodes)
+            for r, c in ((edges[:, 0], edges[:, 1]), (edges[:, 1], edges[:, 0]), (nodes, nodes)):
+                want = np.asarray(p.matrix[r, c]).ravel()
+                assert (want > 0.0).all()
+                assert p.entries(r, c).tobytes() == want.tobytes()
+
+    def test_a_matrix_of_no_kind_has_no_rule(self, triangle):
+        p = build_propagation(SpanningSubgraph.full(triangle), MEAN_ROW)
+        with pytest.raises(ValueError, match="kind"):
+            PropagationMatrix(p.matrix).entries(np.arange(3), np.arange(3))
+
+
 class TestLayering:
     def test_only_graphstore_names_scipy(self):
         """Every other module goes through ``PropagationMatrix``, so a scipy
