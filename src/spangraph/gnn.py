@@ -35,7 +35,7 @@ min(d_in, d_out).  With delta = dL/dZ:
 P is an operator that this module only multiplies: ``P @ Y``, ``P.T @ G``
 and ``P.rows(panel) @ Y`` (``graphstore.PropagationMatrix``).  The dense
 work between two sparse products is row-local, so it runs in blocks of
-ROW_BLOCK rows.
+ROW_BLOCK rows, each written in place into the n-row result.
 
 The one forward pass that training and eval share returns the tape: P, the
 features, the logits, and per layer only n x min(d_in, d_out) arrays, S =
@@ -155,58 +155,63 @@ def _blocks(model: GnnModel, p: PropagationMatrix, features: np.ndarray,
         del s, entry
 
 
-def _by_rows(n: int, blocks, fill) -> list[np.ndarray]:
-    """n-row arrays filled from ``fill(entry, rows)`` for each row block of
-    ``_blocks``, one part each; each block's parts die before the next block
-    is computed."""
-    whole = None
-    for rows, entry, local in blocks:
-        parts = fill(entry, local)
-        if whole is None:
-            whole = [np.empty((n, part.shape[1])) for part in parts]
-        for out, part in zip(whole, parts):
-            out[rows] = part
-        del parts, part
-    return whole
-
-
 def _a_rows(entry: tuple[np.ndarray, ...], rows: slice) -> np.ndarray:
     """An aggregate-first layer's A on ``rows``: P H, or [H || P H] for sage."""
     return entry[0][rows] if len(entry) == 1 else np.concatenate(
         [x[rows] for x in entry], axis=1)
 
 
-def _pre_activation_rows(model: GnnModel, layer: int, entry: tuple[np.ndarray, ...],
-                         rows: slice) -> np.ndarray:
-    """Z of ``layer`` on ``rows``, rebuilt from the layer's tape entry (a
-    transform-first layer's entry is Z itself, so this is a view of it)."""
-    if transforms_first(model, layer):
-        return entry[0][rows]
-    return _a_rows(entry, rows) @ model.weights[layer]
+def _z(w: np.ndarray | None, entry: tuple[np.ndarray, ...], rows: slice,
+       out: np.ndarray | None = None) -> np.ndarray:
+    """Z on ``rows`` from a layer's tape entry and W: A W (into ``out`` if
+    given), or, for a transform-first layer (W None), a view of its entry."""
+    return entry[0][rows] if w is None else np.matmul(_a_rows(entry, rows), w, out=out)
 
 
-def _hidden_rows(model: GnnModel, layer: int, entry: tuple[np.ndarray, ...],
-                 rows: slice) -> np.ndarray:
-    """H = relu(Z) of hidden ``layer`` on ``rows``, as a fresh array."""
-    z = _pre_activation_rows(model, layer, entry, rows)
-    return np.maximum(z, 0.0, out=z if z.flags.owndata else None)  # z may view the tape
+def _hidden_rows(w: np.ndarray | None, entry: tuple[np.ndarray, ...], rows: slice,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """H = relu(Z) on ``rows``, as ``_z``, into ``out`` or a fresh array."""
+    z = _z(w, entry, rows, out)
+    return np.maximum(z, 0.0, out=out if w is None else z)     # z may view the tape
 
 
-def _operands(model: GnnModel, layer: int, h: np.ndarray) -> tuple[np.ndarray, ...]:
-    """What ``layer`` hands P for input rows ``h``, then sage's self term
-    H W_self of a transform-first layer."""
+def _operand_weights(model: GnnModel, layer: int) -> tuple[np.ndarray, ...]:
+    """What ``layer`` multiplies its input H by before P: nothing when it
+    aggregates first, else W, or W_agg then W_self (sage's self term)."""
     if not transforms_first(model, layer):
-        return (h,)
+        return ()
     w, d = model.weights[layer], model.input_dim(layer)
-    if model.layer_type == SAGE_MEAN:
-        return h @ w[d:], h @ w[:d]
-    return (h @ w,)
+    return (w[d:], w[:d]) if model.layer_type == SAGE_MEAN else (w,)
+
+
+def _chain(model: GnnModel, layer: int, p: PropagationMatrix, features: np.ndarray,
+           entry: tuple[np.ndarray, ...] | None) -> list[np.ndarray]:
+    """The row-local chain from ``layer``'s tape entry to the next sparse
+    product: the logits, or the next layer's operands, H = relu(Z) or its
+    products with ``_operand_weights``.  Each row block writes into the
+    n-row outputs, and its temporaries die before the next block starts."""
+    n, w = len(features), None if transforms_first(model, layer) else model.weights[layer]
+    last = layer == model.num_layers - 1
+    ws = () if last else _operand_weights(model, layer + 1)
+    outs = None
+    for rows, src, local in _blocks(model, p, features, entry):
+        if not ws:
+            outs = outs or [np.empty((n, model.weights[layer].shape[1]))]
+            (_z if last else _hidden_rows)(w, src, local, outs[0][rows])
+            continue
+        h = _hidden_rows(w, src, local)
+        outs = outs or [np.empty((n, wk.shape[1])) for wk in ws]
+        for out, wk in zip(outs, ws):
+            np.matmul(h, wk, out=out[rows])
+        del h
+    return outs
 
 
 def _z_rows(tape: BackwardTape, layer: int):
     """Z of ``layer`` a row block at a time, rebuilt from ``tape``."""
+    w = None if transforms_first(tape.model, layer) else tape.model.weights[layer]
     for _, entry, rows in _blocks(tape.model, tape.p, tape.features, tape.saved[layer]):
-        yield _pre_activation_rows(tape.model, layer, entry, rows)
+        yield _z(w, entry, rows)
 
 
 def z_diff_norms(tape_a: BackwardTape, tape_b: BackwardTape) -> list[float]:
@@ -276,7 +281,7 @@ def forward(model: GnnModel, p: PropagationMatrix, features: np.ndarray,
         width = w.shape[1]
     n, last = x.shape[0], model.num_layers - 1
     saved = []
-    parts = _operands(model, 0, x)
+    parts = [x @ w for w in _operand_weights(model, 0)] or [x]
     # past one panel, a layer 0 that aggregates first holds no S = P X of its
     # own: every reader forms it again a panel at a time
     stream = (aggregate is None and not transforms_first(model, 0)
@@ -300,14 +305,8 @@ def forward(model: GnnModel, p: PropagationMatrix, features: np.ndarray,
         parts = None
         if layer == last:
             break
-        # the row-local chain up to the next sparse product, a block at a time
-        parts = _by_rows(n, _blocks(model, p, x, entry), lambda entry, rows: _operands(
-            model, layer + 1, _hidden_rows(model, layer, entry, rows)))
-    if transforms_first(model, last):
-        logits = entry[0]
-    else:
-        [logits] = _by_rows(n, _blocks(model, p, x, entry),
-                            lambda entry, rows: (_pre_activation_rows(model, last, entry, rows),))
+        parts = _chain(model, layer, p, x, entry)
+    logits = entry[0] if transforms_first(model, last) else _chain(model, last, p, x, entry)[0]
     return BackwardTape(model=model, p=p, features=x, saved=saved, logits=logits)
 
 
@@ -382,38 +381,36 @@ def cross_entropy_in_place(logits: np.ndarray, labels: np.ndarray,
     return loss
 
 
-def _narrow_grad(model: GnnModel, h: np.ndarray, dz: np.ndarray | None,
-                u: np.ndarray) -> np.ndarray:
-    """A transform-first layer's gradient on a row block: H^T U (gcn) or
-    [H^T delta ; H^T U] (sage)."""
-    return np.vstack([h.T @ dz, h.T @ u]) if model.layer_type == SAGE_MEAN else h.T @ u
+def _add_grad(grads: list, layer: int, x: np.ndarray, parts: tuple[np.ndarray, ...]) -> None:
+    """Add a row block's [x^T part ; ...] into ``grads[layer]``: A^T delta, H^T
+    U or [H^T delta ; H^T U].  The first block's products are the gradient,
+    so a one-block pass is bitwise the whole-matrix one."""
+    d = x.shape[1]
+    if grads[layer] is None:
+        grads[layer] = np.empty((d * len(parts), parts[0].shape[1]))
+        for k, part in enumerate(parts):
+            np.matmul(x.T, part, out=grads[layer][k * d:(k + 1) * d])
+        return
+    for k, part in enumerate(parts):
+        grads[layer][k * d:(k + 1) * d] += x.T @ part
 
 
-def _add_to(grads: list, layer: int, g: np.ndarray) -> None:
-    """Sum a row block's gradient into ``grads[layer]`` (the first block is
-    kept as it is, so a one-block pass is bitwise the whole-matrix one)."""
-    grads[layer] = g if grads[layer] is None else grads[layer] + g
-
-
-def _delta_rows(model: GnnModel, layer: int, h: np.ndarray, rows: slice,
-                u: np.ndarray, carried: np.ndarray | None, grads: list) -> np.ndarray:
-    """delta = dL/dZ of hidden ``layer`` on ``rows``, from its H = relu(Z)
-    there and the layer above's U and sage term; adds the layer above's
-    gradient if it transforms first."""
-    sage = model.layer_type == SAGE_MEAN
-    above = layer + 1
-    w, d = model.weights[above], model.input_dim(above)
+def _delta_rows(h: np.ndarray, u: np.ndarray, carried: np.ndarray | None,
+                above: tuple, grads: list) -> np.ndarray:
+    """delta = dL/dZ of a hidden layer on a row block, from its H = relu(Z) and
+    the rows of U and sage term from ``above``: that layer's index, whether
+    it transforms first (then its gradient is added), W_agg^T and W_self^T."""
+    layer, narrow, agg_t, self_t = above
     mask = h > 0.0          # h = relu(Z) > 0 exactly where Z > 0
-    if transforms_first(model, above):
-        c = carried[rows] if sage else None
-        _add_to(grads, above, _narrow_grad(model, h, c, u[rows]))
+    if narrow:
+        _add_grad(grads, layer, h, (u,) if carried is None else (carried, u))
         del h
-        dh = u[rows] @ (w[d:] if sage else w).T
-        if sage:
-            dh += c @ w[:d].T
+        dh = u @ agg_t
+        if self_t is not None:
+            dh += carried @ self_t
     else:                   # a gcn dh is a view of U, which no later block reads
         del h
-        dh = u[rows] + carried[rows] if sage else u[rows]
+        dh = u if carried is None else u + carried
     return np.multiply(dh, mask, out=dh)
 
 
@@ -432,35 +429,38 @@ def loss_and_backward(tape: BackwardTape, labels: np.ndarray,
         tape.saved[-1] = ()         # that layer's Z was the logits
     grads: list = [None] * model.num_layers
     # from the layer above: U = P^T G and, for sage, delta (transform first)
-    # or delta W_self^T (aggregate first)
-    u = carried = None
+    # or delta W_self^T (aggregate first); then ``_delta_rows``' constants
+    u = carried = above = None
     for layer in range(model.num_layers - 1, -1, -1):
         entry = tape.saved.pop()
         w, d = model.weights[layer], model.input_dim(layer)
         narrow = transforms_first(model, layer)
+        agg_t, self_t = (w[d:].T, w[:d].T) if sage else (w.T, None)
         if u is None and narrow:
             entry = (delta,)        # G is delta itself
         else:
+            w_z = None if narrow else w
             for rows, src, local in _blocks(model, p, tape.features, entry):
                 dz = delta[rows] if u is None else _delta_rows(
-                    model, layer, _hidden_rows(model, layer, src, local), rows, u, carried,
-                    grads)
+                    _hidden_rows(w_z, src, local), u[rows],
+                    None if carried is None else carried[rows], above, grads)
                 if narrow:
                     entry[0][rows] = dz                 # G = delta, over Z
                 else:
-                    _add_to(grads, layer, _a_rows(src, local).T @ dz)
+                    _add_grad(grads, layer, _a_rows(src, local), (dz,))
                     if layer > 0:   # G = delta W_agg^T over S, delta W_self^T over H
-                        entry[-1][rows] = dz @ (w[d:] if sage else w).T
+                        np.matmul(dz, agg_t, out=entry[-1][rows])
                         if sage:
-                            entry[0][rows] = dz @ w[:d].T
+                            np.matmul(dz, self_t, out=entry[0][rows])
                 del dz
         delta = u = carried = None
+        above = (layer, narrow, agg_t, self_t)
         if layer == 0 and not narrow:
             break
         u = p.T @ entry[-1]
         carried = entry[0] if sage else None
         if layer == 0:
-            grads[0] = _narrow_grad(model, tape.features, carried, u)
+            _add_grad(grads, 0, tape.features, (u,) if carried is None else (carried, u))
     return loss, grads
 
 
@@ -503,27 +503,25 @@ def train_step(model: GnnModel, p: PropagationMatrix, features: np.ndarray,
 
 
 def macro_f1(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Macro F1 over the union of the (non-negative) classes present in truth
-    or prediction; per class, 2 tp + fp + fn = predicted + true count."""
-    classes = np.union1d(y_true, y_pred)
-    if classes.size == 0:
+    """Macro F1 over the (non-negative) classes present in truth or
+    prediction, in ascending order; per class, 2 tp + fp + fn = predicted +
+    true count."""
+    size = max(y_true.max(initial=-1), y_pred.max(initial=-1)) + 1
+    if size == 0:
         return 0.0
-    size = int(classes[-1]) + 1
+    denom = np.bincount(y_pred, minlength=size) + np.bincount(y_true, minlength=size)
+    classes = np.flatnonzero(denom)
     tp = np.bincount(y_true[y_true == y_pred], minlength=size)[classes]
-    denom = (np.bincount(y_pred, minlength=size)
-             + np.bincount(y_true, minlength=size))[classes]
-    return float(np.mean(2.0 * tp / denom))
+    return float(np.mean(2.0 * tp / denom[classes]))
 
 
 def masked_scores(pred: np.ndarray, labels: np.ndarray,
-                  mask: np.ndarray) -> tuple[float, float]:
-    """Accuracy and macro-F1 of predicted classes on the masked nodes."""
-    rows = np.flatnonzero(mask)
+                  rows: np.ndarray) -> tuple[float, float]:
+    """Accuracy and macro-F1 of predicted classes on the nodes ``rows``."""
     if rows.size == 0:
-        raise ValueError("evaluation mask is empty")
-    truth = labels[rows]
-    picked = pred[rows]
-    return float(np.mean(picked == truth)), macro_f1(truth, picked)
+        raise ValueError("no nodes to score")
+    truth, picked = np.take(labels, rows), np.take(pred, rows)
+    return float(np.count_nonzero(picked == truth) / rows.size), macro_f1(truth, picked)
 
 
 def save_weights(path, model: GnnModel) -> None:

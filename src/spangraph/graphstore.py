@@ -21,10 +21,10 @@ In memory the graph is immutable: a canonical undirected edge list
 Self-loops are never stored; every propagation matrix injects one
 self-loop per node at build time, so even the empty edge set propagates.
 
-This module is the only reader of a propagation matrix's layout (a scipy
-CSR) and the only importer of scipy: every other module multiplies and
-queries it through ``PropagationMatrix``, whose products call scipy's
-compiled sparsetools kernels directly.
+This module is the only reader of a propagation matrix's layout and the
+only importer of scipy: every other module multiplies and queries it
+through ``PropagationMatrix``, which holds its CSR arrays itself and whose
+products call scipy's compiled sparsetools kernels on them directly.
 """
 
 from __future__ import annotations
@@ -191,30 +191,40 @@ class _Product:
 
 @dataclass(frozen=True)
 class PropagationMatrix:
-    """Normalized sparse propagation operator (CSR).
+    """Normalized sparse propagation operator: an n x n CSR's three arrays.
 
     ``gcn-symmetric`` entries are 1/sqrt(dhat(v)*dhat(u)) where dhat is the
     degree-plus-one over the chosen edge set; ``mean-row`` rows average the
     neighborhood including the node itself, so every row sums to 1.
     Outside this module it is only multiplied (``P @ Y``, ``P.T @ G``,
-    ``P.rows(panel) @ Y``) and queried (``covers``, ``entries``).  The
-    products call scipy's compiled kernels on ``matrix``'s three arrays
-    (``csr_matvecs``; ``csc_matvecs`` reads them as P^T), with no scipy
-    object, transpose or dispatch in between.  ``kind`` is the rule
-    ``build_propagation`` filled the values by; ``entries`` needs it.
+    ``P.rows(panel) @ Y``) and queried (``covers``, ``entries``): scipy's
+    compiled kernels read the arrays (``csr_matvecs``; ``csc_matvecs`` for
+    P^T), with no scipy object in between.  ``matrix`` is a scipy view of
+    them, formed on each read, for tests and benchmarks.  ``kind`` is the
+    rule ``build_propagation`` filled the values by; ``entries`` needs it.
     """
 
-    matrix: sp.csr_matrix
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
     kind: str | None = None
 
+    @property
+    def matrix(self) -> sp.csr_matrix:
+        """A canonical scipy CSR over the arrays themselves, not copies."""
+        n = self.indptr.size - 1
+        m = sp.csr_matrix((self.data, self.indices, self.indptr), shape=(n, n), copy=False)
+        m.has_canonical_format = True
+        return m
+
     def __matmul__(self, dense: np.ndarray) -> np.ndarray:
-        m = self.matrix
-        return _multiply(csr_matvecs, m.shape, m.indptr, m.indices, m.data, dense)
+        n = self.indptr.size - 1
+        return _multiply(csr_matvecs, (n, n), self.indptr, self.indices, self.data, dense)
 
     @property
     def T(self) -> _Product:
-        m = self.matrix
-        return _Product(csc_matvecs, m.shape[::-1], m.indptr, m.indices, m.data)
+        n = self.indptr.size - 1
+        return _Product(csc_matvecs, (n, n), self.indptr, self.indices, self.data)
 
     def rows(self, panel: slice) -> _Product:
         """Rows ``panel`` of P: the slice ``indptr[start:stop + 1]``, not
@@ -222,17 +232,17 @@ class PropagationMatrix:
         nothing.  The kernel forms each row from that row's entries in
         storage order, so each row of ``P.rows(panel) @ Y`` is bitwise that
         row of ``P @ Y``."""
-        m = self.matrix
-        if not 0 <= panel.start <= panel.stop <= m.shape[0]:
-            raise ValueError(f"row panel {panel} is outside the {m.shape[0]} rows")
-        return _Product(csr_matvecs, (panel.stop - panel.start, m.shape[1]),
-                        m.indptr[panel.start:panel.stop + 1], m.indices, m.data)
+        n = self.indptr.size - 1
+        if not 0 <= panel.start <= panel.stop <= n:
+            raise ValueError(f"row panel {panel} is outside the {n} rows")
+        return _Product(csr_matvecs, (panel.stop - panel.start, n),
+                        self.indptr[panel.start:panel.stop + 1], self.indices, self.data)
 
     def covers(self, g: Graph) -> bool:
         """Whether this is a matrix over ``g``'s nodes with every edge of
         ``g`` in both directions plus the self-loops."""
-        m = self.matrix
-        return m.shape == (g.num_nodes, g.num_nodes) and m.nnz == 2 * g.num_edges + g.num_nodes
+        n = self.indptr.size - 1
+        return n == g.num_nodes and int(self.indptr[-1]) == 2 * g.num_edges + n
 
     def entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """The entries P[rows[i], cols[i]] as a 1-d float64 array, by the
@@ -242,7 +252,7 @@ class PropagationMatrix:
         pair gets a value that P does not hold."""
         if self.kind is None:
             raise ValueError("entries needs the kind of a built propagation matrix")
-        dhat = np.diff(self.matrix.indptr).astype(np.float64)
+        dhat = np.diff(self.indptr).astype(np.float64)
         return _entry_values(self.kind, np.take(dhat, rows), dhat, cols)
 
 
@@ -585,8 +595,8 @@ def build_propagation(sub: SpanningSubgraph, kind: str) -> PropagationMatrix:
     as the (v, u) half, the self-loops, then the (u, v) half.  The canonical
     edges are sorted by (u, v), and so are those that the sorted active ids
     gather, so row r reads its columns u < r in ascending order, then r,
-    then v > r: already canonical, so the matrix is marked canonical with no
-    sort or scan.
+    then v > r: already canonical, with no sort or scan, and the arrays
+    are the matrix: no scipy object is formed.
     Once the coordinates are freed, dhat(r) is row r's length, and the
     values are filled in place from (row, column) by ``_entry_values``, the
     rule ``PropagationMatrix.entries`` reads them by.
@@ -613,18 +623,15 @@ def build_propagation(sub: SpanningSubgraph, kind: str) -> PropagationMatrix:
     rowlen = np.diff(indptr)
     dhat = rowlen.astype(np.float64)
     data = _entry_values(kind, np.repeat(dhat, rowlen), dhat, indices)
-    matrix = sp.csr_matrix((data, indices, indptr), shape=(n, n), copy=False)
-    matrix.has_canonical_format = True
-    return PropagationMatrix(matrix, kind)
+    return PropagationMatrix(indptr, indices, data, kind)
 
 
 def column_norms(p: PropagationMatrix) -> np.ndarray:
     """Per-node L2 norm of the propagation matrix columns, summed in the
     storage order of ``ones @ P.multiply(P)``, so bitwise the same.  The
     squares are added a chunk at a time, so no nnz-sized temporary forms."""
-    m = p.matrix
-    sums = np.zeros(m.shape[1])
-    for start in range(0, m.nnz, 1 << 16):
+    sums = np.zeros(p.indptr.size - 1)
+    for start in range(0, int(p.indptr[-1]), 1 << 16):
         stop = start + (1 << 16)
-        np.add.at(sums, m.indices[start:stop], np.square(m.data[start:stop]))
+        np.add.at(sums, p.indices[start:stop], np.square(p.data[start:stop]))
     return np.sqrt(sums, out=sums)

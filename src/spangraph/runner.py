@@ -7,23 +7,15 @@ A run trains one model for ``epochs`` full-batch steps.  Three modes:
 * ``dropedge``: each epoch trains on ``random_drop`` of the ORIGINAL edge
   set, an independent uniform subset that keeps a (1 - beta) fraction;
   nothing carries over between epochs.
-* ``full``: every epoch trains on the full graph.  Its matrix, built in
-  epoch 0, equals the setup's bit for bit and replaces it, so after epoch
-  0 one full-graph matrix is alive and no later epoch builds.  Each eval
-  forward is exactly the next train step's forward (same weights, matrix,
-  features and aggregate), so the step consumes the eval's tape and every
-  epoch after epoch 0 runs one forward.
+* ``full``: every epoch trains on the full graph, with the matrix built in
+  epoch 0; each later step consumes the previous eval's tape, which is
+  exactly its forward.
 
-Evaluation always uses the full-graph propagation matrix.  The first
-layer's full-graph aggregate is formed once in setup, and every forward
-over the full graph reads it: each eval, the gradient-noise diagnostic's
-full-graph pass and ``full``'s epoch-0 training forward.  ``spangnn`` and
-``dropedge`` forwards form their own, as their matrix changes every epoch;
-past one panel of rows (``gnn.PANEL_BLOCKS``) their tape holds none of
-it, and forward and backward each form it a panel at a time.  One metrics
-row is emitted per epoch; timing columns hold integer milliseconds from a
-monotonic clock and can be suppressed (written as 0) for byte-identical
-reproducibility comparisons.
+Evaluation always uses the full-graph propagation matrix, and every
+full-graph forward reads the first layer's aggregate, formed once in setup
+(README "Models").  One metrics row is emitted per epoch; timing columns
+hold integer milliseconds from a monotonic clock and can be suppressed
+(written as 0) for byte-identical reproducibility comparisons.
 """
 
 from __future__ import annotations
@@ -258,6 +250,7 @@ def run_training(cfg: RunConfig, graph: Graph | None = None) -> RunResult:
 
     full = cfg.baseline == "full"
     tape = None     # full, after epoch 0: the last eval's forward
+    val_rows = np.flatnonzero(g.val_mask)
     metrics: list[EpochMetrics] = []
     diagnostics: list[list] = []
     most_active = 0     # the largest active edge count so far
@@ -289,7 +282,7 @@ def run_training(cfg: RunConfig, graph: Graph | None = None) -> RunResult:
                           cfg.learning_rate, px_full if full else None, tape)
         t2 = _now_ms()
 
-        train_acc, val_acc, val_f1, tape = _evaluate(model, p_full, g, px_full)
+        train_acc, val_acc, val_f1, tape = _evaluate(model, p_full, g, px_full, val_rows)
         if not full:
             tape = None     # only full's next step reads it
         best_acc = max(best_acc, val_acc)
@@ -337,18 +330,20 @@ def run_training(cfg: RunConfig, graph: Graph | None = None) -> RunResult:
     return result
 
 
-def _evaluate(model: GnnModel, p_full, g: Graph,
-              aggregate) -> tuple[float, float, float, BackwardTape]:
-    """Train accuracy, val accuracy and val macro-F1 of a full-graph forward
-    that reads the run's ``input_aggregate``, then that forward's tape.  The
-    predictions die on return; the tape, logits included, lives as long as
-    the caller keeps it."""
+def _evaluate(model: GnnModel, p_full, g: Graph, aggregate,
+              val_rows: np.ndarray) -> tuple[float, float, float, BackwardTape]:
+    """Train accuracy, val accuracy and val macro-F1 (on ``val_rows``) of a
+    full-graph forward that reads the run's ``input_aggregate``, then that
+    forward's tape.  The predictions die on return; the tape, logits
+    included, lives as long as the caller keeps it."""
     tape = forward(model, p_full, g.features, aggregate)
     pred = np.argmax(tape.logits, axis=1)
-    train_acc = float(np.mean(pred[g.train_mask] == g.labels[g.train_mask]))
-    if not g.val_mask.any():
+    hits = np.equal(pred, g.labels)
+    hits &= g.train_mask
+    train_acc = float(np.count_nonzero(hits) / np.count_nonzero(g.train_mask))
+    if not val_rows.size:
         return train_acc, 0.0, 0.0, tape
-    return (train_acc, *masked_scores(pred, g.labels, g.val_mask), tape)
+    return (train_acc, *masked_scores(pred, g.labels, val_rows), tape)
 
 
 def _diagnostics_row(cfg: RunConfig, g: Graph, model: GnnModel, p_full, px_full,

@@ -5,8 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse._base import _spbase
 
 import spangraph
+from spangraph import graphstore
 from spangraph.errors import DataError
 from spangraph.graphstore import (
     GCN_SYMMETRIC,
@@ -31,6 +33,7 @@ from spangraph.graphstore import (
     write_labels,
     write_splits,
 )
+from spangraph.runner import RunConfig, run_training
 from spangraph.synthetic import GeneratorSpec, make_graph
 
 from conftest import graph_from_edges
@@ -473,11 +476,9 @@ class TestBuildMatchesTripletBuild:
 
 
 def int64_copy(p):
-    """``p`` over int64 copies of its ``indptr`` and ``indices`` (set after
-    construction: scipy's constructor would narrow them back to int32)."""
-    m = p.matrix.copy()
-    m.indptr, m.indices = m.indptr.astype(np.int64), m.indices.astype(np.int64)
-    return PropagationMatrix(m)
+    """``p`` over int64 copies of its ``indptr`` and ``indices``."""
+    return PropagationMatrix(p.indptr.astype(np.int64), p.indices.astype(np.int64),
+                             p.data.copy())
 
 
 class TestProductsMatchScipy:
@@ -565,7 +566,58 @@ class TestEntries:
     def test_a_matrix_of_no_kind_has_no_rule(self, triangle):
         p = build_propagation(SpanningSubgraph.full(triangle), MEAN_ROW)
         with pytest.raises(ValueError, match="kind"):
-            PropagationMatrix(p.matrix).entries(np.arange(3), np.arange(3))
+            PropagationMatrix(p.indptr, p.indices, p.data).entries(np.arange(3), np.arange(3))
+
+
+class TestNoScipyObject:
+    """``PropagationMatrix`` holds its CSR arrays: the build, every product
+    and query, and a whole run form no scipy sparse object, and ``matrix``
+    is a canonical view of the arrays, not a copy."""
+
+    @pytest.fixture
+    def refuse_scipy_objects(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a scipy sparse object was formed")
+
+        monkeypatch.setattr(graphstore.sp, "csr_matrix", refuse)
+        # every scipy sparse class, matrix or array, initialises through this base
+        monkeypatch.setattr(_spbase, "__init__", refuse)
+
+    @pytest.mark.parametrize("kind", [GCN_SYMMETRIC, MEAN_ROW])
+    def test_build_products_and_queries_form_none(self, kind, refuse_scipy_objects):
+        g = make_graph(GeneratorSpec(kind="preferential-attachment", nodes=400, classes=3,
+                                     feature_dim=4, attach=5, seed=9))
+        some = np.random.default_rng(5).permutation(g.num_edges)[: g.num_edges // 3]
+        y = np.random.default_rng(6).standard_normal((g.num_nodes, 3))
+        for sub in (SpanningSubgraph.full(g), SpanningSubgraph.from_indices(g, some)):
+            p = build_propagation(sub, kind)
+            for product in (p @ y, p.T @ y, p.rows(slice(37, 301)) @ y):
+                assert np.isfinite(product).all()
+            assert p.covers(g) == (sub.active is None)
+            edges = g.edges[sub.active_indices]
+            assert (p.entries(edges[:, 0], edges[:, 1]) > 0.0).all()
+            assert (column_norms(p) > 0.0).all()
+
+    @pytest.mark.parametrize("baseline, sampler", [("spangnn", "gnr"), ("spangnn", "vm"),
+                                                   ("dropedge", "vm"), ("full", "vm")])
+    def test_a_run_forms_none(self, baseline, sampler, refuse_scipy_objects):
+        """Three epochs with a diagnostics row each: the setup and epoch builds,
+        gnr's norms, training, eval and the diagnostics' lookups and passes."""
+        spec = GeneratorSpec(kind="sbm", nodes=700, classes=3, feature_dim=6, seed=2,
+                             p_in=0.02, p_out=0.002)
+        result = run_training(RunConfig(generator=spec, hidden_dim=8, epochs=3,
+                                        baseline=baseline, sampler_kind=sampler,
+                                        diag_every=1, diag_samples=2))
+        assert len(result.metrics) == 3 and len(result.diagnostics) == 3
+
+    @pytest.mark.parametrize("kind", [GCN_SYMMETRIC, MEAN_ROW])
+    def test_matrix_is_a_canonical_view_of_the_arrays(self, kind, triangle):
+        p = build_propagation(SpanningSubgraph.full(triangle), kind)
+        m = p.matrix
+        assert m is not p.matrix     # formed on each read, held by nothing
+        assert m.shape == (3, 3) and m.nnz == 9 and m.has_canonical_format
+        for name in ("indptr", "indices", "data"):
+            assert np.shares_memory(getattr(m, name), getattr(p, name)), name
 
 
 class TestLayering:

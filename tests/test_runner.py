@@ -272,6 +272,103 @@ class TestInputAggregate:
                     == (tmp_path / "formed" / name).read_bytes()), name
 
 
+def reference_accuracy(pred, labels, mask):
+    """Accuracy as eval used to form it: a mean over mask-gathered rows."""
+    return float(np.mean(pred[mask] == labels[mask]))
+
+
+def reference_macro_f1(y_true, y_pred):
+    """Macro-F1 as it used to be formed, over ``np.union1d``'s classes."""
+    classes = np.union1d(y_true, y_pred)
+    if classes.size == 0:
+        return 0.0
+    size = int(classes[-1]) + 1
+    tp = np.bincount(y_true[y_true == y_pred], minlength=size)[classes]
+    denom = (np.bincount(y_pred, minlength=size)
+             + np.bincount(y_true, minlength=size))[classes]
+    return float(np.mean(2.0 * tp / denom))
+
+
+def scored_graph(n, val, seed):
+    """An ``n``-node graph whose labels miss class 2 on the val split, with a
+    tenth of the nodes unlabeled (-1) outside every split, and ``val`` nodes
+    in the val split (0 leaves it empty)."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 4, size=n)
+    splits = np.full(n, "train", dtype=object)
+    splits[:n // 5] = "test"
+    splits[n // 5:n // 5 + val] = "val"
+    labels[n // 5:n // 5 + val][labels[n // 5:n // 5 + val] == 2] = 3
+    splits[-(n // 10):] = "none"
+    labels[-(n // 10):] = -1
+    return graphstore.build_graph(n, rng.integers(0, n, size=(4 * n, 2)),
+                                  rng.standard_normal((n, 5)), labels, splits.astype(str))
+
+
+class TestEvalScores:
+    """Eval's scores are bitwise the old gather-and-mean accuracy and the
+    ``union1d`` macro-F1, with no mask gather or sort of their own."""
+
+    @pytest.mark.parametrize("n", [ROW_BLOCK - 200, 2 * ROW_BLOCK + 77])
+    @pytest.mark.parametrize("val", [0, 1, 61])
+    @pytest.mark.parametrize("silent", [False, True])
+    def test_evaluate_matches_the_old_formulas_bitwise(self, n, val, silent):
+        """Row counts below and above ROW_BLOCK, an empty, a one-node and a
+        larger val split; ``silent`` zeroes the last layer, so every node
+        predicts class 0 and the prediction misses every other class."""
+        g = scored_graph(n, val, seed=n + val)
+        model = init_model("gcn", g.feature_dim, 8, 4, 2, seed=3)
+        if silent:
+            model.weights[-1][:] = 0.0
+        p = build_propagation(SpanningSubgraph.full(g), PROPAGATION_KIND["gcn"])
+        val_rows = np.flatnonzero(g.val_mask)
+        *scores, tape = runner._evaluate(model, p, g, input_aggregate(model, p, g.features),
+                                         val_rows)
+        pred = np.argmax(tape.logits, axis=1)
+        assert silent == (np.unique(pred).size == 1)
+        want = [reference_accuracy(pred, g.labels, g.train_mask), 0.0, 0.0]
+        if val:
+            want[1:] = (reference_accuracy(pred, g.labels, g.val_mask),
+                        reference_macro_f1(g.labels[g.val_mask], pred[g.val_mask]))
+        assert list(map(repr, scores)) == list(map(repr, want))
+        assert all(type(x) is float for x in scores)
+
+    def test_macro_f1_matches_the_old_formula_bitwise(self):
+        """Classes missing from the truth, from the prediction or from both,
+        disjoint class sets, single nodes and empty inputs."""
+        rng = np.random.default_rng(8)
+        cases = [(np.zeros(0, dtype=np.int64),) * 2, (np.array([3]), np.array([3])),
+                 (np.array([0]), np.array([5])), (np.array([1, 1]), np.array([4, 4]))]
+        for size in (2, 7, 40, 600):
+            for truth_classes, pred_classes in (((0, 1, 2, 3), (0, 1, 2, 3)), ((0, 3), (0, 1, 2, 3)),
+                                                ((0, 1, 2, 3), (2,)), ((1, 5), (0, 2, 4)),
+                                                ((6,), (6,))):
+                cases.append((rng.choice(truth_classes, size), rng.choice(pred_classes, size)))
+        for y_true, y_pred in cases:
+            assert repr(gnn.macro_f1(y_true, y_pred)) == repr(reference_macro_f1(y_true, y_pred))
+            rows = np.flatnonzero(rng.random(y_true.size) < 0.5)
+            if rows.size:
+                mask = np.zeros(y_true.size, dtype=bool)
+                mask[rows] = True
+                want = (reference_accuracy(y_pred, y_true, mask),
+                        reference_macro_f1(y_true[mask], y_pred[mask]))
+                assert list(map(repr, gnn.masked_scores(y_pred, y_true, rows))) == list(
+                    map(repr, want))
+
+    def test_the_val_rows_are_formed_once_per_run(self, monkeypatch):
+        seen = []
+        evaluate = runner._evaluate
+
+        def watched(*args):
+            seen.append(args[-1])
+            return evaluate(*args)
+
+        monkeypatch.setattr(runner, "_evaluate", watched)
+        run_training(small_cfg(epochs=3))
+        assert len(seen) == 3 and all(rows is seen[0] for rows in seen)
+        assert (seen[0] == np.flatnonzero(make_graph(SPEC).val_mask)).all()
+
+
 class TestMatrixRelease:
     @pytest.mark.parametrize("baseline", ["spangnn", "dropedge", "full"])
     def test_no_earlier_epoch_matrix_is_alive_at_the_next_build(self, baseline, monkeypatch):
@@ -285,7 +382,7 @@ class TestMatrixRelease:
         def watched_build(*args):
             alive.extend(ref() is not None for ref in refs[1:])
             p = build(*args)
-            refs.append(weakref.ref(p.matrix))
+            refs.append(weakref.ref(p.data))    # the matrix's per-entry values
             return p
 
         def watched_step(*args):
