@@ -3,7 +3,8 @@
 Subcommands: train, compare, sample-inspect, bench-sampling, gen-data.
 Options can come from a key=value config file (--config PATH); flags given
 on the command line win over file values.  Exit codes: 0 success,
-1 config error or out of memory, 2 data error, 3 numerical error.
+1 config error, out of memory or an output that cannot be written, 2 data
+error, 3 numerical error.
 
 Numpy is imported only after the SPANGRAPH_THREADS cap (if set) has been
 propagated to the BLAS thread-count environment variables, so keep module
@@ -277,8 +278,8 @@ def _cmd_bench_sampling(opts: dict) -> int:
     from .bench import bench_sampling
     from .runner import load_run_graph
     cfg = _build_run_config(opts)
-    have_data = (cfg.data_dir is not None or cfg.edges_path is not None
-                 or cfg.generator is not None)
+    # any dataset flag, even a partial or second source, goes to load_run_graph's check
+    have_data = {"data", "edges", "features", "labels", "splits", "gen"} & set(opts)
     if have_data:
         g = load_run_graph(cfg)
     else:
@@ -356,6 +357,9 @@ def main(argv=None) -> int:
         return 3
     except MemoryError as exc:
         print(f"config error: out of memory: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:      # reads fail as data or config errors where they happen
+        print(f"config error: cannot write output: {exc}", file=sys.stderr)
         return 1
 
 

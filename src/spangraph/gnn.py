@@ -310,17 +310,6 @@ def forward(model: GnnModel, p: PropagationMatrix, features: np.ndarray,
     return BackwardTape(model=model, p=p, features=x, saved=saved, logits=logits)
 
 
-def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray,
-                          mask: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean CE over masked rows and its gradient w.r.t. the logits, in a
-    copy of the logits.
-
-    Gradient rows outside the mask are exactly zero.
-    """
-    delta = np.array(logits, dtype=np.float64, order="C")
-    return cross_entropy_in_place(delta, labels, mask), delta
-
-
 def cross_entropy_in_place(logits: np.ndarray, labels: np.ndarray,
                            mask: np.ndarray) -> float:
     """Mean CE over the masked rows of C-ordered float64 ``logits``, finite
@@ -382,15 +371,11 @@ def cross_entropy_in_place(logits: np.ndarray, labels: np.ndarray,
 
 
 def _add_grad(grads: list, layer: int, x: np.ndarray, parts: tuple[np.ndarray, ...]) -> None:
-    """Add a row block's [x^T part ; ...] into ``grads[layer]``: A^T delta, H^T
-    U or [H^T delta ; H^T U].  The first block's products are the gradient,
-    so a one-block pass is bitwise the whole-matrix one."""
+    """Add a row block's [x^T part ; ...] into ``grads[layer]``, which starts
+    at zeros: A^T delta, H^T U or [H^T delta ; H^T U]."""
     d = x.shape[1]
     if grads[layer] is None:
-        grads[layer] = np.empty((d * len(parts), parts[0].shape[1]))
-        for k, part in enumerate(parts):
-            np.matmul(x.T, part, out=grads[layer][k * d:(k + 1) * d])
-        return
+        grads[layer] = np.zeros((d * len(parts), parts[0].shape[1]))
     for k, part in enumerate(parts):
         grads[layer][k * d:(k + 1) * d] += x.T @ part
 
@@ -513,15 +498,6 @@ def macro_f1(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     classes = np.flatnonzero(denom)
     tp = np.bincount(y_true[y_true == y_pred], minlength=size)[classes]
     return float(np.mean(2.0 * tp / denom[classes]))
-
-
-def masked_scores(pred: np.ndarray, labels: np.ndarray,
-                  rows: np.ndarray) -> tuple[float, float]:
-    """Accuracy and macro-F1 of predicted classes on the nodes ``rows``."""
-    if rows.size == 0:
-        raise ValueError("no nodes to score")
-    truth, picked = np.take(labels, rows), np.take(pred, rows)
-    return float(np.count_nonzero(picked == truth) / rows.size), macro_f1(truth, picked)
 
 
 def save_weights(path, model: GnnModel) -> None:

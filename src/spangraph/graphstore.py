@@ -201,13 +201,13 @@ class PropagationMatrix:
     compiled kernels read the arrays (``csr_matvecs``; ``csc_matvecs`` for
     P^T), with no scipy object in between.  ``matrix`` is a scipy view of
     them, formed on each read, for tests and benchmarks.  ``kind`` is the
-    rule ``build_propagation`` filled the values by; ``entries`` needs it.
+    rule ``build_propagation`` filled the values by; ``entries`` reads it.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
-    kind: str | None = None
+    kind: str
 
     @property
     def matrix(self) -> sp.csr_matrix:
@@ -250,8 +250,6 @@ class PropagationMatrix:
         values.  Every pair must be an entry of P (an active edge, either
         way round, or a self-loop); the rule does not look, so any other
         pair gets a value that P does not hold."""
-        if self.kind is None:
-            raise ValueError("entries needs the kind of a built propagation matrix")
         dhat = np.diff(self.indptr).astype(np.float64)
         return _entry_values(self.kind, np.take(dhat, rows), dhat, cols)
 

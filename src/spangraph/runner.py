@@ -38,7 +38,7 @@ from .gnn import (
     forward,
     init_model,
     input_aggregate,
-    masked_scores,
+    macro_f1,
     save_weights,
     train_step,
 )
@@ -64,8 +64,8 @@ VARIANTS = {
 class RunConfig:
     """Everything one training run needs.
 
-    Exactly one of ``data_dir`` / explicit file paths / ``generator`` must
-    describe the dataset.
+    Exactly one of ``data_dir`` / the four file paths / ``generator`` must
+    describe the dataset; ``load_run_graph`` checks that.
     """
 
     data_dir: str | None = None
@@ -114,26 +114,6 @@ class RunConfig:
                 f"diagnostics need diag_samples >= 2, got {self.diag_samples}")
         if not (0.0 <= self.beta < 1.0):
             raise ConfigError(f"beta must be in [0, 1), got {self.beta}")
-        sources = [
-            self.data_dir is not None,
-            self.edges_path is not None,
-            self.generator is not None,
-        ]
-        if sum(sources) != 1:
-            raise ConfigError(
-                "configure exactly one dataset source: a data directory, "
-                "explicit file paths, or a generator spec"
-            )
-        if self.edges_path is not None:
-            missing = [
-                name for name, val in (
-                    ("features", self.features_path),
-                    ("labels", self.labels_path),
-                    ("splits", self.splits_path),
-                ) if val is None
-            ]
-            if missing:
-                raise ConfigError(f"missing dataset paths: {', '.join(missing)}")
 
     @property
     def layer_type(self) -> str:
@@ -187,12 +167,23 @@ class RunResult:
 
 
 def load_run_graph(cfg: RunConfig) -> Graph:
+    """The dataset of ``cfg``'s one source: a data directory, the four file
+    paths, or a generator; zero, two or partial sources are a ConfigError."""
+    paths = {"edges": cfg.edges_path, "features": cfg.features_path,
+             "labels": cfg.labels_path, "splits": cfg.splits_path}
+    given = [cfg.data_dir is not None, any(v is not None for v in paths.values()),
+             cfg.generator is not None]
+    if sum(given) != 1:
+        raise ConfigError("configure exactly one dataset source: a data directory, "
+                          "explicit file paths, or a generator spec")
     if cfg.generator is not None:
         return make_graph(cfg.generator)
     if cfg.data_dir is not None:
         return load_dataset(cfg.data_dir)
-    return load_graph(cfg.edges_path, cfg.features_path, cfg.labels_path,
-                      cfg.splits_path)
+    missing = [name for name, v in paths.items() if v is None]
+    if missing:
+        raise ConfigError(f"missing dataset paths: {', '.join(missing)}")
+    return load_graph(*paths.values())
 
 
 def resolve_sample_sizes(cfg: RunConfig, num_edges: int) -> tuple[int, int]:
@@ -343,7 +334,9 @@ def _evaluate(model: GnnModel, p_full, g: Graph, aggregate,
     train_acc = float(np.count_nonzero(hits) / np.count_nonzero(g.train_mask))
     if not val_rows.size:
         return train_acc, 0.0, 0.0, tape
-    return (train_acc, *masked_scores(pred, g.labels, val_rows), tape)
+    truth, picked = np.take(g.labels, val_rows), np.take(pred, val_rows)
+    val_acc = float(np.count_nonzero(picked == truth) / val_rows.size)
+    return train_acc, val_acc, macro_f1(truth, picked), tape
 
 
 def _diagnostics_row(cfg: RunConfig, g: Graph, model: GnnModel, p_full, px_full,

@@ -72,11 +72,10 @@ class EdgeProbabilities:
     the probability vector (sums to 1).
     """
 
-    kind: str
     weights: np.ndarray
 
     @classmethod
-    def from_weights(cls, kind: str, weights, *, copy: bool = True) -> "EdgeProbabilities":
+    def from_weights(cls, weights, *, copy: bool = True) -> "EdgeProbabilities":
         """``copy=False`` adopts a fresh float64 array that no caller holds."""
         weights = np.array(weights, dtype=np.float64, copy=copy or None)
         if weights.ndim != 1:
@@ -88,7 +87,7 @@ class EdgeProbabilities:
         if not weights.any():
             raise ValueError("edge weights must have positive total mass")
         weights.flags.writeable = False
-        return cls(kind=kind, weights=weights)
+        return cls(weights=weights)
 
     @property
     def num_edges(self) -> int:
@@ -120,7 +119,7 @@ class SampleRequest:
 
 def uniform_weights(g: Graph) -> EdgeProbabilities:
     """Uniform distribution over the edge set."""
-    return EdgeProbabilities.from_weights(UNIFORM, np.ones(g.num_edges), copy=False)
+    return EdgeProbabilities.from_weights(np.ones(g.num_edges), copy=False)
 
 
 def vm_weights(g: Graph) -> EdgeProbabilities:
@@ -128,7 +127,7 @@ def vm_weights(g: Graph) -> EdgeProbabilities:
     inv = 1.0 / np.maximum(g.degree, 1)     # an isolated node's entry is never read
     w = inv[g.edges[:, 0]]
     w += inv[g.edges[:, 1]]     # in place: w and one gather are the only |E| arrays
-    return EdgeProbabilities.from_weights(VM, w, copy=False)
+    return EdgeProbabilities.from_weights(w, copy=False)
 
 
 def gnr_weights(g: Graph, p: PropagationMatrix) -> EdgeProbabilities:
@@ -145,7 +144,7 @@ def gnr_weights(g: Graph, p: PropagationMatrix) -> EdgeProbabilities:
     norms = column_norms(p)
     w = norms[g.edges[:, 0]]
     w += norms[g.edges[:, 1]]   # in place: w and one gather are the only |E| arrays
-    return EdgeProbabilities.from_weights(GNR, w, copy=False)
+    return EdgeProbabilities.from_weights(w, copy=False)
 
 
 def make_weights(kind: str, g: Graph, p: PropagationMatrix | None = None) -> EdgeProbabilities:

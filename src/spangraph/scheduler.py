@@ -25,7 +25,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigError
-from .graphstore import Graph, SpanningSubgraph, sorted_unique
+from .graphstore import Graph, SpanningSubgraph
 from .sampler import SAMPLER_KINDS, EdgeProbabilities, SampleRequest, two_step_sample
 from .seeding import as_rng, derive_seed, spawn_rng
 
@@ -113,11 +113,8 @@ def graph_update(sub: SpanningSubgraph, delta: np.ndarray, cap: int,
     exceed ``cap``, a uniform subset of the fresh edges, drawn in O(kept)
     swaps, is kept so the result has exactly ``cap`` active edges.
     """
-    fresh = sorted_unique(np.asarray(delta, dtype=np.int64).reshape(-1))
-    if fresh.size and (fresh[0] < 0 or fresh[-1] >= sub.parent.num_edges):
-        raise ValueError("delta contains edge indices outside the parent graph")
+    fresh = SpanningSubgraph.from_indices(sub.parent, delta).active
     active = sub.active_indices
-    fresh = fresh.astype(active.dtype)
     if active.size:
         at = np.minimum(active.searchsorted(fresh), active.size - 1)
         fresh = fresh[active[at] != fresh]

@@ -176,7 +176,7 @@ def test_criterion_06_variance_reduction(path4):
     exact = {}
     mc_ok = True
     details = []
-    for probs in (vm_weights(path4), uniform_weights(path4)):
+    for kind, probs in (("vm", vm_weights(path4)), ("uniform", uniform_weights(path4))):
         exact_mean, exact_var = oracle_estimator_stats(
             path4, probs, budget, path4.features, w)
         rep = embedding_variance(path4, p_full, probs, budget, M, path4.features,
@@ -184,8 +184,8 @@ def test_criterion_06_variance_reduction(path4):
         se = rep.squared_deviation_std / np.sqrt(M)
         agrees = abs(rep.estimator_variance - exact_var) <= 3.0 * se
         mc_ok &= agrees
-        exact[probs.kind] = exact_var
-        details.append(f"{probs.kind}: exact {exact_var:.4f} "
+        exact[kind] = exact_var
+        details.append(f"{kind}: exact {exact_var:.4f} "
                        f"mc {rep.estimator_variance:.4f} (3se={3 * se:.4f})")
     ordered = exact["vm"] <= exact["uniform"]
     elapsed = time.perf_counter() - start

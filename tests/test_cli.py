@@ -466,6 +466,62 @@ class TestInputErrors:
         assert "Traceback" not in err and "does not read" not in err, err
 
 
+# the dataset source cases, and what each command reading a dataset answers
+ONE_SOURCE = ("config error: configure exactly one dataset source: a data directory, "
+              "explicit file paths, or a generator spec")
+SOURCE_CASES = {
+    "none": ("", ONE_SOURCE),
+    "edges alone": ("--edges {d}/edges.txt",
+                    "config error: missing dataset paths: features, labels, splits"),
+    "data and gen": ("--data {d} --gen sbm", ONE_SOURCE),
+    "features alone": ("--features {d}/features.csv",
+                       "config error: missing dataset paths: edges, labels, splits"),
+}
+
+
+class TestDatasetSource:
+    """Every command that reads a dataset refuses zero, two or partial
+    sources with exit 1, before it reads data or makes its output directory;
+    ``bench-sampling`` given no source times its own random graph, so a lone
+    features path stands in for its no-source case."""
+
+    @pytest.mark.parametrize("command,case", [
+        *((command, case) for command in ("train", "compare", "sample-inspect")
+          for case in ("none", "edges alone", "data and gen")),
+        ("bench-sampling", "features alone"), ("bench-sampling", "edges alone"),
+        ("bench-sampling", "data and gen")])
+    def test_exits_one_with_a_config_error(self, command, case, tmp_path, capsys):
+        source, fault = SOURCE_CASES[case]
+        out = ["--out", str(tmp_path / "out")] * (command != "bench-sampling")
+        assert run_cli(command, *source.format(d=tmp_path / "d").split(), *out) == 1
+        assert capsys.readouterr().err == fault + "\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_bench_sampling_without_a_source_times_its_own_graph(self, monkeypatch, capsys):
+        loads = []
+        monkeypatch.setattr(runner, "load_run_graph", loads.append)
+        assert run_cli("bench-sampling", "--bench-nodes", "100", "--bench-edges", "200",
+                       "--s1", "20", "--s2", "5", "--runs", "1") == 0
+        assert loads == [] and "speedup" in capsys.readouterr().out
+
+
+class TestUnwritableOutput:
+    """An output file that cannot be written exits 1 with a config error."""
+
+    @pytest.mark.parametrize("argv,name", [
+        ("train --gen sbm --nodes 40 --epochs 2", "metrics.csv"),
+        ("compare --gen sbm --nodes 40 --epochs 2 --variants spangnn-vm,full", "combined.csv"),
+        ("sample-inspect --gen sbm --nodes 40", "sample_inspect.csv"),
+        ("gen-data --kind sbm --nodes 40", "edges.txt"),
+    ])
+    def test_a_directory_in_place_of_an_output_file(self, argv, name, tmp_path, capsys):
+        (tmp_path / "out" / name).mkdir(parents=True)
+        assert run_cli(*argv.split(), "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write output: ") and name in err, err
+        assert err.count("\n") == 1
+
+
 class TestOversizedInputs:
     """A node count past the edge-key bound, a negative edge count, or a
     width numpy cannot shape is refused as a config error before any array

@@ -203,7 +203,7 @@ class TestEmbeddingVariance:
         w = np.array([[1.0], [0.5]])
         budget, M = 2, 4000
         results = {}
-        for probs in (vm_weights(path4), uniform_weights(path4)):
+        for kind, probs in (("vm", vm_weights(path4)), ("uniform", uniform_weights(path4))):
             exact_mean, exact_var = oracle_estimator_stats(
                 path4, probs, budget, path4.features, w)
             report = embedding_variance(path4, full_propagation(path4), probs,
@@ -212,14 +212,12 @@ class TestEmbeddingVariance:
             assert abs(report.estimator_variance - exact_var) <= 3.0 * se + 1e-12
             np.testing.assert_allclose(report.estimator_mean, exact_mean,
                                        atol=6.0 * np.sqrt(exact_var / M) + 1e-9)
-            results[probs.kind] = exact_var
+            results[kind] = exact_var
         assert results["vm"] <= results["uniform"]
 
     def test_zero_probability_edge_is_rejected_when_sampled(self):
         g = graph_from_edges(5, [[0, 1], [1, 2], [2, 3], [3, 4]])
-        probs = EdgeProbabilities.from_weights(
-            "uniform", np.array([1.0, 0.0, 0.0, 0.0])
-        )
+        probs = EdgeProbabilities.from_weights(np.array([1.0, 0.0, 0.0, 0.0]))
         w = np.ones((2, 1))
         # budget 3 forces the uniform-fill fallback onto zero-weight edges
         with pytest.raises(ValueError, match="zero inclusion"):

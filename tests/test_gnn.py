@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from spangraph import gnn
+from spangraph import gnn, runner
 from spangraph.diagnostics import gradient_noise
 from spangraph.errors import ConfigError, NumericalError, refuse_unshapeable
 from spangraph.gnn import (
@@ -21,11 +21,9 @@ from spangraph.gnn import (
     load_weights,
     loss_and_backward,
     macro_f1,
-    masked_scores,
     row_blocks,
     save_weights,
     sgd_step,
-    softmax_cross_entropy,
     train_step,
     transforms_first,
 )
@@ -42,6 +40,13 @@ from spangraph.runner import RunConfig, run_training
 from spangraph.synthetic import GeneratorSpec, make_graph
 
 from conftest import graph_from_edges, max_relative_error, numeric_gradients, traced_peak
+
+
+def loss_in_a_copy(logits, labels, mask):
+    """The loss and its gradient, written over a C-ordered float64 copy of
+    the logits."""
+    delta = np.array(logits, dtype=np.float64, order="C")
+    return gnn.cross_entropy_in_place(delta, labels, mask), delta
 
 
 class TestForward:
@@ -105,14 +110,14 @@ class TestLoss:
     def test_uniform_logits_loss_is_log_k(self, triangle):
         for k in (2, 3, 5):
             logits = np.zeros((3, k))
-            loss, grad = softmax_cross_entropy(logits, triangle.labels,
+            loss, grad = loss_in_a_copy(logits, triangle.labels,
                                                triangle.train_mask)
             assert loss == pytest.approx(np.log(k), abs=1e-12)
 
     def test_saturated_correct_prediction(self, triangle):
         logits = np.full((3, 2), -1e4)
         logits[np.arange(3), triangle.labels] = 1e4
-        loss, grad = softmax_cross_entropy(logits, triangle.labels,
+        loss, grad = loss_in_a_copy(logits, triangle.labels,
                                            triangle.train_mask)
         assert loss == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
@@ -120,13 +125,13 @@ class TestLoss:
     def test_gradient_rows_outside_mask_are_zero(self, path4):
         logits = np.random.default_rng(0).normal(size=(4, 2))
         mask = np.array([True, False, True, False])
-        _, grad = softmax_cross_entropy(logits, path4.labels, mask)
+        _, grad = loss_in_a_copy(logits, path4.labels, mask)
         np.testing.assert_array_equal(grad[1], 0.0)
         np.testing.assert_array_equal(grad[3], 0.0)
 
     def test_empty_mask_rejected(self, path4):
         with pytest.raises(ValueError, match="empty"):
-            softmax_cross_entropy(np.zeros((4, 2)), path4.labels,
+            loss_in_a_copy(np.zeros((4, 2)), path4.labels,
                                   np.zeros(4, bool))
 
     @staticmethod
@@ -156,7 +161,7 @@ class TestLoss:
             mask = rng.random(n) < rng.uniform(0.05, 1.0)
             mask[rng.integers(n)] = True
             before = logits.copy()
-            loss, grad = softmax_cross_entropy(logits, labels, mask)
+            loss, grad = loss_in_a_copy(logits, labels, mask)
             want_loss, want_grad = self.reference_loss(logits, labels, mask)
             assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
             assert grad.tobytes() == want_grad.tobytes()
@@ -201,7 +206,7 @@ class TestLoss:
         labels = rng.integers(0, 4, size=50_000)
         mask = rng.random(50_000) < 0.6
         rows = int(mask.sum())
-        peak = traced_peak(softmax_cross_entropy, logits, labels, mask)
+        peak = traced_peak(loss_in_a_copy, logits, labels, mask)
         held = rows * 4 * 8 + rows * 8 + logits.nbytes
         assert peak <= held + 16384, peak - held
 
@@ -330,7 +335,7 @@ class TestOrderEquivalence:
         n = 12
         dense = rng.uniform(0.1, 1.0, size=(n, n)) * (rng.random((n, n)) < 0.4)
         m = sp.csr_matrix(dense)
-        p = PropagationMatrix(m.indptr, m.indices, m.data)
+        p = PropagationMatrix(m.indptr, m.indices, m.data, gnn.PROPAGATION_KIND[layer_type])
         h = rng.uniform(0.1, 1.0, size=(n, widths[0]))
         model = model_with_widths(layer_type, widths, seed=5)
         for w in model.weights:
@@ -357,7 +362,7 @@ def reference_pass(model, p, features, labels, mask):
         saved.append(x)
         zs.append(z)
         h = np.maximum(z, 0.0) if layer < last else z
-    _, delta = softmax_cross_entropy(h, labels, mask)
+    _, delta = loss_in_a_copy(h, labels, mask)
     grads = [None] * model.num_layers
     for layer in range(last, -1, -1):
         w, x, d = model.weights[layer], saved[layer], model.input_dim(layer)
@@ -468,7 +473,7 @@ class TestBackwardTape:
     def test_the_logits_die_before_delta_takes_their_size(self, layer_type, widths,
                                                           monkeypatch):
         """delta takes no size of its own: the loss writes it over the tape's
-        logits, bitwise the copy ``softmax_cross_entropy`` returns.  (6, 3, 2)
+        logits, bitwise the copy ``loss_in_a_copy`` returns.  (6, 3, 2)
         ends transform first, so its tape holds the logits as the last
         layer's Z too; (4, 2, 3) ends aggregate first."""
         g, p, _ = sbm40(layer_type, widths)
@@ -478,7 +483,7 @@ class TestBackwardTape:
         def forward_then_watch(*args):
             tape = taped_forward(*args)
             ref = weakref.ref(tape.logits)
-            want_loss, want_delta = softmax_cross_entropy(tape.logits, g.labels, g.train_mask)
+            want_loss, want_delta = loss_in_a_copy(tape.logits, g.labels, g.train_mask)
 
             def loss_then_watch(logits, labels, mask):
                 loss = in_place(logits, labels, mask)
@@ -1001,8 +1006,7 @@ class TestEvaluate:
         g2 = build_graph(4, np.zeros((0, 2)), logits, g.labels,
                          np.array(["train"] * 4))
         model = GnnModel("gcn", [np.eye(2)])
-        pred = np.argmax(forward(model, p, g2.features).logits, axis=1)
-        acc, f1 = masked_scores(pred, g2.labels, np.flatnonzero(g2.train_mask))
+        _, acc, f1, _ = runner._evaluate(model, p, g2, None, np.flatnonzero(g2.train_mask))
         assert acc == 1.0
         assert f1 == 1.0
 
@@ -1019,8 +1023,7 @@ class TestEvaluate:
         p = build_propagation(SpanningSubgraph.empty(g), GCN_SYMMETRIC)
         model = init_model("gcn", 2, 4, 2, 2, seed=0)
         train_step(model, p, g.features, g.labels, g.train_mask, 0.1)
-        pred = np.argmax(forward(model, p, g.features).logits, axis=1)
-        acc, f1 = masked_scores(pred, g.labels, np.flatnonzero(g.train_mask))
+        _, acc, f1, _ = runner._evaluate(model, p, g, None, np.flatnonzero(g.train_mask))
         assert 0.0 <= acc <= 1.0
 
 

@@ -478,7 +478,7 @@ class TestBuildMatchesTripletBuild:
 def int64_copy(p):
     """``p`` over int64 copies of its ``indptr`` and ``indices``."""
     return PropagationMatrix(p.indptr.astype(np.int64), p.indices.astype(np.int64),
-                             p.data.copy())
+                             p.data.copy(), p.kind)
 
 
 class TestProductsMatchScipy:
@@ -562,11 +562,6 @@ class TestEntries:
                 want = np.asarray(p.matrix[r, c]).ravel()
                 assert (want > 0.0).all()
                 assert p.entries(r, c).tobytes() == want.tobytes()
-
-    def test_a_matrix_of_no_kind_has_no_rule(self, triangle):
-        p = build_propagation(SpanningSubgraph.full(triangle), MEAN_ROW)
-        with pytest.raises(ValueError, match="kind"):
-            PropagationMatrix(p.indptr, p.indices, p.data).entries(np.arange(3), np.arange(3))
 
 
 class TestNoScipyObject:

@@ -4,6 +4,7 @@ import tracemalloc
 import weakref
 from dataclasses import replace
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -166,6 +167,14 @@ class TestRunTraining:
         with pytest.raises(ConfigError, match="missing dataset paths"):
             run_training(RunConfig(edges_path="x.txt"))
 
+    def test_a_loaded_graph_needs_no_source(self):
+        """The source rule is ``load_run_graph``'s: a run handed its graph
+        reads none, and trains as if it had loaded it."""
+        sourceless = run_training(small_cfg(generator=None, epochs=3), graph=make_graph(SPEC))
+        loaded = run_training(small_cfg(epochs=3))
+        rows = [[m.row(timings=False) for m in r.metrics] for r in (sourceless, loaded)]
+        assert rows[0] == rows[1]
+
 
 class TestEvalRelease:
     def test_eval_logits_are_dead_when_the_next_train_step_starts(self, monkeypatch):
@@ -305,6 +314,15 @@ def scored_graph(n, val, seed):
                                   rng.standard_normal((n, 5)), labels, splits.astype(str))
 
 
+def val_scores(monkeypatch, y_pred, y_true, rows):
+    """``_evaluate``'s val accuracy and macro-F1 on ``rows`` when its forward
+    predicts ``y_pred``: the forward returns their one-hot logits."""
+    logits = np.eye(y_pred.max() + 1)[y_pred]
+    monkeypatch.setattr(runner, "forward", lambda *args: SimpleNamespace(logits=logits))
+    g = SimpleNamespace(features=None, labels=y_true, train_mask=np.ones(y_true.size, bool))
+    return runner._evaluate(None, None, g, None, rows)[1:3]
+
+
 class TestEvalScores:
     """Eval's scores are bitwise the old gather-and-mean accuracy and the
     ``union1d`` macro-F1, with no mask gather or sort of their own."""
@@ -333,9 +351,10 @@ class TestEvalScores:
         assert list(map(repr, scores)) == list(map(repr, want))
         assert all(type(x) is float for x in scores)
 
-    def test_macro_f1_matches_the_old_formula_bitwise(self):
+    def test_macro_f1_matches_the_old_formula_bitwise(self, monkeypatch):
         """Classes missing from the truth, from the prediction or from both,
-        disjoint class sets, single nodes and empty inputs."""
+        disjoint class sets, single nodes and empty inputs; ``_evaluate``
+        scores a val split of them as the old gather did."""
         rng = np.random.default_rng(8)
         cases = [(np.zeros(0, dtype=np.int64),) * 2, (np.array([3]), np.array([3])),
                  (np.array([0]), np.array([5])), (np.array([1, 1]), np.array([4, 4]))]
@@ -352,7 +371,7 @@ class TestEvalScores:
                 mask[rows] = True
                 want = (reference_accuracy(y_pred, y_true, mask),
                         reference_macro_f1(y_true[mask], y_pred[mask]))
-                assert list(map(repr, gnn.masked_scores(y_pred, y_true, rows))) == list(
+                assert list(map(repr, val_scores(monkeypatch, y_pred, y_true, rows))) == list(
                     map(repr, want))
 
     def test_the_val_rows_are_formed_once_per_run(self, monkeypatch):

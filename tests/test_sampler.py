@@ -118,7 +118,7 @@ class TestNormalization:
 
     def test_a_callers_array_is_copied(self):
         w = np.array([0.1, 0.2, 0.3])
-        probs = EdgeProbabilities.from_weights("uniform", w)
+        probs = EdgeProbabilities.from_weights(w)
         assert w.flags.writeable and not np.shares_memory(w, probs.weights)
         w[0] = 5.0
         np.testing.assert_array_equal(probs.weights, [0.1, 0.2, 0.3])
@@ -131,11 +131,11 @@ class TestNormalization:
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
-            EdgeProbabilities.from_weights("uniform", np.array([1.0, -0.5]))
+            EdgeProbabilities.from_weights(np.array([1.0, -0.5]))
 
     def test_all_zero_weights_rejected(self):
         with pytest.raises(ValueError, match="^edge weights must have positive total mass$"):
-            EdgeProbabilities.from_weights("uniform", np.zeros(3))
+            EdgeProbabilities.from_weights(np.zeros(3))
 
     def test_uniform_setup_forms_no_prefix_sum(self):
         """The ones and the sign check's bool mask: under 1.5x the weights'
@@ -157,7 +157,7 @@ class TestDirectSample:
         np.testing.assert_array_equal(direct_sample(path4, probs, 3, 0), [0, 1, 2])
 
     def test_degenerate_mass_always_picks_it(self, path4):
-        probs = EdgeProbabilities.from_weights("uniform", np.array([0.0, 1.0, 0.0]))
+        probs = EdgeProbabilities.from_weights(np.array([0.0, 1.0, 0.0]))
         for seed in range(50):
             np.testing.assert_array_equal(direct_sample(path4, probs, 1, seed), [1])
 
@@ -177,9 +177,7 @@ class TestDirectSample:
 
     def test_skewed_weights_fall_back_to_uniform_fill(self, caplog):
         g = graph_from_edges(5, [[0, 1], [1, 2], [2, 3], [3, 4]])
-        probs = EdgeProbabilities.from_weights(
-            "uniform", np.array([1.0, 0.0, 0.0, 0.0])
-        )
+        probs = EdgeProbabilities.from_weights(np.array([1.0, 0.0, 0.0, 0.0]))
         with caplog.at_level(logging.WARNING, logger="spangraph.sampler"):
             out = direct_sample(g, probs, 3, 0)
         assert 0 in out.tolist() and out.size == 3 and np.unique(out).size == 3
@@ -263,9 +261,7 @@ class TestTwoStepSample:
 
     def test_all_zero_weight_pool_fills_uniformly(self):
         g = graph_from_edges(6, [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5]])
-        probs = EdgeProbabilities.from_weights(
-            "uniform", np.array([0.0, 0.0, 0.0, 0.0, 1.0])
-        )
+        probs = EdgeProbabilities.from_weights(np.array([0.0, 0.0, 0.0, 0.0, 1.0]))
         # force pools that may exclude the only weighted edge
         seen_sizes = set()
         for seed in range(40):
@@ -278,9 +274,7 @@ class TestTwoStepSample:
         """Positive-weight pool edges come first; zero-weight ones fill the
         rest uniformly among themselves (TV <= 0.02 over 20k seeds)."""
         g = graph_from_edges(6, [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5]])
-        probs = EdgeProbabilities.from_weights(
-            "uniform", np.array([0.0, 0.0, 0.0, 0.0, 1.0])
-        )
+        probs = EdgeProbabilities.from_weights(np.array([0.0, 0.0, 0.0, 0.0, 1.0]))
         trials = 20_000
         counts = np.zeros(4)
         for seed in range(trials):
