@@ -11,10 +11,12 @@ The on-disk dataset is four plain files:
 * labels: one integer class per line (line i = node i), ``-1`` = unlabeled.
 * splits: one of ``train``/``val``/``test``/``none`` per line.
 
-Each text file is parsed in one numpy pass.  A line scanner is the one
-authority on the grammar above: it runs when that pass rejects a file or
-reads a value the grammar forbids, accepts whatever it accepted before,
-and names the offending ``file:line`` in its DataError.
+Each text file is parsed in one numpy pass, which reads the file's path
+with numpy's chunked reader and never holds its text.  A line scanner is
+the one authority on the grammar above: it runs when that pass rejects a
+file or reads a value the grammar forbids (or finds no row at all),
+accepts whatever it accepted before, and names the offending
+``file:line`` in its DataError.
 
 In memory the graph is immutable: a canonical undirected edge list
 (u < v, deduplicated, sorted) plus each node's degree.
@@ -29,7 +31,6 @@ products call scipy's compiled sparsetools kernels on them directly.
 
 from __future__ import annotations
 
-import io
 import logging
 import re
 import struct
@@ -63,9 +64,11 @@ SPLITS_FILE = "splits.txt"
 MAX_KEYED_NODES = 3_037_000_499  # math.isqrt(2**63)
 INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
 
-# Leading blank and comment lines and a ``nodes N`` header, spelled so that
-# the scanner reads them the same way; the numpy pass parses what follows.
-_EDGE_HEAD = re.compile(r"(?:[ \t]*(?:#.*)?\n)*(?:[ \t]*nodes[ \t]+([0-9]+)[ \t]*(?:\n|$))?")
+# The edge list's head: leading blank and comment lines, then a ``nodes N``
+# header, spelled so that the scanner reads them the same way; the numpy
+# pass skips the head's lines and parses what follows.
+_EDGE_HEAD_LINE = re.compile(r"[ \t]*(?:#.*)?\n")
+_EDGE_NODES_LINE = re.compile(r"[ \t]*nodes[ \t]+([0-9]+)[ \t]*\n?")
 
 
 @dataclass(frozen=True)
@@ -268,28 +271,57 @@ def _entry_values(kind: str, values: np.ndarray, dhat: np.ndarray,
     return np.divide(1.0, values, out=values)
 
 
+def _increasing(values: np.ndarray) -> bool:
+    """Whether a 1-D array is strictly increasing: sorted and distinct.
+    Neighbours are compared a chunk at a time, so no array-sized temporary
+    forms."""
+    for start in range(0, values.size - 1, 1 << 16):
+        stop = min(start + (1 << 16), values.size - 1)
+        if not (values[start + 1:stop + 1] > values[start:stop]).all():
+            return False
+    return True
+
+
 def sorted_unique(values: np.ndarray) -> np.ndarray:
-    """``np.unique`` of a 1-D array by a sort and a neighbour mask: the same
-    result, ~50x faster at 400k ints than numpy 2.x's hashing ``np.unique``."""
+    """``np.unique`` of a 1-D array: ``values`` itself when it is already
+    strictly increasing, else a sort and a neighbour mask: the same result,
+    ~50x faster at 400k ints than numpy 2.x's hashing ``np.unique``."""
+    if _increasing(values):
+        return values
     values = np.sort(values)
     keep = np.ones(values.size, dtype=bool)
     keep[1:] = values[1:] != values[:-1]
     return values[keep]
 
 
-def canonicalize_edges(edges: np.ndarray, num_nodes: int) -> np.ndarray:
+def _canonical(edges: np.ndarray, num_nodes: int) -> bool:
+    """Whether every row has u < v and the keys ``u * num_nodes + v`` are
+    strictly increasing, checked a chunk of rows at a time (each chunk also
+    reads the row before it), so no edge-sized temporary forms."""
+    for start in range(0, edges.shape[0], 1 << 16):
+        rows = edges[max(start - 1, 0):start + (1 << 16)]
+        u, v = rows[:, 0], rows[:, 1]
+        if not ((u < v).all() and _increasing(u * num_nodes + v)):
+            return False
+    return True
+
+
+def canonicalize_edges(edges: np.ndarray, num_nodes: int, copy: bool = True) -> np.ndarray:
     """Collapse (u,v)/(v,u) pairs, drop duplicates and self-loops, sort.
 
     Rows come out in ``np.unique(axis=0)`` order, by sorting the scalar key
-    ``lo * num_nodes + hi``.  Raises DataError if any endpoint falls outside
-    [0, num_nodes), or if num_nodes exceeds MAX_KEYED_NODES (about 3.04e9),
-    past which the key would overflow int64.
+    ``lo * num_nodes + hi``.  A list already in that form, as
+    ``save_dataset`` writes it, skips the sort and comes back as a copy, or
+    with ``copy=False`` as the int64 array itself, for a caller that holds
+    no other reference to it.  Raises DataError if any endpoint falls
+    outside [0, num_nodes), or if num_nodes exceeds MAX_KEYED_NODES (about
+    3.04e9), past which the key would overflow int64.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if edges.size == 0:
         return edges.reshape(0, 2)
-    bad = (edges < 0) | (edges >= num_nodes)
-    if bad.any():
+    if edges.min() < 0 or edges.max() >= num_nodes:
+        bad = (edges < 0) | (edges >= num_nodes)
         i = int(np.flatnonzero(bad.any(axis=1))[0])
         raise DataError(
             f"edge ({edges[i, 0]} {edges[i, 1]}) references a node id outside "
@@ -298,6 +330,8 @@ def canonicalize_edges(edges: np.ndarray, num_nodes: int) -> np.ndarray:
     if num_nodes > MAX_KEYED_NODES:
         raise DataError(f"{num_nodes} nodes exceed the {MAX_KEYED_NODES} that "
                         f"int64 edge keys can order")
+    if _canonical(edges, num_nodes):
+        return edges.copy() if copy else edges
     loops = edges[:, 0] == edges[:, 1]
     if loops.any():
         log.warning("dropping %d self-loop edge(s); self-loops are added at "
@@ -309,14 +343,16 @@ def canonicalize_edges(edges: np.ndarray, num_nodes: int) -> np.ndarray:
 
 
 def build_graph(num_nodes: int, edges: np.ndarray, features: np.ndarray,
-                labels: np.ndarray, splits: np.ndarray) -> Graph:
+                labels: np.ndarray, splits: np.ndarray, copy: bool = True) -> Graph:
     """Assemble and validate a Graph from already-parsed arrays.
 
     ``splits`` is an array of strings from SPLIT_NAMES, one per node.
+    ``copy=False`` lets the Graph adopt ``edges`` when it is already
+    canonical: for a caller that holds no other reference to it.
     """
     if num_nodes < 0:
         raise DataError("num_nodes must be non-negative")
-    edges = canonicalize_edges(edges, num_nodes)
+    edges = canonicalize_edges(edges, num_nodes, copy)
 
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] != num_nodes:
@@ -359,29 +395,31 @@ def build_graph(num_nodes: int, edges: np.ndarray, features: np.ndarray,
     )
 
 
-def _table(text: str, dtype, columns=None, delimiter=None) -> np.ndarray:
-    """``text`` as a 2-D table in one numpy pass.  Raises ValueError for a
-    row numpy rejects or a width other than ``columns``, and any warning as
-    an error (numpy 1.23 deprecated, not refused, reading ``1.0`` as int)."""
-    if not text.strip():
-        return np.zeros((0, columns or 0), dtype=dtype)
+def _table(path, dtype, columns=None, delimiter=None, skiprows=0) -> np.ndarray:
+    """The file at ``path``, past its first ``skiprows`` lines, as a 2-D
+    table in one numpy pass.  numpy reads a path with its chunked C reader
+    (a file object would be walked line by line in Python).  Raises
+    ValueError for a row numpy rejects or a width other than ``columns``,
+    and any warning as an error: numpy warns, not refuses, when it finds no
+    row, and numpy 1.23 deprecated, not refused, reading ``1.0`` as int."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        table = np.loadtxt(io.StringIO(text), dtype=dtype, delimiter=delimiter,
-                           comments=None, ndmin=2)
+        table = np.loadtxt(path, dtype=dtype, delimiter=delimiter, comments=None,
+                           skiprows=skiprows, ndmin=2, encoding="utf-8")
     if columns is not None and table.shape[1] != columns:
         raise ValueError(f"expected {columns} columns, got {table.shape[1]}")
     return table
 
 
 def _read_rows(path, numpy_pass, parse_line):
-    """Rows of a text file: ``numpy_pass(text)``, or, if that raises a
+    """Rows of a text file: ``numpy_pass(path)``, or, if that raises a
     ValueError (UnicodeDecodeError is one) or a Warning, a scan that is the
     grammar's one authority.  It feeds each stripped, non-blank line to
     ``parse_line``, which returns a row (None for none) or raises DataError
-    naming the fault; the scan prefixes ``path:line``."""
+    naming the fault; the scan prefixes ``path:line``.  A file with no row
+    is read by the scan."""
     try:
-        return numpy_pass(Path(path).read_text(encoding="utf-8"))
+        return numpy_pass(path)
     except (ValueError, Warning):
         pass
     rows = []
@@ -397,17 +435,32 @@ def _read_rows(path, numpy_pass, parse_line):
     return rows
 
 
+def _edge_head(path) -> tuple[int, int | None]:
+    """The line count of an edge list's head (``_EDGE_HEAD_LINE``s, then at
+    most one ``_EDGE_NODES_LINE``) and the node count it declares."""
+    lines = 0
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            nodes = _EDGE_NODES_LINE.fullmatch(line)
+            if nodes:
+                return lines + 1, int(nodes[1])
+            if not _EDGE_HEAD_LINE.fullmatch(line):
+                break
+            lines += 1
+    return lines, None
+
+
 def read_edge_list(path) -> tuple[int | None, np.ndarray]:
     """Parse an edge-list file; returns (declared node count or None, pairs)."""
     declared, saw_edge = None, False
 
-    def numpy_pass(text):
+    def numpy_pass(path):
         nonlocal declared
-        head = _EDGE_HEAD.match(text)
-        pairs = _table(text[head.end():], np.int64, columns=2)
-        if pairs.size and pairs.min() < 0:
+        head, nodes = _edge_head(path)
+        pairs = _table(path, np.int64, columns=2, skiprows=head)
+        if pairs.min() < 0:
             raise ValueError("negative node id")
-        declared = int(head[1]) if head[1] else None
+        declared = nodes
         return pairs
 
     def parse_line(line):
@@ -470,9 +523,9 @@ def read_features(path) -> np.ndarray:
         except ValueError:
             raise DataError("non-numeric feature value") from None
 
-    # a blank file reads as a 0x0 table, so the scan never returns no rows
-    rows = _read_rows(path, lambda text: _table(text, np.float64, delimiter=","), parse_line)
-    return np.asarray(rows, dtype=np.float64)
+    rows = _read_rows(path, lambda path: _table(path, np.float64, delimiter=","), parse_line)
+    # the scan finds no row only in a blank file, which reads as a 0 x 0 table
+    return np.asarray(rows, dtype=np.float64) if len(rows) else np.zeros((0, 0))
 
 
 def read_labels(path) -> np.ndarray:
@@ -485,14 +538,14 @@ def read_labels(path) -> np.ndarray:
             raise DataError(f"label {line!r} does not fit int64")
         return label
 
-    rows = _read_rows(path, lambda text: _table(text, np.int64, 1).reshape(-1), parse_line)
+    rows = _read_rows(path, lambda path: _table(path, np.int64, 1).reshape(-1), parse_line)
     return np.asarray(rows, dtype=np.int64)
 
 
 def read_splits(path) -> np.ndarray:
-    def numpy_pass(text):
+    def numpy_pass(path):
         # object, not str: loadtxt's str path warns at every blank line
-        names = _table(text, object, columns=1).reshape(-1).astype(str)
+        names = _table(path, object, columns=1).reshape(-1).astype(str)
         if not np.isin(names, SPLIT_NAMES).all():
             raise ValueError("unknown split")
         return names
@@ -502,7 +555,7 @@ def read_splits(path) -> np.ndarray:
             raise DataError(f"unknown split {name!r}")
         return name
 
-    return np.asarray(_read_rows(path, numpy_pass, parse_line))
+    return np.asarray(_read_rows(path, numpy_pass, parse_line), dtype=str)
 
 
 def load_graph(edge_list_path, features_path, labels_path, splits_path) -> Graph:
@@ -515,7 +568,7 @@ def load_graph(edge_list_path, features_path, labels_path, splits_path) -> Graph
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read dataset file: {exc}") from None
     num_nodes = declared if declared is not None else int(pairs.max(initial=-1)) + 1
-    return build_graph(num_nodes, pairs, features, labels, splits)
+    return build_graph(num_nodes, pairs, features, labels, splits, copy=False)
 
 
 def load_dataset(directory) -> Graph:
@@ -534,10 +587,18 @@ def load_dataset(directory) -> Graph:
     )
 
 
+def _write_rows(path, head: str, line: str, rows: np.ndarray) -> None:
+    """Write ``head``, then ``line % row`` for each row of ``rows``, one
+    ``%``-formatted string per 16,384 rows, so no file-sized string forms."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(head)
+        for start in range(0, len(rows), 1 << 14):
+            chunk = rows[start:start + (1 << 14)]
+            fh.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
+
+
 def write_edge_list(path, num_nodes: int, edges: np.ndarray) -> None:
-    edges = np.asarray(edges, dtype=np.int64)
-    body = ("%d %d\n" * len(edges)) % tuple(edges.ravel().tolist())
-    Path(path).write_text(f"nodes {num_nodes}\n" + body, encoding="utf-8")
+    _write_rows(path, f"nodes {num_nodes}\n", "%d %d\n", np.asarray(edges, dtype=np.int64))
 
 
 def write_features_csv(path, features: np.ndarray) -> None:
@@ -555,12 +616,11 @@ def write_features_binary(path, features: np.ndarray) -> None:
 
 
 def write_labels(path, labels: np.ndarray) -> None:
-    labels = np.asarray(labels, dtype=np.int64)
-    Path(path).write_text(("%d\n" * len(labels)) % tuple(labels.tolist()), encoding="utf-8")
+    _write_rows(path, "", "%d\n", np.asarray(labels, dtype=np.int64))
 
 
 def write_splits(path, splits: np.ndarray) -> None:
-    Path(path).write_text(("%s\n" * len(splits)) % tuple(splits), encoding="utf-8")
+    _write_rows(path, "", "%s\n", np.asarray(splits, dtype=object))
 
 
 def save_dataset(directory, graph: Graph, binary_features: bool = False) -> None:

@@ -197,13 +197,24 @@ def _now_ms() -> int:
     return time.perf_counter_ns() // 1_000_000
 
 
-def make_out_dir(path) -> Path:
-    """Create an output directory (and its parents) or raise ConfigError."""
+def make_out_dir(path, outputs=()) -> Path:
+    """Create an output directory (and its parents) and check that each file
+    named in ``outputs`` can be opened for writing there; raise ConfigError
+    if either fails.  A file that the check creates is removed again, so a
+    run that fails later leaves none behind."""
     out = Path(path)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: {exc}") from None
+    for name in outputs:
+        existed = (out / name).exists()
+        try:
+            open(out / name, "a", encoding="utf-8").close()
+        except OSError as exc:
+            raise ConfigError(f"cannot write output: {exc}") from None
+        if not existed:
+            (out / name).unlink()
     return out
 
 
@@ -222,7 +233,10 @@ def run_training(cfg: RunConfig, graph: Graph | None = None) -> RunResult:
         raise DataError("the dataset has no nodes in the train split")
     model = init_model(cfg.layer_type, g.feature_dim, cfg.hidden_dim,
                        max(g.num_classes, 2), cfg.num_layers, seed=cfg.seed)
-    out = make_out_dir(cfg.out_dir) if cfg.out_dir is not None else None
+    out = None
+    if cfg.out_dir is not None:
+        out = make_out_dir(cfg.out_dir, ("metrics.csv", "checkpoint.spgw")
+                           + ("diagnostics.csv",) * bool(cfg.diag_every))
 
     kind = PROPAGATION_KIND[cfg.layer_type]
     p_full = build_propagation(SpanningSubgraph.full(g), kind)
@@ -409,7 +423,10 @@ def run_compare(cfg: RunConfig, variants: list[str]) -> dict[str, RunResult]:
         raise ConfigError("compare needs at least 2 variants")
     cfg.validate()
     g = load_run_graph(cfg)
-    out = make_out_dir(cfg.out_dir) if cfg.out_dir is not None else None
+    out = None
+    if cfg.out_dir is not None:
+        out = make_out_dir(cfg.out_dir, ("combined.csv", "summary.csv")
+                           + ("diagnostics.csv",) * bool(cfg.diag_every))
     results: dict[str, RunResult] = {}
     for name in variants:
         if name in results:

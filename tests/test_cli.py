@@ -506,20 +506,33 @@ class TestDatasetSource:
 
 
 class TestUnwritableOutput:
-    """An output file that cannot be written exits 1 with a config error."""
+    """An output file that cannot be written exits 1 with a config error.
+    ``train`` and ``compare`` refuse it before any training step, and the
+    check leaves no file behind."""
 
     @pytest.mark.parametrize("argv,name", [
         ("train --gen sbm --nodes 40 --epochs 2", "metrics.csv"),
+        ("train --gen sbm --nodes 40 --epochs 2", "checkpoint.spgw"),
+        ("train --gen sbm --nodes 40 --epochs 2 --diag-every 1", "diagnostics.csv"),
         ("compare --gen sbm --nodes 40 --epochs 2 --variants spangnn-vm,full", "combined.csv"),
+        ("compare --gen sbm --nodes 40 --epochs 2 --variants spangnn-vm,full", "summary.csv"),
+        ("compare --gen sbm --nodes 40 --epochs 2 --variants spangnn-vm,full --diag-every 1",
+         "diagnostics.csv"),
         ("sample-inspect --gen sbm --nodes 40", "sample_inspect.csv"),
         ("gen-data --kind sbm --nodes 40", "edges.txt"),
     ])
-    def test_a_directory_in_place_of_an_output_file(self, argv, name, tmp_path, capsys):
+    def test_a_directory_in_place_of_an_output_file(self, argv, name, tmp_path, capsys,
+                                                    monkeypatch):
+        steps = []
+        step = runner.train_step
+        monkeypatch.setattr(runner, "train_step", lambda *args: steps.append(1) or step(*args))
         (tmp_path / "out" / name).mkdir(parents=True)
         assert run_cli(*argv.split(), "--out", str(tmp_path / "out")) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: cannot write output: ") and name in err, err
         assert err.count("\n") == 1
+        assert not steps
+        assert os.listdir(tmp_path / "out") == [name]
 
 
 class TestOversizedInputs:

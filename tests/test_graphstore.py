@@ -14,6 +14,7 @@ from spangraph.graphstore import (
     GCN_SYMMETRIC,
     MAX_KEYED_NODES,
     MEAN_ROW,
+    SPLIT_NAMES,
     PropagationMatrix,
     SpanningSubgraph,
     build_graph,
@@ -36,7 +37,7 @@ from spangraph.graphstore import (
 from spangraph.runner import RunConfig, run_training
 from spangraph.synthetic import GeneratorSpec, make_graph
 
-from conftest import graph_from_edges
+from conftest import graph_from_edges, traced_peak
 
 
 def _write_dataset(tmp_path, edge_lines, num_nodes, feature_dim=2):
@@ -224,6 +225,76 @@ class TestAcceptedEdgeFormats:
         assert got.tobytes() == want.tobytes()
 
 
+def refuse_table(*args, **kwargs):
+    raise ValueError("the numpy pass is made to raise")
+
+
+class TestScannerFuzz:
+    """Seeded texts from the grammar's spellings: each reader returns what
+    the line scanner alone returns (the numpy pass made to raise), or raises
+    the scanner's DataError text."""
+
+    TOKENS = ["0", "1", "7", "12", "+3", "-1", "-0", "007", "1_0", "00", "1.0", "x",
+              "9223372036854775807", "9223372036854775808", "-9223372036854775809",
+              "18446744073709551616", "\u0663", "\xb2"]
+    SPLITS = ["train", "val", "test", "none", "bogus", "\ufefftrain"]
+    HEADS = ["nodes 40", "nodes  40 ", "\tnodes 007", "nodes", "nodes 3 4", "nodes x",
+             "nodes \xb2", "nodes\xa040", "nodes +4"]
+    BLANKS = ["", " ", "\t", "\xa0", "#", "# c", "  # x", "\xa0# y"]
+    SPACES = [" ", " ", "\t", " \t", "\xa0"]
+
+    @classmethod
+    def text(cls, rng, reader):
+        lines = []
+        for _ in range(rng.integers(0, 9)):
+            pick = rng.random()
+            if pick < 0.15:
+                lines.append(str(rng.choice(cls.BLANKS)))
+                continue
+            if pick < 0.2 and reader is read_edge_list:
+                lines.append(str(rng.choice(cls.HEADS)))
+                continue
+            width = rng.choice([1, 2, 3], p=[0.04, 0.92, 0.04] if reader is read_edge_list
+                               else [0.92, 0.04, 0.04])
+            words = cls.SPLITS if reader is read_splits else cls.TOKENS
+            # mostly the first four words, which the grammar reads as values
+            cells = [str(rng.choice(words if rng.random() < 0.06 else words[:4]))
+                     for _ in range(width)]
+            lead, trail = rng.choice(["", "", " ", "\xa0"]), rng.choice(["", "", "\t", " "])
+            lines.append(str(lead) + str(rng.choice(cls.SPACES)).join(cells) + str(trail))
+        end = str(rng.choice(["\n", "\r\n", "\r"]))
+        text = "".join(line + end for line in lines)
+        if rng.random() < 0.2:
+            text = text.rstrip("\r\n")
+        if rng.random() < 0.1:
+            text = "\ufeff" + text
+        return text
+
+    @staticmethod
+    def outcome(reader, path):
+        try:
+            got = reader(path)
+        except DataError as exc:
+            return str(exc)
+        declared, got = got if isinstance(got, tuple) else (None, got)
+        return declared, got.dtype.str, got.shape, got.tobytes()
+
+    @pytest.mark.parametrize("reader", [read_edge_list, read_labels, read_splits])
+    def test_readers_agree_with_the_scanner(self, reader, tmp_path, monkeypatch):
+        rng = np.random.default_rng(2024)
+        path = tmp_path / "data.txt"
+        scanned = 0
+        for _ in range(300):
+            path.write_bytes(self.text(rng, reader).encode("utf-8"))
+            got = self.outcome(reader, path)
+            with monkeypatch.context() as patch:
+                patch.setattr(graphstore, "_table", refuse_table)
+                want = self.outcome(reader, path)
+            assert got == want, path.read_bytes()
+            scanned += isinstance(want, tuple) and want[2][0] > 0
+        assert scanned > 75     # many texts parse to rows, not only to errors
+
+
 class TestCanonicalizeEdges:
     @pytest.mark.parametrize("seed, n, m", [(0, 2, 10), (1, 5, 40), (2, 50, 600), (3, 1000, 5000)])
     def test_equals_unique_rows(self, seed, n, m):
@@ -254,7 +325,72 @@ class TestCanonicalizeEdges:
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+class TestCanonicalSkip:
+    """An edge list already in canonical form, as ``save_dataset`` writes
+    it, skips the sort; a list that misses the form anywhere, a chunk
+    boundary included, is sorted as before."""
+
+    @staticmethod
+    def canonical(n=2_000):
+        """About 80k canonical edges: more than one 65,536-row chunk."""
+        pairs = np.sort(np.random.default_rng(5).integers(0, n, size=(80_000, 2)), axis=1)
+        return np.unique(pairs[pairs[:, 0] != pairs[:, 1]], axis=0), n
+
+    def test_canonical_input_is_returned_unsorted(self, monkeypatch):
+        edges, n = self.canonical()
+        want = np.unique(edges, axis=0)
+        assert want.tobytes() == edges.tobytes()
+        monkeypatch.setattr(graphstore, "sorted_unique", pytest.fail)
+        got = canonicalize_edges(edges, n)
+        assert got.dtype == np.int64 and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+        assert not np.shares_memory(got, edges)
+        assert np.shares_memory(canonicalize_edges(edges, n, copy=False), edges)
+
+    @pytest.mark.parametrize("fault", ["reversed", "duplicate", "loop", "swap"])
+    @pytest.mark.parametrize("row", [1, 65_535, 65_536, 69_999])
+    def test_a_near_miss_is_sorted(self, fault, row):
+        edges, n = self.canonical()
+        if fault == "reversed":
+            edges[row] = edges[row, ::-1]
+        elif fault == "duplicate":
+            edges[row] = edges[row - 1]
+        elif fault == "loop":
+            edges[row] = edges[row, 0]
+        else:
+            edges[[row - 1, row]] = edges[[row, row - 1]]
+        kept = edges[edges[:, 0] != edges[:, 1]]
+        want = np.unique(np.sort(kept, axis=1), axis=0)
+        assert canonicalize_edges(edges, n, copy=False).tobytes() == want.tobytes()
+
+    def test_a_loaded_graph_adopts_the_parsed_edges(self, tmp_path, monkeypatch):
+        g = make_graph(GeneratorSpec(kind="preferential-attachment", nodes=500, classes=3,
+                                     feature_dim=4, attach=6, seed=3))
+        save_dataset(tmp_path, g)
+        monkeypatch.setattr(graphstore, "sorted_unique", pytest.fail)
+        back = load_dataset(tmp_path)
+        assert back.edges.tobytes() == g.edges.tobytes() and not back.edges.flags.writeable
+
+    @pytest.mark.parametrize("values", [[], [4], [-3, 0, 7], list(range(70_000)),
+                                        [*range(65_536), 65_535, 70_000], [3, 1, 2]])
+    def test_sorted_unique_of_increasing_values_is_the_array(self, values):
+        values = np.array(values, dtype=np.int64)
+        got = sorted_unique(values)
+        assert got.tobytes() == np.unique(values).tobytes()
+        assert (got is values) == (np.diff(values) > 0).all()
+
+
+def one_string_layout(head, line, rows):
+    """The text layout as one ``%``-formatted string for all rows."""
+    return (head + (line * len(rows)) % tuple(np.asarray(rows).ravel().tolist())).encode()
+
+
 class TestWriters:
+    # measured 1.68 MB writing 65,536 edges (0.84 MB for as many labels, 0.32
+    # MB for splits), the same at 20k and 200k; the one-string layout needs
+    # about 100 bytes per edge (106 MB for 1,049,363)
+    MAX_WRITE_PEAK = 2_000_000
+
     def test_text_layout(self, tmp_path):
         write_edge_list(tmp_path / "e.txt", 4, np.array([[0, 1], [2, 3]]))
         write_edge_list(tmp_path / "empty.txt", 2, np.zeros((0, 2), dtype=np.int64))
@@ -264,6 +400,33 @@ class TestWriters:
         assert (tmp_path / "empty.txt").read_bytes() == b"nodes 2\n"
         assert (tmp_path / "l.txt").read_bytes() == b"1\n-1\n0\n"
         assert (tmp_path / "s.txt").read_bytes() == b"train\nnone\nval\n"
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_bytes_equal_the_one_string_layout(self, tmp_path, seed):
+        """Seeded graphs whose edges, labels and splits span several chunks."""
+        g = make_graph(GeneratorSpec(kind="preferential-attachment", nodes=4000, classes=3,
+                                     feature_dim=2, attach=9, seed=seed))
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(-1, 10**12, size=40_000)
+        splits = rng.choice(np.array(SPLIT_NAMES, dtype=object), size=40_000)
+        write_edge_list(tmp_path / "e.txt", g.num_nodes, g.edges)
+        write_labels(tmp_path / "l.txt", labels)
+        write_splits(tmp_path / "s.txt", splits)
+        assert g.num_edges > 2 * 16_384
+        assert (tmp_path / "e.txt").read_bytes() == one_string_layout(
+            f"nodes {g.num_nodes}\n", "%d %d\n", g.edges)
+        assert (tmp_path / "l.txt").read_bytes() == one_string_layout("", "%d\n", labels)
+        assert (tmp_path / "s.txt").read_bytes() == one_string_layout("", "%s\n", splits)
+
+    def test_write_peak_does_not_grow_with_the_rows(self, tmp_path):
+        rng = np.random.default_rng(9)
+        edges = rng.integers(0, 10**6, size=(65_536, 2))
+        labels = rng.integers(-1, 10**6, size=65_536)
+        splits = rng.choice(np.array(SPLIT_NAMES, dtype=object), size=65_536)
+        for peak in (traced_peak(write_edge_list, tmp_path / "e.txt", 10**6, edges),
+                     traced_peak(write_labels, tmp_path / "l.txt", labels),
+                     traced_peak(write_splits, tmp_path / "s.txt", splits)):
+            assert peak <= self.MAX_WRITE_PEAK, peak
 
 
 class TestCsrInvariants:
