@@ -11,9 +11,10 @@ The on-disk dataset is four plain files:
 * labels: one integer class per line (line i = node i), ``-1`` = unlabeled.
 * splits: one of ``train``/``val``/``test``/``none`` per line.
 
-Each text file is parsed in one numpy pass, which reads the file's path
-with numpy's chunked reader and never holds its text.  A line scanner is
-the one authority on the grammar above: it runs when that pass rejects a
+Text files are UTF-8; a leading byte-order mark is skipped.  Each text
+file is parsed in one numpy pass, which reads the file's path with numpy's
+chunked reader and never holds its text.  A line scanner is the one
+authority on the grammar above: it runs when that pass rejects a
 file or reads a value the grammar forbids (or finds no row at all),
 accepts whatever it accepted before, and names the offending
 ``file:line`` in its DataError.
@@ -25,8 +26,9 @@ self-loop per node at build time, so even the empty edge set propagates.
 
 This module is the only reader of a propagation matrix's layout and the
 only importer of scipy: every other module multiplies and queries it
-through ``PropagationMatrix``, which holds its CSR arrays itself and whose
-products call scipy's compiled sparsetools kernels on them directly.
+through ``PropagationMatrix``, which holds its CSR arrays itself (a
+mean-row matrix only its pattern) and whose products call scipy's compiled
+sparsetools kernels on them directly.
 """
 
 from __future__ import annotations
@@ -64,11 +66,23 @@ SPLITS_FILE = "splits.txt"
 MAX_KEYED_NODES = 3_037_000_499  # math.isqrt(2**63)
 INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
 
+# entries (or rows, or pairs) per chunk of a pass that forms no array-sized
+# temporary
+CHUNK = 1 << 16
+# values (rows x width) that a mean-row product scales per piece; numpy's
+# broadcast multiply forms a buffer of as many beside them
+SCALED = 1 << 12
+# every entry of a mean-row matrix's pattern, as its products hand it to scipy
+_ONES = np.ones(CHUNK)
+_ONES.flags.writeable = False
+
 # The edge list's head: leading blank and comment lines, then a ``nodes N``
 # header, spelled so that the scanner reads them the same way; the numpy
 # pass skips the head's lines and parses what follows.
 _EDGE_HEAD_LINE = re.compile(r"[ \t]*(?:#.*)?\n")
 _EDGE_NODES_LINE = re.compile(r"[ \t]*nodes[ \t]+([0-9]+)[ \t]*\n?")
+# every text reader's decoding: UTF-8, with a leading byte-order mark skipped
+_READ_ENCODING = "utf-8-sig"
 
 
 @dataclass(frozen=True)
@@ -163,19 +177,69 @@ class SpanningSubgraph:
         return self.active
 
 
+def _pieces(indptr: np.ndarray, max_rows: int):
+    """The CSR rows that ``indptr`` bounds, cut for the pattern kernels:
+    (lo, hi, ptr, start, stop, inv) for rows lo..hi, whose entries
+    start..stop the piece holds, with ``ptr`` their ``indptr`` rebased to
+    ``start`` and ``inv`` their 1/dhat, 1 over each row's whole length.  A
+    piece holds whole rows, at most ``max_rows`` of them and CHUNK entries,
+    except that a row of more than CHUNK entries is cut into pieces of
+    CHUNK entries, in storage order."""
+    n, lo = indptr.size - 1, 0
+    while lo < n:
+        hi = min(lo + max_rows, n)
+        start, stop = int(indptr[lo]), int(indptr[hi])
+        if stop - start > CHUNK:
+            fits = int(np.searchsorted(indptr[lo:hi + 1], start + CHUNK, "right")) - 1
+            hi = lo + max(fits, 1)
+            stop = int(indptr[hi])
+        if stop - start <= CHUNK:
+            ptr = indptr[lo:hi + 1] - start
+            yield lo, hi, ptr, start, stop, 1.0 / (ptr[1:] - ptr[:-1])
+        else:
+            inv = np.array([1.0 / (stop - start)])
+            for first in range(start, stop, CHUNK):
+                last = min(first + CHUNK, stop)
+                yield lo, hi, np.array([0, last - first], dtype=indptr.dtype), first, last, inv
+        lo = hi
+
+
 def _multiply(kernel, shape: tuple[int, int], indptr: np.ndarray, indices: np.ndarray,
-              data: np.ndarray, dense: np.ndarray) -> np.ndarray:
+              data: np.ndarray | None, dense: np.ndarray) -> np.ndarray:
     """The ``shape`` operator over CSR arrays times a 2-d ``dense``, by
     sparsetools' ``kernel`` (``csr_matvecs``, or ``csc_matvecs`` for P^T) into
     a float64 zero array: the call scipy's ``_matmul_multivector`` makes on a
     C-ordered float64 operand, so bitwise scipy's product.  The kernel reads
-    row r's entries at the absolute offsets indptr[r]..indptr[r+1]."""
+    row r's entries at the absolute offsets indptr[r]..indptr[r+1].
+
+    A mean-row matrix (``data`` None) runs the kernel over its pattern a
+    ``_pieces`` piece at a time.  P @ Y sums each row, then scales it by
+    1/dhat(r): only the last bits differ from the valued product.  P^T @ G
+    scales row j of G by 1/dhat(j) before the kernel adds it, the product
+    the kernel would form, so it is bitwise the valued product.  A piece
+    of P @ Y holds at most SCALED / width rows, and one of P^T @ G, which
+    holds its scaled copy beside numpy's buffer, half as many, so that a
+    piece's temporaries stay within 8 * SCALED bytes."""
     dense = np.ascontiguousarray(dense, dtype=np.float64)
     if dense.ndim != 2 or dense.shape[0] != shape[1]:
         raise ValueError(f"cannot multiply a {shape[0]} x {shape[1]} operator "
                          f"by an array of shape {dense.shape}")
-    out = np.zeros((shape[0], dense.shape[1]))
-    kernel(shape[0], shape[1], dense.shape[1], indptr, indices, data, dense, out)
+    width = dense.shape[1]
+    out = np.zeros((shape[0], width))
+    if data is not None:
+        kernel(shape[0], shape[1], width, indptr, indices, data, dense, out)
+        return out
+    transpose = kernel is csc_matvecs
+    scaled = SCALED // 2 if transpose else SCALED
+    for lo, hi, ptr, start, stop, inv in _pieces(indptr, max(scaled // max(width, 1), 1)):
+        pattern = ptr, indices[start:stop], _ONES[:stop - start]
+        if transpose:
+            kernel(shape[0], hi - lo, width, *pattern, dense[lo:hi] * inv[:, None], out)
+        else:
+            rows = out[lo:hi]
+            kernel(hi - lo, shape[1], width, *pattern, dense, rows)
+            if stop == indptr[hi]:      # a long row is scaled after its last piece
+                rows *= inv[:, None]
     return out
 
 
@@ -194,29 +258,35 @@ class _Product:
 
 @dataclass(frozen=True)
 class PropagationMatrix:
-    """Normalized sparse propagation operator: an n x n CSR's three arrays.
+    """Normalized sparse propagation operator: an n x n CSR's arrays.
 
     ``gcn-symmetric`` entries are 1/sqrt(dhat(v)*dhat(u)) where dhat is the
     degree-plus-one over the chosen edge set; ``mean-row`` rows average the
-    neighborhood including the node itself, so every row sums to 1.
+    neighborhood including the node itself, so every row sums to 1.  Every
+    entry of a mean-row row r is 1/dhat(r), and dhat(r) is the row's
+    length, so ``build_propagation`` keeps only its pattern: ``data`` is
+    None, and the products, ``entries``, ``column_norms`` and ``matrix``
+    form the values by that rule.
     Outside this module it is only multiplied (``P @ Y``, ``P.T @ G``,
     ``P.rows(panel) @ Y``) and queried (``covers``, ``entries``): scipy's
     compiled kernels read the arrays (``csr_matvecs``; ``csc_matvecs`` for
     P^T), with no scipy object in between.  ``matrix`` is a scipy view of
     them, formed on each read, for tests and benchmarks.  ``kind`` is the
-    rule ``build_propagation`` filled the values by; ``entries`` reads it.
+    rule the values follow; ``entries`` reads it.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
-    data: np.ndarray
+    data: np.ndarray | None
     kind: str
 
     @property
     def matrix(self) -> sp.csr_matrix:
-        """A canonical scipy CSR over the arrays themselves, not copies."""
+        """A canonical scipy CSR over the arrays themselves, not copies; a
+        mean-row matrix's values are formed by its rule on each read."""
         n = self.indptr.size - 1
-        m = sp.csr_matrix((self.data, self.indices, self.indptr), shape=(n, n), copy=False)
+        data = _values(self.kind, self.indptr, self.indices) if self.data is None else self.data
+        m = sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n), copy=False)
         m.has_canonical_format = True
         return m
 
@@ -264,19 +334,27 @@ def _entry_values(kind: str, values: np.ndarray, dhat: np.ndarray,
     through a square root and a reciprocal for ``gcn-symmetric``, 1 / dhat(r)
     for ``mean-row``.  The pairs must be entries of the matrix."""
     if kind == GCN_SYMMETRIC:
-        for start in range(0, values.size, 1 << 16):    # no pair-sized temporary
-            stop = start + (1 << 16)
+        for start in range(0, values.size, CHUNK):    # no pair-sized temporary
+            stop = start + CHUNK
             values[start:stop] *= dhat[cols[start:stop]]
         np.sqrt(values, out=values)
     return np.divide(1.0, values, out=values)
+
+
+def _values(kind: str, indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Every entry's value, in storage order, by the rule of ``kind``, with
+    dhat(r) row r's length."""
+    rowlen = np.diff(indptr)
+    dhat = rowlen.astype(np.float64)
+    return _entry_values(kind, np.repeat(dhat, rowlen), dhat, indices)
 
 
 def _increasing(values: np.ndarray) -> bool:
     """Whether a 1-D array is strictly increasing: sorted and distinct.
     Neighbours are compared a chunk at a time, so no array-sized temporary
     forms."""
-    for start in range(0, values.size - 1, 1 << 16):
-        stop = min(start + (1 << 16), values.size - 1)
+    for start in range(0, values.size - 1, CHUNK):
+        stop = min(start + CHUNK, values.size - 1)
         if not (values[start + 1:stop + 1] > values[start:stop]).all():
             return False
     return True
@@ -298,8 +376,8 @@ def _canonical(edges: np.ndarray, num_nodes: int) -> bool:
     """Whether every row has u < v and the keys ``u * num_nodes + v`` are
     strictly increasing, checked a chunk of rows at a time (each chunk also
     reads the row before it), so no edge-sized temporary forms."""
-    for start in range(0, edges.shape[0], 1 << 16):
-        rows = edges[max(start - 1, 0):start + (1 << 16)]
+    for start in range(0, edges.shape[0], CHUNK):
+        rows = edges[max(start - 1, 0):start + CHUNK]
         u, v = rows[:, 0], rows[:, 1]
         if not ((u < v).all() and _increasing(u * num_nodes + v)):
             return False
@@ -405,7 +483,7 @@ def _table(path, dtype, columns=None, delimiter=None, skiprows=0) -> np.ndarray:
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         table = np.loadtxt(path, dtype=dtype, delimiter=delimiter, comments=None,
-                           skiprows=skiprows, ndmin=2, encoding="utf-8")
+                           skiprows=skiprows, ndmin=2, encoding=_READ_ENCODING)
     if columns is not None and table.shape[1] != columns:
         raise ValueError(f"expected {columns} columns, got {table.shape[1]}")
     return table
@@ -423,7 +501,7 @@ def _read_rows(path, numpy_pass, parse_line):
     except (ValueError, Warning):
         pass
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding=_READ_ENCODING) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             try:
@@ -439,7 +517,7 @@ def _edge_head(path) -> tuple[int, int | None]:
     """The line count of an edge list's head (``_EDGE_HEAD_LINE``s, then at
     most one ``_EDGE_NODES_LINE``) and the node count it declares."""
     lines = 0
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding=_READ_ENCODING) as fh:
         for line in fh:
             nodes = _EDGE_NODES_LINE.fullmatch(line)
             if nodes:
@@ -650,46 +728,49 @@ def build_propagation(sub: SpanningSubgraph, kind: str) -> PropagationMatrix:
     The build places the pattern first and the values second.  scipy's
     COO-to-CSR counting sort, ``coo_tocsr``, receives the int32 coordinates
     (int64 only when nnz >= 2**31) with a one-byte boolean pattern, listed
-    as the (v, u) half, the self-loops, then the (u, v) half.  The canonical
-    edges are sorted by (u, v), and so are those that the sorted active ids
-    gather, so row r reads its columns u < r in ascending order, then r,
-    then v > r: already canonical, with no sort or scan, and the arrays
-    are the matrix: no scipy object is formed.
-    Once the coordinates are freed, dhat(r) is row r's length, and the
-    values are filled in place from (row, column) by ``_entry_values``, the
-    rule ``PropagationMatrix.entries`` reads them by.
+    as the (v, u) half, the self-loops, then the (u, v) half: two windows of
+    one buffer (v, loops, u, loops, v), the rows its first nnz entries and
+    the columns its last.  The canonical edges are sorted by (u, v), and so
+    are those that the sorted active ids gather, so row r reads its columns
+    u < r in ascending order, then r, then v > r: already canonical, with no
+    sort or scan, and the arrays are the matrix: no scipy object is formed.
+    A mean-row matrix is then done, as its values follow from its row
+    lengths.  A gcn matrix's values are filled, once the coordinates are
+    freed, in place from (row, column) by ``_entry_values``, the rule
+    ``PropagationMatrix.entries`` reads them by.
     """
     if kind not in PROPAGATION_KINDS:
         raise ValueError(f"unknown propagation kind {kind!r}")
     g = sub.parent
-    n = g.num_nodes
-    nnz = 2 * sub.active_count + n
+    n, m = g.num_nodes, sub.active_count
+    nnz = 2 * m + n
     index = index_dtype(nnz)
     # np.take gathers rows several times faster than fancy indexing does
     active = (g.edges if sub.active is None else np.take(g.edges, sub.active, axis=0)).astype(index)
-    u, v = active[:, 0], active[:, 1]
     loops = np.arange(n, dtype=index)
-    rows = np.concatenate([v, loops, u])
-    cols = np.concatenate([u, loops, v])
-    del active, u, v, loops
+    coords = np.concatenate([active[:, 1], loops, active[:, 0], loops, active[:, 1]])
+    del active, loops
     indptr = np.empty(n + 1, dtype=index)
     indices = np.empty(nnz, dtype=index)
     # the pattern is the kernel's input and output: every entry is True
     pattern = np.ones(nnz, dtype=bool)
-    coo_tocsr(n, n, nnz, rows, cols, pattern, indptr, indices, pattern)
-    del rows, cols, pattern
-    rowlen = np.diff(indptr)
-    dhat = rowlen.astype(np.float64)
-    data = _entry_values(kind, np.repeat(dhat, rowlen), dhat, indices)
+    coo_tocsr(n, n, nnz, coords[:nnz], coords[m + n:], pattern, indptr, indices, pattern)
+    del coords, pattern
+    data = None if kind == MEAN_ROW else _values(kind, indptr, indices)
     return PropagationMatrix(indptr, indices, data, kind)
 
 
 def column_norms(p: PropagationMatrix) -> np.ndarray:
     """Per-node L2 norm of the propagation matrix columns, summed in the
     storage order of ``ones @ P.multiply(P)``, so bitwise the same.  The
-    squares are added a chunk at a time, so no nnz-sized temporary forms."""
+    squares are added a chunk at a time, a mean-row matrix's formed a piece
+    at a time by its rule, so no nnz-sized temporary forms."""
     sums = np.zeros(p.indptr.size - 1)
-    for start in range(0, int(p.indptr[-1]), 1 << 16):
-        stop = start + (1 << 16)
-        np.add.at(sums, p.indices[start:stop], np.square(p.data[start:stop]))
+    if p.data is None:
+        for _, _, ptr, start, stop, inv in _pieces(p.indptr, SCALED):
+            np.add.at(sums, p.indices[start:stop], np.repeat(np.square(inv), np.diff(ptr)))
+    else:
+        for start in range(0, int(p.indptr[-1]), CHUNK):
+            stop = start + CHUNK
+            np.add.at(sums, p.indices[start:stop], np.square(p.data[start:stop]))
     return np.sqrt(sums, out=sums)

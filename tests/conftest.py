@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from spangraph.gnn import forward, loss_and_backward
 from spangraph.graphstore import build_graph
@@ -44,6 +45,17 @@ def pa3k():
     """A 3k-node preferential-attachment graph for the traced-memory tests."""
     return make_graph(GeneratorSpec(kind="preferential-attachment", nodes=3000,
                                     classes=4, feature_dim=16, attach=4, seed=3))
+
+
+def rule_product(p, y):
+    """scipy's ``P @ Y`` by P's value rule: the valued matrix times Y, or for
+    a mean-row P, which holds only its pattern, a scipy CSR of ones over P's
+    arrays times Y, each row r then scaled by 1/dhat(r), its row length."""
+    if p.data is not None:
+        return p.matrix @ y
+    n = p.indptr.size - 1
+    pattern = sp.csr_matrix((np.ones(p.indices.size), p.indices, p.indptr), shape=(n, n))
+    return (1.0 / np.diff(p.indptr))[:, None] * (pattern @ y)
 
 
 def traced_peak(fn, *args):

@@ -41,7 +41,13 @@ from spangraph.graphstore import (
 from spangraph.runner import RunConfig, run_training
 from spangraph.synthetic import GeneratorSpec, make_graph
 
-from conftest import graph_from_edges, max_relative_error, numeric_gradients, traced_peak
+from conftest import (
+    graph_from_edges,
+    max_relative_error,
+    numeric_gradients,
+    rule_product,
+    traced_peak,
+)
 
 
 def loss_in_a_copy(logits, labels, mask):
@@ -357,9 +363,9 @@ def reference_pass(model, p, features, labels, mask):
         d = model.input_dim(layer)
         if transforms_first(model, layer):
             x = h
-            z = h @ w[:d] + p.matrix @ (h @ w[d:]) if sage else p.matrix @ (h @ w)
+            z = h @ w[:d] + rule_product(p, h @ w[d:]) if sage else rule_product(p, h @ w)
         else:
-            x = np.hstack([h, p.matrix @ h]) if sage else p.matrix @ h
+            x = np.hstack([h, rule_product(p, h)]) if sage else rule_product(p, h)
             z = x @ w
         saved.append(x)
         zs.append(z)
@@ -589,7 +595,7 @@ class TestInputAggregate:
         model = model_with_widths(layer_type, widths, seed=9)
         cached = input_aggregate(model, p, g.features)
         assert not cached.flags.writeable
-        assert cached.tobytes() == (p.matrix @ g.features).tobytes()
+        assert cached.tobytes() == rule_product(p, g.features).tobytes()
         got = forward(model, p, g.features, cached).logits
         assert got.tobytes() == forward(model, p, g.features).logits.tobytes()
         zeros = np.zeros_like(cached)   # read in place of P X, not beside it
@@ -1174,6 +1180,11 @@ class TestPeakMemory:
     # measured 1.14: 5.25 MB traced for the 4.61 MB the Graph keeps; 3.69
     # (17.00 MB) with the text copy and the re-sort
     MAX_LOAD_OVER_KEPT = 1.25
+    # claim (b) for SAGE over a whole run.  Measured: full 8.06 MB, and 12.94
+    # MB while a mean-row P kept its per-entry values
+    MAX_FULL_SAGE_RUN_BYTES = 8_500_000
+    # measured 0.840 at alpha_up 0.05: vm 6.77 MB
+    MAX_CAPPED_SAGE_RUN_OVER_FULL = 0.9
 
     DENSE_PA = GeneratorSpec(kind="preferential-attachment", nodes=5000, classes=4,
                              feature_dim=16, attach=50, seed=1)
@@ -1245,6 +1256,28 @@ class TestPeakMemory:
         full = traced_peak(run_training, replace(base, baseline="full"))
         peak = traced_peak(run_training, replace(base, sampler_kind="vm"))
         assert peak <= self.MAX_CAPPED_DISK_RUN_OVER_FULL * full, (peak, full)
+
+    def test_a_mean_row_matrix_keeps_only_its_pattern(self, dense_pa):
+        """What a mean-row build leaves traced is its indptr and indices, and
+        the Python objects around them: no per-entry float64 array."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            p = build_propagation(SpanningSubgraph.full(dense_pa), MEAN_ROW)
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        pattern = p.indptr.nbytes + p.indices.nbytes
+        assert p.data is None
+        assert pattern <= kept <= pattern + 1024, (kept, pattern)
+
+    def test_a_sage_run_peaks_below_its_bound_and_capped_below_full(self, dense_pa):
+        base = RunConfig(generator=self.DENSE_PA, model="sage", hidden_dim=64,
+                         learning_rate=0.2, epochs=10, alpha_up=0.05, seed=1)
+        full = traced_peak(run_training, replace(base, baseline="full"), dense_pa)
+        assert full <= self.MAX_FULL_SAGE_RUN_BYTES, full
+        peak = traced_peak(run_training, replace(base, sampler_kind="vm"), dense_pa)
+        assert peak <= self.MAX_CAPPED_SAGE_RUN_OVER_FULL * full, (peak, full)
 
     def test_load_peak_stays_near_the_graph(self, dense_pa_dir):
         peak = traced_peak(load_dataset, dense_pa_dir)

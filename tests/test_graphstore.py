@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.sparse._base import _spbase
+from scipy.sparse._sparsetools import coo_tocsr
 
 import spangraph
 from spangraph import graphstore
@@ -37,7 +38,7 @@ from spangraph.graphstore import (
 from spangraph.runner import RunConfig, run_training
 from spangraph.synthetic import GeneratorSpec, make_graph
 
-from conftest import graph_from_edges, traced_peak
+from conftest import graph_from_edges, rule_product, traced_peak
 
 
 def _write_dataset(tmp_path, edge_lines, num_nodes, feature_dim=2):
@@ -213,6 +214,32 @@ class TestAcceptedEdgeFormats:
         x = read_features(tmp_path / "features.csv")
         assert x.tolist() == [[1.0, 2.5], [-0.0, 1e-320]]
         assert np.signbit(x[1, 0])
+
+    @pytest.mark.parametrize("reader, text", [
+        (read_edge_list, "nodes 5\n0 1\n3 4\n"), (read_edge_list, "0 1\n3 4\n"),
+        (read_edge_list, "# c\nnodes 5\n"), (read_labels, "0\n-1\n2\n"),
+        (read_splits, "train\nval\nnone\n"), (read_features, "1,2.5\n-3,4\n")])
+    @pytest.mark.parametrize("scanner", [False, True])
+    def test_a_leading_byte_order_mark_is_skipped(self, reader, text, scanner, tmp_path,
+                                                  monkeypatch):
+        """In the numpy pass and in the line scanner alike."""
+        if scanner:
+            monkeypatch.setattr(graphstore, "_table", refuse_table)
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(text.encode("utf-8-sig"))
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        got, want = reader(marked), reader(plain)
+        if reader is read_edge_list:
+            assert got[0] == want[0]
+            got, want = got[1], want[1]
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_a_byte_order_mark_past_the_start_is_refused(self, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_bytes("0 1\n\ufeff1 2\n".encode("utf-8"))
+        with pytest.raises(DataError, match=":2: non-integer node id"):
+            read_edge_list(path)
 
     def test_feature_values_parse_as_python_floats(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -641,12 +668,14 @@ class TestBuildMatchesTripletBuild:
 def int64_copy(p):
     """``p`` over int64 copies of its ``indptr`` and ``indices``."""
     return PropagationMatrix(p.indptr.astype(np.int64), p.indices.astype(np.int64),
-                             p.data.copy(), p.kind)
+                             None if p.data is None else p.data.copy(), p.kind)
 
 
 class TestProductsMatchScipy:
     """``P @ Y``, ``P.T @ G`` and ``P.rows(panel) @ Y`` call scipy's kernels
-    on P's arrays and give scipy's products bitwise."""
+    on P's arrays and give scipy's products bitwise: ``P @ Y`` by P's value
+    rule (``rule_product``), ``P.T @ G`` as the valued matrix's, and each
+    panel as the whole product's rows."""
 
     @staticmethod
     def subgraphs():
@@ -677,10 +706,11 @@ class TestProductsMatchScipy:
                       slice(31, 120), slice(n - 9, n), slice(0, n)]
             for p in (built, int64_copy(built)):
                 for y in self.operands(n):
-                    assert (p @ y).tobytes() == (m @ y).tobytes()
+                    want = rule_product(built, y)
+                    assert (p @ y).tobytes() == want.tobytes()
                     assert (p.T @ y).tobytes() == (m.T @ y).tobytes()
                     for panel in panels:
-                        assert (p.rows(panel) @ y).tobytes() == (m[panel] @ y).tobytes()
+                        assert (p.rows(panel) @ y).tobytes() == want[panel].tobytes()
 
     def test_mismatched_operands_and_panels_raise(self, triangle):
         p = build_propagation(SpanningSubgraph.full(triangle), MEAN_ROW)
@@ -705,6 +735,74 @@ class TestProductsMatchScipy:
             m = build_propagation(sub, kind).matrix
             fresh = sp.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
             assert fresh.has_canonical_format
+
+
+def two_array_build(sub):
+    """``indptr`` and ``indices`` from ``coo_tocsr`` over separate int32 row
+    and column arrays, listed as (v, loops, u) and (u, loops, v)."""
+    g = sub.parent
+    n = g.num_nodes
+    active = g.edges[sub.active_indices].astype(np.int32)
+    u, v = active[:, 0], active[:, 1]
+    loops = np.arange(n, dtype=np.int32)
+    rows, cols = np.concatenate([v, loops, u]), np.concatenate([u, loops, v])
+    indptr, indices = np.empty(n + 1, dtype=np.int32), np.empty(rows.size, dtype=np.int32)
+    pattern = np.ones(rows.size, dtype=bool)
+    coo_tocsr(n, n, rows.size, rows, cols, pattern, indptr, indices, pattern)
+    return indptr, indices
+
+
+class TestMeanRowPattern:
+    """A mean-row P keeps only ``indptr`` and ``indices``, and its products
+    run the kernels over the pattern a piece at a time: ``P @ Y`` is the
+    pattern product with each row scaled by 1/dhat(r), ``P.T @ G`` the
+    valued matrix's product, and a panel the whole product's rows, bitwise.
+    Every build passes ``coo_tocsr`` one buffer for both coordinates."""
+
+    @staticmethod
+    def subgraphs():
+        pa = make_graph(GeneratorSpec(kind="preferential-attachment", nodes=400, classes=3,
+                                      feature_dim=4, attach=5, seed=9))
+        yield SpanningSubgraph.empty(pa)
+        yield SpanningSubgraph.from_indices(
+            pa, np.flatnonzero(np.random.default_rng(2).random(pa.num_edges) < 0.3))
+        yield SpanningSubgraph.full(pa)
+        for n in (0, 1, 6):     # graphs with no edges
+            yield SpanningSubgraph.full(graph_from_edges(n, []))
+        # a star whose hub row holds more than one CHUNK of entries
+        leaves = np.arange(1, graphstore.CHUNK + 38)
+        star = graph_from_edges(leaves.size + 1, np.stack([np.zeros_like(leaves), leaves], 1))
+        yield SpanningSubgraph.full(star)
+
+    @pytest.mark.parametrize("kind", [GCN_SYMMETRIC, MEAN_ROW])
+    def test_one_buffer_build_matches_the_two_array_build(self, kind):
+        for sub in self.subgraphs():
+            p = build_propagation(sub, kind)
+            indptr, indices = two_array_build(sub)
+            assert p.indptr.tobytes() == indptr.tobytes()
+            assert p.indices.tobytes() == indices.tobytes()
+            assert (p.data is None) == (kind == MEAN_ROW)
+
+    @pytest.mark.parametrize("chunk, scaled", [(graphstore.CHUNK, graphstore.SCALED), (7, 5),
+                                               (16, 1)])
+    def test_pattern_products_match_scipy_references(self, chunk, scaled, monkeypatch):
+        """At the module's piece sizes and at small ones, so that rows split
+        across pieces and pieces hold one row."""
+        monkeypatch.setattr(graphstore, "CHUNK", chunk)
+        monkeypatch.setattr(graphstore, "SCALED", scaled)
+        rng = np.random.default_rng(5)
+        for sub in self.subgraphs():
+            p = build_propagation(sub, MEAN_ROW)
+            n = p.indptr.size - 1
+            for width in (1, 3):
+                y = rng.standard_normal((n, width))
+                whole = p @ y
+                assert whole.tobytes() == rule_product(p, y).tobytes()
+                assert (p.T @ y).tobytes() == (p.matrix.T @ y).tobytes()
+                for panel in (slice(0, min(n, 1)), slice(0, n), slice(n // 3, n)):
+                    assert (p.rows(panel) @ y).tobytes() == whole[panel].tobytes()
+            squares = np.asarray(p.matrix.multiply(p.matrix).sum(axis=0)).ravel()
+            assert column_norms(p).tobytes() == np.sqrt(squares).tobytes()
 
 
 class TestEntries:
@@ -769,13 +867,17 @@ class TestNoScipyObject:
         assert len(result.metrics) == 3 and len(result.diagnostics) == 3
 
     @pytest.mark.parametrize("kind", [GCN_SYMMETRIC, MEAN_ROW])
-    def test_matrix_is_a_canonical_view_of_the_arrays(self, kind, triangle):
-        p = build_propagation(SpanningSubgraph.full(triangle), kind)
+    def test_matrix_is_a_canonical_view_of_the_arrays(self, kind, path4):
+        """A mean-row P holds no values: its view forms them by the rule."""
+        p = build_propagation(SpanningSubgraph.full(path4), kind)
         m = p.matrix
         assert m is not p.matrix     # formed on each read, held by nothing
-        assert m.shape == (3, 3) and m.nnz == 9 and m.has_canonical_format
-        for name in ("indptr", "indices", "data"):
+        assert m.shape == (4, 4) and m.nnz == 10 and m.has_canonical_format
+        for name in ("indptr", "indices") + (("data",) if kind == GCN_SYMMETRIC else ()):
             assert np.shares_memory(getattr(m, name), getattr(p, name)), name
+        if kind == MEAN_ROW:
+            assert p.data is None
+            assert m.data.tolist() == [0.5, 0.5] + [1 / 3] * 6 + [0.5, 0.5]
 
 
 class TestLayering:

@@ -32,7 +32,7 @@ from spangraph.scheduler import random_drop
 from spangraph.seeding import spawn_rng
 from spangraph.synthetic import GeneratorSpec, make_graph
 
-from conftest import graph_from_edges
+from conftest import graph_from_edges, rule_product
 
 SPEC = GeneratorSpec(kind="sbm", nodes=60, classes=3, feature_dim=6,
                      seed=12, p_in=0.3, p_out=0.03)
@@ -262,7 +262,7 @@ class TestInputAggregate:
         cached = input_aggregate(init_model(layer_type, g.feature_dim, 8, 3, seed=0),
                                  build_propagation(SpanningSubgraph.full(g), kind), g.features)
         epoch_p = build_propagation(SpanningSubgraph.full(g), kind)
-        assert cached.tobytes() == (epoch_p.matrix @ g.features).tobytes()
+        assert cached.tobytes() == rule_product(epoch_p, g.features).tobytes()
 
     @pytest.mark.parametrize("model", ["gcn", "sage"])
     def test_full_outputs_match_a_run_that_forms_it(self, model, tmp_path, monkeypatch):
