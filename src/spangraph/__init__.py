@@ -5,8 +5,7 @@ sequence of spanning subgraphs that start empty and grow each epoch under
 a hard edge-ratio cap.  Edge selection is quality-aware (variance-minimized
 or gradient-noise-reduced weighting) and accelerated by two-step sampling.
 
-Submodules are imported lazily so that the command-line front end can cap
-BLAS thread counts before numpy is loaded.  Import what you need directly:
+Import the submodules you need directly:
 
     from spangraph import graphstore, sampler, scheduler, gnn
 """

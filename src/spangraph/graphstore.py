@@ -680,9 +680,8 @@ def write_edge_list(path, num_nodes: int, edges: np.ndarray) -> None:
 
 
 def write_features_csv(path, features: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in np.asarray(features, dtype=np.float64):
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+    features = np.asarray(features, dtype=np.float64)     # %r formats a float as repr does
+    _write_rows(path, "", ",".join(["%r"] * features.shape[1]) + "\n", features)
 
 
 def write_features_binary(path, features: np.ndarray) -> None:

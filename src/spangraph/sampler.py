@@ -29,8 +29,8 @@ the S2 edges by exponential keys ``E_i / w_i`` (``E_i ~ Exp(1)``), keeping
 the S2 smallest (Efraimidis & Spirakis, *Weighted random sampling with a
 reservoir*, 2006).  That is the successive-sampling law of one-at-a-time
 weighted draws with repeats rejected, in one pass without rejections.
-Zero-weight edges come only after every positive-weight edge of the pool,
-uniformly among themselves.
+Those keys are defined for positive weights only, so every distribution's
+weights are positive and finite.
 
 ``direct_sample`` deliberately rebuilds its cumulative array on every
 call: it is the reference the two-step method is benchmarked against, and
@@ -66,7 +66,7 @@ _REJECTION_CAP_FACTOR = 100
 class EdgeProbabilities:
     """Sampling distribution over the canonical edge set.
 
-    ``weights`` are unnormalized, non-negative and not all zero.  Reading
+    ``weights`` are unnormalized, positive and finite.  Reading
     ``total`` forms their prefix sum (sequential order, as ``direct_sample``
     accumulates them) and returns its last entry.  ``normalized()`` gives
     the probability vector (sums to 1).
@@ -82,10 +82,8 @@ class EdgeProbabilities:
             raise ValueError("weights must be a 1-d array")
         if weights.size == 0:
             raise ValueError("cannot build an edge distribution on an edgeless graph")
-        if (weights < 0).any():
-            raise ValueError("edge weights must be non-negative")
-        if not weights.any():
-            raise ValueError("edge weights must have positive total mass")
+        if not 0.0 < weights.min() <= weights.max() < np.inf:   # NaN fails both
+            raise ValueError("edge weights must be positive and finite")
         weights.flags.writeable = False
         return cls(weights=weights)
 
@@ -240,9 +238,7 @@ def two_step_sample(g: Graph, probs: EdgeProbabilities, req: SampleRequest) -> n
     The pool is ``Generator.choice`` without replacement.  Each pool edge
     then gets the key ``E_i / w_i`` with ``E_i ~ Exp(1)``, and the s2
     smallest keys win (Efraimidis & Spirakis): the same law as drawing
-    weight-proportionally one edge at a time and rejecting repeats.  The
-    pool's positive-weight edges are taken first; if fewer than s2 exist,
-    the rest is filled uniformly from its zero-weight edges.  With
+    weight-proportionally one edge at a time and rejecting repeats.  With
     s1 = |E| the pool is the whole edge set and the call matches direct
     weighted sampling in distribution.  Returns sorted canonical edge
     indices.  Each s1-sized array dies once it has been read, and the
@@ -254,15 +250,8 @@ def two_step_sample(g: Graph, probs: EdgeProbabilities, req: SampleRequest) -> n
     req.validate(m)
     rng = as_rng(req.rng_seed)
     pool = rng.choice(m, req.s1, replace=False, shuffle=False)
-    pool_weights = probs.weights[pool]
     keys = rng.standard_exponential(req.s1)
-    positive = pool_weights > 0.0
-    if np.count_nonzero(positive) >= req.s2:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            keys /= pool_weights    # zero weight -> +inf, never among the s2 smallest
-    else:
-        keys[positive] = -1.0       # all positive-weight edges, then Exp(1) order
-    del pool_weights, positive
+    keys /= probs.weights[pool]
     local = np.argpartition(keys, req.s2 - 1)[: req.s2]
     del keys
     chosen = np.take(pool, local)

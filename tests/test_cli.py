@@ -2,13 +2,9 @@
 
 import itertools
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import spangraph
 from spangraph import graphstore, runner
 from spangraph.cli import _config_key_types, _reads, main, parse_config_file
 from spangraph.errors import ConfigError
@@ -176,6 +172,15 @@ class TestConfigFile:
                        "--out", str(tmp_path / "flag_out")) == 0
         lines = (tmp_path / "flag_out" / "metrics.csv").read_text().splitlines()
         assert len(lines) == 3
+
+    def test_a_leading_byte_order_mark_is_skipped(self, dataset_dir, tmp_path):
+        text = f"# run\ndata={dataset_dir}\nepochs=2\nmodel=sage\n"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert parse_config_file(marked) == parse_config_file(plain) == {
+            "data": str(dataset_dir), "epochs": 2, "model": "sage"}
+        assert run_cli("train", "--config", str(marked), "--out", str(tmp_path / "r")) == 0
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -581,45 +586,6 @@ class TestConfigFaultMessages:
         assert run_cli("train", "--config", str(cfg)) == 1
         assert capsys.readouterr().err == (
             f"config error: {cfg}:2: expected key=value, got 'epochs 4'\n")
-
-
-class TestThreadCap:
-    def test_invalid_thread_cap_is_config_error(self, monkeypatch):
-        monkeypatch.setenv("SPANGRAPH_THREADS", "zero")
-        assert main(["gen-data", "--kind", "sbm", "--nodes", "10",
-                     "--classes", "2", "--out", "/tmp/ignored"]) == 1
-
-    @pytest.mark.parametrize("cap", ["\u00b2", "\u0663", "\uff12", "0", "+2", "2.0"])
-    def test_a_cap_of_anything_but_ascii_digits_is_config_error(self, cap, monkeypatch,
-                                                                 tmp_path, capsys):
-        """Superscripts pass str.isdigit and Arabic-Indic digits pass int(),
-        but no BLAS reads either."""
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            monkeypatch.delenv(var, raising=False)
-        monkeypatch.setenv("SPANGRAPH_THREADS", cap)
-        assert main(["gen-data", "--nodes", "10", "--classes", "2",
-                     "--out", str(tmp_path / "d")]) == 1
-        assert capsys.readouterr().err.startswith("config error: SPANGRAPH_THREADS")
-        assert "OMP_NUM_THREADS" not in os.environ
-
-    def test_thread_cap_propagates(self, monkeypatch, tmp_path):
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            monkeypatch.delenv(var, raising=False)
-        monkeypatch.setenv("SPANGRAPH_THREADS", "2")
-        assert main(["gen-data", "--kind", "sbm", "--nodes", "10",
-                     "--classes", "2", "--out", str(tmp_path / "d")]) == 0
-        assert os.environ["OMP_NUM_THREADS"] == "2"
-
-    def test_importing_the_cli_loads_no_numpy(self):
-        """The cap must be set before numpy loads, so the CLI module, its flag
-        table included, imports no numeric library at module level."""
-        code = "import sys, spangraph.cli; print('numpy' in sys.modules)"
-        env = {**os.environ, "PYTHONPATH": str(Path(spangraph.__file__).parents[1])}
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, check=True, env=env)
-        assert done.stdout == "False\n", done.stderr
 
 
 class TestHelp:

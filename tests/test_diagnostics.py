@@ -216,10 +216,11 @@ class TestEmbeddingVariance:
         assert results["vm"] <= results["uniform"]
 
     def test_zero_probability_edge_is_rejected_when_sampled(self):
-        g = graph_from_edges(5, [[0, 1], [1, 2], [2, 3], [3, 4]])
-        probs = EdgeProbabilities.from_weights(np.array([1.0, 0.0, 0.0, 0.0]))
+        g = graph_from_edges(101, np.c_[np.arange(100), np.arange(1, 101)])
+        probs = EdgeProbabilities.from_weights(np.r_[1.0, np.full(99, 1e-20)])
         w = np.ones((2, 1))
-        # budget 3 forces the uniform-fill fallback onto zero-weight edges
+        # the tiny edges' closed-form inclusion probability underflows to 0,
+        # and budget 3 forces the uniform-fill fallback onto them
         with pytest.raises(ValueError, match="zero inclusion"):
             embedding_variance(g, full_propagation(g), probs, 3, 8, g.features, w,
                                seed=0)
