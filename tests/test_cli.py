@@ -182,6 +182,12 @@ class TestConfigFile:
             "data": str(dataset_dir), "epochs": 2, "model": "sage"}
         assert run_cli("train", "--config", str(marked), "--out", str(tmp_path / "r")) == 0
 
+    def test_a_byte_order_mark_past_the_start_is_refused(self, tmp_path):
+        cfg = tmp_path / "marked.cfg"
+        cfg.write_bytes(b"epochs=2\n\xef\xbb\xbfhidden=8\n")
+        with pytest.raises(ConfigError, match=r":2: unknown config key '\\ufeffhidden'"):
+            parse_config_file(cfg)
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("energy=9000\n")

@@ -32,6 +32,7 @@ from spangraph.graphstore import (
     sorted_unique,
     write_edge_list,
     write_features_binary,
+    write_features_csv,
     write_labels,
     write_splits,
 )
@@ -444,6 +445,23 @@ class TestWriters:
             f"nodes {g.num_nodes}\n", "%d %d\n", g.edges)
         assert (tmp_path / "l.txt").read_bytes() == one_string_layout("", "%d\n", labels)
         assert (tmp_path / "s.txt").read_bytes() == one_string_layout("", "%s\n", splits)
+
+    @pytest.mark.parametrize("shape", [(1000, 16), (3, 1), (0, 4), (5, 0), (20_000, 3)],
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_features_csv_writes_each_value_as_repr(self, tmp_path, shape):
+        """One row per line, each value as ``repr`` formats it, so the text
+        reads back to the same doubles, -0.0 and magnitudes near 1e+-300 too."""
+        rng = np.random.default_rng(shape[0] + shape[1])
+        x = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 301, size=shape)
+        if x.size:
+            x.flat[0] = -0.0
+        write_features_csv(tmp_path / "f.csv", x)
+        assert (tmp_path / "f.csv").read_bytes() == "".join(
+            ",".join(repr(float(v)) for v in row) + "\n" for row in x).encode()
+        if x.size:
+            back = read_features(tmp_path / "f.csv")
+            np.testing.assert_array_equal(back, x)
+            assert np.signbit(back.flat[0])
 
     def test_write_peak_does_not_grow_with_the_rows(self, tmp_path):
         rng = np.random.default_rng(9)

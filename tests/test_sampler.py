@@ -138,6 +138,29 @@ class TestNormalization:
         with pytest.raises(ValueError, match="^edge weights must be positive and finite$"):
             EdgeProbabilities.from_weights(np.array(weights))
 
+    def test_tiny_and_huge_finite_weights_are_accepted(self):
+        """The smallest subnormal and a weight near the float64 limit are
+        positive and finite, so both pass unchanged."""
+        w = [5e-324, 1.0, 1e300]
+        probs = EdgeProbabilities.from_weights(np.array(w))
+        np.testing.assert_array_equal(probs.weights, w)
+        assert probs.total == 1e300
+
+    @pytest.mark.parametrize("scheme", ["vm", "gnr", "uniform"])
+    def test_scheme_weights_are_positive_and_finite(self, scheme):
+        """vm is 1/deg(u) + 1/deg(v), gnr a sum of column norms of the full P
+        with its self-loop entries, uniform all ones: each passes the rule."""
+        g = make_graph(GeneratorSpec(kind="preferential-attachment", nodes=300, classes=3,
+                                     feature_dim=2, attach=3, seed=5))
+        if scheme == "vm":
+            probs = vm_weights(g)
+        elif scheme == "gnr":
+            probs = gnr_weights(g, build_propagation(SpanningSubgraph.full(g), MEAN_ROW))
+        else:
+            probs = uniform_weights(g)
+        assert probs.num_edges == g.num_edges
+        assert probs.weights.min() > 0.0 and np.isfinite(probs.weights).all()
+
     def test_uniform_setup_forms_no_prefix_sum(self):
         """The ones alone, as the positivity check's min and max form no |E|
         array: under 1.5x the weights' bytes, where a whole-|E| prefix sum
